@@ -507,11 +507,8 @@ def _suite_collapse(args: argparse.Namespace) -> list[dict]:
                     continue
                 if any(t.partner(p) is None for p in t.ports(v)):
                     continue
-                p0 = t.ports(v)[0]
-                L = s.circumference(v)
-                aligned = (L - s.port_start(p0) - s.lengths[p0]) % L
                 twists = dict(s.twists)
-                twists[v] = aligned
+                twists[v] = s.top_start(t.ports(v)[0])
                 s2 = build(t, s.lengths, s.heights, twists)
                 try:
                     res = horizontal_collapse(s2, [v])

@@ -32,6 +32,7 @@ from .surface import (
     HyperellipticSurface,
     MetricError,
     area,
+    _fixed_corner_classes,
     build,
     fraction_from_string,
     fraction_to_string,
@@ -304,24 +305,11 @@ def _equivariance_failures(
         if not ok:
             failures.append(f"midpoint of self-glued saddle {p} projects off a base midpoint")
 
-    def fixed_classes(s: HyperellipticSurface) -> set[int]:
-        profile = singularity_profile(s)
-        index = {c: i for i, g in enumerate(profile.corner_classes) for c in g}
-        out = set()
-        for i, g in enumerate(profile.corner_classes):
-            image = {
-                (v, "t" if side == "b" else "b", (-x) % s.circumference(v))
-                for v, side, x in g
-            }
-            if {index[c] for c in image} == {i}:
-                out.add(i)
-        return out
-
     src_profile = singularity_profile(source)
     base_profile = singularity_profile(base)
     where = {c: j for j, g in enumerate(base_profile.corner_classes) for c in g}
-    fixed_src = fixed_classes(source)
-    fixed_base = fixed_classes(base)
+    fixed_src = set(_fixed_corner_classes(source, src_profile.corner_classes))
+    fixed_base = set(_fixed_corner_classes(base, base_profile.corner_classes))
     for i in fixed_src:
         rep = src_profile.corner_classes[i][0]
         j = where.get(_project_corner(rep, cyl_map, offsets, base))

@@ -12,13 +12,13 @@ a single vertical cylinder.  Widths and areas are unaffected.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .surface import HyperellipticSurface, build
+from .surface import HyperellipticSurface, _layout, build
 
 
 class FlowError(ValueError):
@@ -57,80 +57,56 @@ class VerticalCylinder:
         return sum(1 for v, _ in self.crossings if v == vertex)
 
 
-class _Geometry:
-    """Indexed circle layouts of one surface, shared by the walkers."""
+class _Lattice:
+    """Sorted circle tables of one surface's integer layout, shared by the walkers."""
 
-    def __init__(self, s: HyperellipticSurface):
-        self.s = s
-        t = s.skeleton
-        self.L = {v: s.circumference(v) for v in t.vertices}
-        self.bottom_starts: dict[int, list[Fraction]] = {}
-        self.bottom_ports: dict[int, list[int]] = {}
-        self.top_starts: dict[int, list[Fraction]] = {}
-        self.top_ports: dict[int, list[int]] = {}
-        for v in t.vertices:
-            starts, ports = [], []
-            a = Fraction(0)
-            for p in t.ports(v):
-                starts.append(a)
-                ports.append(p)
-                a += s.lengths[p]
-            self.bottom_starts[v], self.bottom_ports[v] = starts, ports
-        tops: dict[int, list[tuple[Fraction, int]]] = {v: [] for v in t.vertices}
-        for p in t.all_ports:
-            (_, _), (w, ts) = s.seam_sides(p)
-            tops[w].append((ts, p))
-        for v, entries in tops.items():
-            entries.sort()
-            self.top_starts[v] = [e[0] for e in entries]
-            self.top_ports[v] = [e[1] for e in entries]
-        self.mark_offsets: dict[int, set[Fraction]] = {}
-        self.bottom_mark_positions: dict[int, set[Fraction]] = {v: set() for v in t.vertices}
-        for m in s.marks:
-            self.mark_offsets.setdefault(m.port, set()).add(m.offset)
-            v = t.vertex_of(m.port)
-            self.bottom_mark_positions[v].add(s.port_start(m.port) + m.offset)
+    def __init__(self, s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
+        lay = _layout(s, extra)
+        self.D, self.L, self.twist, self.seams = lay.scale, lay.circumference, lay.twist, lay.seams
+        bottoms: dict[int, list[tuple[int, int]]] = {v: [] for v in self.L}
+        tops: dict[int, list[tuple[int, int]]] = {v: [] for v in self.L}
+        for p, ((v, a), (w, b)) in self.seams.items():
+            bottoms[v].append((a, p))
+            tops[w].append((b, p))
+        self.bottom_starts, self.bottom_ports = {}, {}
+        self.top_starts, self.top_ports = {}, {}
+        for v in self.L:
+            self.bottom_starts[v], self.bottom_ports[v] = zip(*sorted(bottoms[v]))
+            self.top_starts[v], self.top_ports[v] = zip(*sorted(tops[v]))
+        self.mark_offsets: dict[int, set[int]] = {}
+        self.bottom_mark_positions: dict[int, set[int]] = {v: set() for v in self.L}
+        for port, u in lay.marks:
+            self.mark_offsets.setdefault(port, set()).add(u)
+            v, a = self.seams[port][0]
+            self.bottom_mark_positions[v].add(a + u)
 
-    def step_up(self, v: int, x: Fraction):
+    def step_up(self, v: int, x: int):
         """Cross cylinder ``v`` upward from bottom position ``x``.
 
         Returns ("cross", vertex, position), ("zero", corner) or
         ("mark", seam, offset).
         """
-        y = (x + self.s.twists[v]) % self.L[v]
+        y = (x + self.twist[v]) % self.L[v]
         starts = self.top_starts[v]
         idx = bisect_right(starts, y) - 1
         ts = starts[idx]
         if y == ts:
             return ("zero", (v, "t", y))
-        p = self.top_ports[v]
-        seam = p[idx]
+        seam = self.top_ports[v][idx]
         offset = y - ts
         if offset in self.mark_offsets.get(seam, ()):
             return ("mark", (seam, offset))
-        above_vertex = self.s.skeleton.vertex_of(seam)
-        return ("cross", above_vertex, self.s.port_start(seam) + offset)
+        above_vertex, a = self.seams[seam][0]
+        return ("cross", above_vertex, a + offset)
 
-    def step_down(self, v: int, x: Fraction) -> tuple[int, Fraction] | None:
+    def step_down(self, v: int, x: int) -> tuple[int, int] | None:
         """Pull a non-corner bottom position down through the cylinder below."""
         starts = self.bottom_starts[v]
         idx = bisect_right(starts, x) - 1
         if x == starts[idx]:
             return None
-        seam = self.bottom_ports[v][idx]
-        (_, _), (w, ts) = self.s.seam_sides(seam)
-        y = ts + (x - starts[idx])
-        return (w, (y - self.s.twists[w]) % self.L[w])
-
-    def step_limit(self) -> int:
-        """Safe iteration bound: number of representable circle positions."""
-        den = 1
-        vals = list(self.s.twists.values()) + list(self.s.lengths.values())
-        vals += [m.offset for m in self.s.marks]
-        for val in vals:
-            den = math.lcm(den, val.denominator)
-        total = sum(int(self.L[v] * den) for v in self.L)
-        return 2 * total + 4
+        w, ts = self.seams[self.bottom_ports[v][idx]][1]
+        return (w, (ts + x - starts[idx] - self.twist[w]) % self.L[w])
 
 
 def trace_vertical(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Trajectory:
@@ -140,54 +116,61 @@ def trace_vertical(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Traj
     saddle endpoints and marked points: trajectories out of distinguished
     points are prongs, not flow lines.
     """
-    geo = _Geometry(s)
     v, x = start
-    if v not in geo.L:
+    if v not in s.skeleton.vertices:
         raise FlowError(f"no cylinder {v}")
-    x = Fraction(x) % geo.L[v]
-    if x in geo.bottom_starts[v]:
+    x = Fraction(x)
+    lat = _Lattice(s, (x,))
+    D = lat.D
+    xi = x.numerator * (D // x.denominator) % lat.L[v]
+    x = Fraction(xi, D)
+    if xi in lat.bottom_starts[v]:
         raise FlowError(f"start ({v}, {x}) lies on a singular corner")
-    if x in geo.bottom_mark_positions[v]:
+    if xi in lat.bottom_mark_positions[v]:
         raise FlowError(f"start ({v}, {x}) lies on a marked point")
-    crossings: list[tuple[int, Fraction]] = [(v, x)]
+    crossings: list[tuple[int, int]] = [(v, xi)]
     length = Fraction(0)
-    limit = geo.step_limit()
-    cur_v, cur_x = v, x
+    # every crossing lands on one of the layout's sum(L) lattice positions
+    limit = 2 * sum(lat.L.values()) + 4
+    cur_v, cur_x = v, xi
     for _ in range(limit):
-        outcome = geo.step_up(cur_v, cur_x)
+        outcome = lat.step_up(cur_v, cur_x)
         length += s.heights[cur_v]
         if outcome[0] != "cross":
-            return Trajectory((v, x), False, tuple(crossings), length, outcome)
+            kind, where = outcome
+            hit = (kind, where[:-1] + (Fraction(where[-1], D),))
+            return Trajectory((v, x), False, _fractions(D, crossings), length, hit)
         _, cur_v, cur_x = outcome
-        if (cur_v, cur_x) == (v, x):
-            return Trajectory((v, x), True, tuple(crossings), length)
+        if (cur_v, cur_x) == (v, xi):
+            return Trajectory((v, x), True, _fractions(D, crossings), length)
         crossings.append((cur_v, cur_x))
-    raise RuntimeError("vertical trace exceeded the rational step bound")
+    raise FlowError("vertical trace exceeded the rational step bound")
 
 
-def _split_points(geo: _Geometry) -> dict[int, list[Fraction]]:
+def _fractions(D: int, crossings: list[tuple[int, int]]) -> tuple[tuple[int, Fraction], ...]:
+    return tuple((v, Fraction(x, D)) for v, x in crossings)
+
+
+def _split_points(lat: _Lattice) -> dict[int, list[int]]:
     """Positions where verticals split, closed under the return map both ways."""
-    s = geo.s
-    split: dict[int, set[Fraction]] = {}
-    for v in geo.L:
-        seed = set(geo.bottom_starts[v])
-        seed |= {(c - s.twists[v]) % geo.L[v] for c in geo.top_starts[v]}
-        seed |= geo.bottom_mark_positions[v]
-        for p, offsets in geo.mark_offsets.items():
-            (_, _), (w, ts) = s.seam_sides(p)
-            if w == v:
-                seed |= {(ts + u - s.twists[v]) % geo.L[v] for u in offsets}
-        split[v] = seed
+    L, twist = lat.L, lat.twist
+    split: dict[int, set[int]] = {}
+    for v in L:
+        split[v] = set(lat.bottom_starts[v]) | lat.bottom_mark_positions[v]
+        split[v] |= {(c - twist[v]) % L[v] for c in lat.top_starts[v]}
+    for p, offsets in lat.mark_offsets.items():
+        w, ts = lat.seams[p][1]
+        split[w] |= {(ts + u - twist[w]) % L[w] for u in offsets}
     work = [(v, x) for v in split for x in split[v]]
     while work:
         v, x = work.pop()
-        outcome = geo.step_up(v, x)
+        outcome = lat.step_up(v, x)
         if outcome[0] == "cross":
             _, u, x2 = outcome
             if x2 not in split[u]:
                 split[u].add(x2)
                 work.append((u, x2))
-        down = geo.step_down(v, x)
+        down = lat.step_down(v, x)
         if down is not None:
             w, x0 = down
             if x0 not in split[w]:
@@ -204,26 +187,25 @@ def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, .
     height of the cylinders it crosses.  Widths times cores add up to the
     surface area with no tolerance.
     """
-    geo = _Geometry(s)
-    split = _split_points(geo)
-    intervals: list[tuple[int, Fraction, Fraction]] = []
-    index: dict[tuple[int, Fraction], int] = {}
+    lat = _Lattice(s)
+    split = _split_points(lat)
+    intervals: list[tuple[int, int, int]] = []
+    index: dict[tuple[int, int], int] = {}
     for v, pts in split.items():
-        L = geo.L[v]
+        L = lat.L[v]
         for i, x in enumerate(pts):
             nxt = pts[i + 1] if i + 1 < len(pts) else pts[0] + L
             index[(v, x)] = len(intervals)
             intervals.append((v, x, nxt - x))
     succ: list[int] = []
     for v, x, width in intervals:
-        y = (x + s.twists[v]) % geo.L[v]
-        starts = geo.top_starts[v]
+        y = (x + lat.twist[v]) % lat.L[v]
+        starts = lat.top_starts[v]
         idx = bisect_right(starts, y) - 1
-        seam = geo.top_ports[v][idx]
-        u = s.skeleton.vertex_of(seam)
-        x2 = s.port_start(seam) + (y - starts[idx])
-        succ.append(index[(u, x2)])
-    assert len(set(succ)) == len(succ), "interval map failed to be a bijection"
+        u, a = lat.seams[lat.top_ports[v][idx]][0]
+        succ.append(index[(u, a + (y - starts[idx]))])
+    if len(set(succ)) != len(succ):
+        raise FlowError("interval map failed to be a bijection")
     seen = [False] * len(intervals)
     cylinders: list[VerticalCylinder] = []
     for i in range(len(intervals)):
@@ -236,12 +218,15 @@ def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, .
             cycle.append(j)
             j = succ[j]
         widths = {intervals[k][2] for k in cycle}
-        assert len(widths) == 1, "interval orbit changed width"
+        if len(widths) != 1:
+            raise FlowError("interval orbit changed width")
         crossings = [(intervals[k][0], intervals[k][1]) for k in cycle]
         pivot = crossings.index(min(crossings))
         crossings = crossings[pivot:] + crossings[:pivot]
-        core = sum((s.heights[v] for v, _ in crossings), Fraction(0))
-        cylinders.append(VerticalCylinder(widths.pop(), core, tuple(crossings)))
+        visits = Counter(v for v, _ in crossings)
+        core = sum((s.heights[v] * n for v, n in visits.items()), Fraction(0))
+        width = Fraction(widths.pop(), lat.D)
+        cylinders.append(VerticalCylinder(width, core, _fractions(lat.D, crossings)))
     return tuple(sorted(cylinders, key=lambda c: c.crossings))
 
 
@@ -331,21 +316,20 @@ def _saddle_alignment_data(s: HyperellipticSurface, saddle: int):
 def _locate_witness(
     surface: HyperellipticSurface, C: int, D: int, a_p: Fraction, ell: Fraction
 ) -> VerticalCylinder:
+    core = surface.heights[C] + surface.heights[D]
     for vc in vertical_decomposition(surface):
         if (C, a_p) in vc.crossings and vc.width == ell:
-            assert {v for v, _ in vc.crossings} == {C, D}
-            assert vc.core == surface.heights[C] + surface.heights[D]
+            if vc.core != core or {v for v, _ in vc.crossings} != {C, D}:
+                raise FlowError(f"vertical witness over cylinders {C}, {D} crosses others")
             return vc
-    raise AssertionError("aligned saddle produced no vertical witness")
+    raise FlowError("aligned saddle produced no vertical witness")
 
 
 def standard_position(s: HyperellipticSurface, saddle: int) -> StandardPosition:
     """Shear both adjacent cylinders so the shared saddle sits over itself."""
     q, C, D, ell, targets = _saddle_alignment_data(s, saddle)
     deltas = {v: (targets[v] - s.twists[v]) % s.circumference(v) for v in (C, D)}
-    twists = dict(s.twists)
-    for v in (C, D):
-        twists[v] = (twists[v] + deltas[v]) % s.circumference(v)
+    twists = {**s.twists, C: targets[C], D: targets[D]}
     aligned = build(s.skeleton, s.lengths, s.heights, twists, s.marks)
     witness = _locate_witness(aligned, C, D, s.port_start(saddle), ell)
     return StandardPosition((saddle, q), (C, D), deltas, aligned, witness)
@@ -364,13 +348,9 @@ def transverse_standard_position(
     sigma = ((targets[C] - s.twists[C]) % s.circumference(C)) / s.heights[C]
     delta_D = (targets[D] - s.twists[D] - sigma * s.heights[D]) % s.circumference(D)
     deltas = {C: Fraction(0), D: delta_D}
-    twists = dict(s.twists)
-    twists[D] = (twists[D] + delta_D) % s.circumference(D)
+    twists = {**s.twists, D: s.twists[D] + delta_D}
     twisted = build(s.skeleton, s.lengths, s.heights, twists, s.marks)
-    sheared_twists = {
-        v: (twisted.twists[v] + sigma * s.heights[v]) % s.circumference(v)
-        for v in s.skeleton.vertices
-    }
+    sheared_twists = {v: twisted.twists[v] + sigma * s.heights[v] for v in s.skeleton.vertices}
     sheared = build(s.skeleton, s.lengths, s.heights, sheared_twists, s.marks)
     witness = _locate_witness(sheared, C, D, s.port_start(saddle), ell)
     return TransverseStandardPosition(

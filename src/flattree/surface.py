@@ -15,14 +15,20 @@ convention, fixed once here and relied on everywhere:
 With this marking, bottom ``x`` maps to top ``(-x) mod L`` under the
 involution for every twist, which is what makes rotation by pi an involution
 of the glued surface and the whole hyperelliptic bookkeeping twist-free.
+
+Walks over many positions (the corner walk, :func:`lower`, the vertical flow)
+evaluate this convention in integers: :func:`_layout` scales every position
+by ``D``, the lcm of the denominators of all lengths, twists and mark offsets,
+and results become ``Fraction`` again, as ``x / D``, only at the API edge.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .halftree import (
     HalfTree,
@@ -113,6 +119,53 @@ class DisjointSurface:
     notices: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The layout convention of one surface, every position multiplied by ``scale``.
+
+    ``seams[p]`` is ``seam_sides(p)`` in ints, in ``all_ports`` order.
+    """
+
+    scale: int
+    circumference: dict[int, int]
+    twist: dict[int, int]
+    length: dict[int, int]
+    seams: dict[int, tuple[tuple[int, int], tuple[int, int]]]
+    marks: tuple[tuple[int, int], ...]
+
+
+def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
+    """Integer layout of ``s``, on a scale that also makes each ``extra`` value integral.
+
+    Built per call, never stored: on a large surface it outweighs the surface.
+    """
+    t = s.skeleton
+    values = [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks), *extra]
+    D = math.lcm(*(x.denominator for x in values))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (D // x.denominator)
+
+    length = {p: scaled(x) for p, x in s.lengths.items()}
+    circumference: dict[int, int] = {}
+    bottom: dict[int, int] = {}
+    for v in t.vertices:
+        a = 0
+        for p in t.ports(v):
+            bottom[p], a = a, a + length[p]
+        circumference[v] = a
+    seams = {}
+    for p in t.all_ports:
+        q = t.partner(p)
+        q = p if q is None else q
+        w = t.vertex_of(q)
+        L = circumference[w]
+        seams[p] = ((t.vertex_of(p), bottom[p]), (w, (L - bottom[q] - length[q]) % L))
+    twist = {v: scaled(x) for v, x in s.twists.items()}
+    marks = tuple((m.port, scaled(m.offset)) for m in s.marks)
+    return _Layout(D, circumference, twist, length, seams, marks)
+
+
 def build(
     skeleton: HalfTree,
     lengths: Mapping[int, Fraction],
@@ -159,9 +212,8 @@ def build(
     for v in set(heights) | set(twists):
         if v not in known:
             raise MetricError(f"metric given for unknown vertex {v}")
-    surface = HyperellipticSurface(skeleton, lens, hts, {v: Fraction(0) for v in skeleton.vertices})
     for v in skeleton.vertices:
-        L = surface.circumference(v)
+        L = sum((lens[p] for p in skeleton.ports(v)), Fraction(0))
         tws[v] = Fraction(twists.get(v, 0)) % L
     mark_list = tuple(sorted(Mark(m.port, Fraction(m.offset)) for m in marks))
     mark_set = set(mark_list)
@@ -274,20 +326,16 @@ def _corner_classes(s: HyperellipticSurface) -> list[tuple[Corner, ...]]:
         if rx != ry:
             parent[rx] = ry
 
-    t = s.skeleton
-    for p in t.all_ports:
-        q = t.partner(p)
-        q = p if q is None else q
-        v, w = t.vertex_of(p), t.vertex_of(q)
-        Lv, Lw = s.circumference(v), s.circumference(w)
-        a, ts = s.port_start(p), s.top_start(q)
-        ell = s.lengths[p]
+    lay = _layout(s)
+    L = lay.circumference
+    for p, ((v, a), (w, ts)) in lay.seams.items():
+        ell = lay.length[p]
         union((v, "b", a), (w, "t", ts))
-        union((v, "b", (a + ell) % Lv), (w, "t", (ts + ell) % Lw))
+        union((v, "b", (a + ell) % L[v]), (w, "t", (ts + ell) % L[w]))
     groups: dict[Corner, list[Corner]] = {}
     for x in parent:
         groups.setdefault(find(x), []).append(x)
-    return [tuple(sorted(g, key=lambda c: (c[0], c[1], c[2]))) for g in groups.values()]
+    return [tuple(sorted((v, e, Fraction(x, lay.scale)) for v, e, x in g)) for g in groups.values()]
 
 
 def singularity_profile(s: HyperellipticSurface) -> SingularityProfile:
@@ -337,6 +385,20 @@ class WeierstrassReport:
         return self.count == self.expected and self.formula_residual == 0
 
 
+def _fixed_corner_classes(
+    s: HyperellipticSurface, classes: Sequence[tuple[Corner, ...]]
+) -> list[int]:
+    """Indices of the corner classes that rotation by pi maps onto themselves."""
+    index = {c: i for i, g in enumerate(classes) for c in g}
+    L = {v: s.circumference(v) for v in s.skeleton.vertices}
+    flip = {"b": "t", "t": "b"}
+    return [
+        i
+        for i, g in enumerate(classes)
+        if {index[(v, flip[side], (-x) % L[v])] for v, side, x in g} == {i}
+    ]
+
+
 def weierstrass_points(s: HyperellipticSurface) -> WeierstrassReport:
     """Fixed points of the rotation-by-pi involution.
 
@@ -356,20 +418,12 @@ def weierstrass_points(s: HyperellipticSurface) -> WeierstrassReport:
     for p in t.half_edge_ports():
         points.append(("midpoint", p, s.lengths[p] / 2))
     classes = _corner_classes(s)
-    index = {c: i for i, g in enumerate(classes) for c in g}
-    fixed_classes = 0
-    for i, g in enumerate(classes):
-        image = set()
-        for v, side, x in g:
-            L = s.circumference(v)
-            image.add((v, "t" if side == "b" else "b", (-x) % L))
-        if {index[c] for c in image} == {i}:
-            fixed_classes += 1
-            points.append(("corner-class", i, g[0]))
+    fixed = _fixed_corner_classes(s, classes)
+    points.extend(("corner-class", i, classes[i][0]) for i in fixed)
     g_ = stratum_of(t).genus
     count = len(points)
     residual = (
-        sum(t.degree(v) + 2 for v in t.vertices) - 2 * len(t.edges()) + fixed_classes
+        sum(t.degree(v) + 2 for v in t.vertices) - 2 * len(t.edges()) + len(fixed)
     ) - (2 * g_ + 2)
     return WeierstrassReport(
         points=tuple(points), count=count, expected=2 * g_ + 2, formula_residual=residual
@@ -462,13 +516,15 @@ class GluedSurface:
 
 def lower(s: HyperellipticSurface) -> GluedSurface:
     """Expand a surface into its explicit seam table (seam ids = port ids)."""
+    lay = _layout(s)
+    D = lay.scale
     cylinders = {
-        v: (s.circumference(v), s.heights[v], s.twists[v]) for v in s.skeleton.vertices
+        v: (Fraction(L, D), s.heights[v], s.twists[v]) for v, L in lay.circumference.items()
     }
-    seams = {}
-    for p in s.skeleton.all_ports:
-        above, below = s.seam_sides(p)
-        seams[p] = Seam(seam_id=p, above=above, below=below, length=s.lengths[p])
+    seams = {
+        p: Seam(p, (v, Fraction(a, D)), (w, Fraction(b, D)), s.lengths[p])
+        for p, ((v, a), (w, b)) in lay.seams.items()
+    }
     marks = tuple(sorted((m.port, m.offset) for m in s.marks))
     return GluedSurface(cylinders=cylinders, seams=seams, marks=marks)
 
@@ -781,13 +837,9 @@ def canonical_metric(s: HyperellipticSurface):
         heights = [None] * len(s.skeleton.vertices)
         twists = [None] * len(s.skeleton.vertices)
         for v, nv in lab.vertex_map.items():
-            L = s.circumference(v)
-            plist = s.skeleton.ports(v)
-            shift = sum(
-                (s.lengths[q] for q in plist[: lab.rotation[v]]), Fraction(0)
-            )
+            shift = s.port_start(s.skeleton.ports(v)[lab.rotation[v]])
             heights[nv] = s.heights[v]
-            twists[nv] = (s.twists[v] + 2 * shift) % L
+            twists[nv] = (s.twists[v] + 2 * shift) % s.circumference(v)
         marks = tuple(sorted((lab.port_map[m.port], m.offset) for m in s.marks))
         outcomes.append((cf.encoding, tuple(lengths), tuple(heights), tuple(twists), marks))
     return min(outcomes)

@@ -8,9 +8,14 @@ these at small sizes and freeze the agreed values at larger ones.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 
+from flattree.flow import FlowError, Trajectory, VerticalCylinder
 from flattree.halftree import HalfTree, canonical_form, validate
+from flattree.surface import HyperellipticSurface
 
 
 def labeled_halftrees(n: int):
@@ -215,3 +220,230 @@ def labeled_trees(n: int):
         adj[a].append(b)
         adj[b].append(a)
         yield {v: sorted(ws) for v, ws in adj.items()}
+
+
+# -- Fraction reference for the vertical flow and the corner walk -------------
+# Every table and step in ``Fraction``, positions read off ``port_start``,
+# ``top_start`` and ``seam_sides``; the library walks the same lattice in
+# integers and must agree with these exactly.
+
+
+class FractionGeometry:
+    """Indexed circle layouts of one surface in ``Fraction``, from its own layout methods."""
+
+    def __init__(self, s: HyperellipticSurface):
+        self.s = s
+        t = s.skeleton
+        self.L = {v: s.circumference(v) for v in t.vertices}
+        self.bottom_starts: dict[int, list[Fraction]] = {}
+        self.bottom_ports: dict[int, list[int]] = {}
+        self.top_starts: dict[int, list[Fraction]] = {}
+        self.top_ports: dict[int, list[int]] = {}
+        for v in t.vertices:
+            starts, ports = [], []
+            a = Fraction(0)
+            for p in t.ports(v):
+                starts.append(a)
+                ports.append(p)
+                a += s.lengths[p]
+            self.bottom_starts[v], self.bottom_ports[v] = starts, ports
+        tops: dict[int, list[tuple[Fraction, int]]] = {v: [] for v in t.vertices}
+        for p in t.all_ports:
+            (_, _), (w, ts) = s.seam_sides(p)
+            tops[w].append((ts, p))
+        for v, entries in tops.items():
+            entries.sort()
+            self.top_starts[v] = [e[0] for e in entries]
+            self.top_ports[v] = [e[1] for e in entries]
+        self.mark_offsets: dict[int, set[Fraction]] = {}
+        self.bottom_mark_positions: dict[int, set[Fraction]] = {v: set() for v in t.vertices}
+        for m in s.marks:
+            self.mark_offsets.setdefault(m.port, set()).add(m.offset)
+            v = t.vertex_of(m.port)
+            self.bottom_mark_positions[v].add(s.port_start(m.port) + m.offset)
+
+    def step_up(self, v: int, x: Fraction):
+        """Cross cylinder ``v`` upward from bottom position ``x``.
+
+        Returns ("cross", vertex, position), ("zero", corner) or
+        ("mark", seam, offset).
+        """
+        y = (x + self.s.twists[v]) % self.L[v]
+        starts = self.top_starts[v]
+        idx = bisect_right(starts, y) - 1
+        ts = starts[idx]
+        if y == ts:
+            return ("zero", (v, "t", y))
+        p = self.top_ports[v]
+        seam = p[idx]
+        offset = y - ts
+        if offset in self.mark_offsets.get(seam, ()):
+            return ("mark", (seam, offset))
+        above_vertex = self.s.skeleton.vertex_of(seam)
+        return ("cross", above_vertex, self.s.port_start(seam) + offset)
+
+    def step_down(self, v: int, x: Fraction) -> tuple[int, Fraction] | None:
+        """Pull a non-corner bottom position down through the cylinder below."""
+        starts = self.bottom_starts[v]
+        idx = bisect_right(starts, x) - 1
+        if x == starts[idx]:
+            return None
+        seam = self.bottom_ports[v][idx]
+        (_, _), (w, ts) = self.s.seam_sides(seam)
+        y = ts + (x - starts[idx])
+        return (w, (y - self.s.twists[w]) % self.L[w])
+
+    def step_limit(self) -> int:
+        """Safe iteration bound: number of representable circle positions."""
+        den = 1
+        vals = list(self.s.twists.values()) + list(self.s.lengths.values())
+        vals += [m.offset for m in self.s.marks]
+        for val in vals:
+            den = math.lcm(den, val.denominator)
+        total = sum(int(self.L[v] * den) for v in self.L)
+        return 2 * total + 4
+
+
+def trace_vertical_fraction(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Trajectory:
+    """Follow the upward vertical from a core-circle point until it closes or dies.
+
+    ``start`` is (cylinder, bottom-circle offset).  The offset must avoid
+    saddle endpoints and marked points: trajectories out of distinguished
+    points are prongs, not flow lines.
+    """
+    geo = FractionGeometry(s)
+    v, x = start
+    if v not in geo.L:
+        raise FlowError(f"no cylinder {v}")
+    x = Fraction(x) % geo.L[v]
+    if x in geo.bottom_starts[v]:
+        raise FlowError(f"start ({v}, {x}) lies on a singular corner")
+    if x in geo.bottom_mark_positions[v]:
+        raise FlowError(f"start ({v}, {x}) lies on a marked point")
+    crossings: list[tuple[int, Fraction]] = [(v, x)]
+    length = Fraction(0)
+    limit = geo.step_limit()
+    cur_v, cur_x = v, x
+    for _ in range(limit):
+        outcome = geo.step_up(cur_v, cur_x)
+        length += s.heights[cur_v]
+        if outcome[0] != "cross":
+            return Trajectory((v, x), False, tuple(crossings), length, outcome)
+        _, cur_v, cur_x = outcome
+        if (cur_v, cur_x) == (v, x):
+            return Trajectory((v, x), True, tuple(crossings), length)
+        crossings.append((cur_v, cur_x))
+    raise RuntimeError("vertical trace exceeded the rational step bound")
+
+
+def split_points_fraction(geo: FractionGeometry) -> dict[int, list[Fraction]]:
+    """Positions where verticals split, closed under the return map both ways."""
+    s = geo.s
+    split: dict[int, set[Fraction]] = {}
+    for v in geo.L:
+        seed = set(geo.bottom_starts[v])
+        seed |= {(c - s.twists[v]) % geo.L[v] for c in geo.top_starts[v]}
+        seed |= geo.bottom_mark_positions[v]
+        for p, offsets in geo.mark_offsets.items():
+            (_, _), (w, ts) = s.seam_sides(p)
+            if w == v:
+                seed |= {(ts + u - s.twists[v]) % geo.L[v] for u in offsets}
+        split[v] = seed
+    work = [(v, x) for v in split for x in split[v]]
+    while work:
+        v, x = work.pop()
+        outcome = geo.step_up(v, x)
+        if outcome[0] == "cross":
+            _, u, x2 = outcome
+            if x2 not in split[u]:
+                split[u].add(x2)
+                work.append((u, x2))
+        down = geo.step_down(v, x)
+        if down is not None:
+            w, x0 = down
+            if x0 not in split[w]:
+                split[w].add(x0)
+                work.append((w, x0))
+    return {v: sorted(pts) for v, pts in split.items()}
+
+
+def vertical_decomposition_fraction(s: HyperellipticSurface) -> tuple[VerticalCylinder, ...]:
+    """Decompose the vertical direction into maximal cylinders, exactly.
+
+    Maximal open intervals between split points are permuted by the return
+    map; each orbit is one vertical cylinder whose core length is the summed
+    height of the cylinders it crosses.  Widths times cores add up to the
+    surface area with no tolerance.
+    """
+    geo = FractionGeometry(s)
+    split = split_points_fraction(geo)
+    intervals: list[tuple[int, Fraction, Fraction]] = []
+    index: dict[tuple[int, Fraction], int] = {}
+    for v, pts in split.items():
+        L = geo.L[v]
+        for i, x in enumerate(pts):
+            nxt = pts[i + 1] if i + 1 < len(pts) else pts[0] + L
+            index[(v, x)] = len(intervals)
+            intervals.append((v, x, nxt - x))
+    succ: list[int] = []
+    for v, x, width in intervals:
+        y = (x + s.twists[v]) % geo.L[v]
+        starts = geo.top_starts[v]
+        idx = bisect_right(starts, y) - 1
+        seam = geo.top_ports[v][idx]
+        u = s.skeleton.vertex_of(seam)
+        x2 = s.port_start(seam) + (y - starts[idx])
+        succ.append(index[(u, x2)])
+    assert len(set(succ)) == len(succ), "interval map failed to be a bijection"
+    seen = [False] * len(intervals)
+    cylinders: list[VerticalCylinder] = []
+    for i in range(len(intervals)):
+        if seen[i]:
+            continue
+        cycle = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = succ[j]
+        widths = {intervals[k][2] for k in cycle}
+        assert len(widths) == 1, "interval orbit changed width"
+        crossings = [(intervals[k][0], intervals[k][1]) for k in cycle]
+        pivot = crossings.index(min(crossings))
+        crossings = crossings[pivot:] + crossings[:pivot]
+        core = sum((s.heights[v] for v, _ in crossings), Fraction(0))
+        cylinders.append(VerticalCylinder(widths.pop(), core, tuple(crossings)))
+    return tuple(sorted(cylinders, key=lambda c: c.crossings))
+
+
+def corner_classes_fraction(s: HyperellipticSurface) -> list[tuple]:
+    """The corner walk in ``Fraction``, positions from ``port_start``/``top_start``."""
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y) -> None:
+        for z in (x, y):
+            parent.setdefault(z, z)
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    t = s.skeleton
+    for p in t.all_ports:
+        q = t.partner(p)
+        q = p if q is None else q
+        v, w = t.vertex_of(p), t.vertex_of(q)
+        Lv, Lw = s.circumference(v), s.circumference(w)
+        a, ts = s.port_start(p), s.top_start(q)
+        ell = s.lengths[p]
+        union((v, "b", a), (w, "t", ts))
+        union((v, "b", (a + ell) % Lv), (w, "t", (ts + ell) % Lw))
+    groups: dict = {}
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
+    return [tuple(sorted(g)) for g in groups.values()]

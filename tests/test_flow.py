@@ -1,7 +1,10 @@
 """Vertical flow: trace semantics, exact decomposition, saddle alignment."""
 
+import random
+import re
 from fractions import Fraction as F
 
+import oracles
 import pytest
 
 from flattree import (
@@ -13,12 +16,16 @@ from flattree import (
     build,
     cylinder_proportion,
     enumerate_halftrees,
+    involution_orbit,
     random_metric,
     standard_position,
     trace_vertical,
     transverse_standard_position,
+    validate,
     vertical_decomposition,
+    with_marks,
 )
+from flattree import flow
 
 
 def torus(twist=0, marks=()):
@@ -28,6 +35,35 @@ def torus(twist=0, marks=()):
 def one_vertex_unit(n, twist=0):
     t = HalfTree({0: list(range(n))}, [])
     return build(t, {p: F(1) for p in range(n)}, {0: F(1)}, {0: F(twist)})
+
+
+def seeded_halftree(n_ports, seed):
+    """A random tree of cylinders; ports left over after the edges are self-glued."""
+    rng = random.Random(seed)
+    n_vertices = rng.randint(2, n_ports // 2 + 1)
+    ports_of = {v: [] for v in range(n_vertices)}
+    pairs = []
+    for v in range(1, n_vertices):
+        u = rng.randrange(v)
+        pairs.append((len(pairs) * 2, len(pairs) * 2 + 1))
+        ports_of[u].append(pairs[-1][0])
+        ports_of[v].append(pairs[-1][1])
+    for p in range(2 * len(pairs), n_ports):
+        ports_of[rng.randrange(n_vertices)].append(p)
+    for plist in ports_of.values():
+        rng.shuffle(plist)
+    t = HalfTree(ports_of, pairs)
+    assert validate(t).ok
+    return t
+
+
+def marked(s, seed):
+    """``s`` with involution-closed marks on a few seeded saddles."""
+    rng = random.Random(seed)
+    marks = []
+    for p in rng.sample(s.skeleton.all_ports, min(3, s.skeleton.n_ports)):
+        marks.extend(involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 4), 5))))
+    return with_marks(s, set(marks))
 
 
 @pytest.fixture
@@ -85,6 +121,11 @@ class TestTrace:
         tr = trace_vertical(torus(), (0, F(7, 2)))
         assert tr.start == (0, F(1, 2))
 
+    def test_start_denominator_outside_the_layout(self):
+        tr = trace_vertical(torus(F(1, 2)), (0, F(1, 7)))
+        assert tr.closed
+        assert tr.crossings == ((0, F(1, 7)), (0, F(9, 14)))
+
 
 class TestDecomposition:
     def test_unit_torus_single_cylinder(self):
@@ -137,6 +178,51 @@ class TestDecomposition:
         assert shapes(s) == shapes(r)
 
 
+def reference_surfaces():
+    """Seeded surfaces for the Fraction reference: small classes, marks, 64 ports."""
+    for n in range(1, 6):
+        for i, t in enumerate(enumerate_halftrees(n)):
+            for seed in (0, 1):
+                yield f"class-{n}.{i}-{seed}", random_metric(t, seed)
+    for seed in range(4):
+        s = random_metric(seeded_halftree(12, seed), seed, max_denominator=4)
+        yield f"marked-12-{seed}", marked(s, seed)
+    for seed in range(2):
+        yield f"ports-64-{seed}", random_metric(seeded_halftree(64, seed), seed, max_denominator=4)
+
+
+REFERENCE = dict(reference_surfaces())
+
+
+class TestFractionReference:
+    """The integer-layout walk equals the Fraction walk it replaced, value and type."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_decomposition(self, name):
+        s = REFERENCE[name]
+        want = oracles.vertical_decomposition_fraction(s)
+        assert repr(vertical_decomposition(s)) == repr(want)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_trace(self, name):
+        s = REFERENCE[name]
+        # on the marked and 64-port surfaces (denominators <= 4) 1/7 is off the lattice
+        starts = [(v, F(1, 7)) for v in s.skeleton.vertices]
+        for vc in oracles.vertical_decomposition_fraction(s):
+            starts.append((vc.crossings[0][0], vc.crossings[0][1] + vc.width / 2))
+        # split points start on corners, on marks, or on verticals that hit one
+        split = oracles.split_points_fraction(oracles.FractionGeometry(s))
+        starts += [(v, x) for v, pts in sorted(split.items()) for x in pts[:6]]
+        for start in starts:
+            try:
+                want = oracles.trace_vertical_fraction(s, start)
+            except FlowError as exc:
+                with pytest.raises(FlowError, match=re.escape(str(exc))):
+                    trace_vertical(s, start)
+            else:
+                assert repr(trace_vertical(s, start)) == repr(want)
+
+
 class TestStandardPosition:
     def test_witness_shape(self, path3_surface):
         std = standard_position(path3_surface, 0)
@@ -180,6 +266,11 @@ class TestStandardPosition:
     def test_unknown_saddle_rejected(self, path3_surface):
         with pytest.raises(FlowError, match="no saddle"):
             standard_position(path3_surface, 42)
+
+    def test_missing_witness_is_a_flow_error(self, path3_surface, monkeypatch):
+        monkeypatch.setattr(flow, "vertical_decomposition", lambda s: ())
+        with pytest.raises(FlowError, match="no vertical witness"):
+            standard_position(path3_surface, 0)
 
 
 class TestTransverse:

@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction as F
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from flattree import (
     Mark,
     MarkedSurface,
     MetricError,
+    Seam,
     SkeletonError,
     area,
     build,
@@ -250,12 +252,22 @@ class TestInvolution:
 
 
 class TestGluedCertification:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_roundtrip_is_exact(self, n):
         for t in enumerate_halftrees(n):
             for seed in (0, 1):
                 s = random_metric(t, seed)
-                cert = certify_glued(lower(s))
+                gs = lower(s)
+                # the integer layout reproduces the per-port Fraction positions
+                seams = {p: Seam(p, *s.seam_sides(p), s.lengths[p]) for p in t.all_ports}
+                assert repr(gs.seams) == repr(seams)
+                cylinders = {
+                    v: (s.circumference(v), s.heights[v], s.twists[v]) for v in t.vertices
+                }
+                assert repr(gs.cylinders) == repr(cylinders)
+                corners = sorted(oracles.corner_classes_fraction(s), key=lambda g: (-len(g), g))
+                assert repr(singularity_profile(s).corner_classes) == repr(tuple(corners))
+                cert = certify_glued(gs)
                 assert cert.ok, cert.failures
                 assert cert.components == (s,)
 
