@@ -53,6 +53,7 @@ from .deform import (
 )
 from .flow import FlowError
 from .halftree import (
+    ENUMERATION_GUARD,
     GraphCoverError,
     SkeletonError,
     canonical_form,
@@ -722,7 +723,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list half-tree classes with a given port count")
     p.add_argument("--ports", type=int, required=True)
-    p.add_argument("--limit", type=int, default=200_000, help="enumeration guard")
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=ENUMERATION_GUARD,
+        help=f"refuse --ports above this (default {ENUMERATION_GUARD}, the library guard)",
+    )
     p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument("--dot", action="store_true", help="one DOT diagram per class")
     out(p)

@@ -865,19 +865,37 @@ def surface_to_json(s: HyperellipticSurface) -> dict:
     return data
 
 
+def _json_label(x: object, where: str) -> int:
+    """An integer label from JSON: an int, or a string key such as ``"3"``."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise MetricError(f"{where}: label {x!r} is not an integer")
+
+
 def surface_from_json(data: object) -> HyperellipticSurface:
+    if not isinstance(data, dict):
+        raise MetricError("surface JSON must be an object")
     skeleton = halftree_from_json(data)
-    assert isinstance(data, dict)
     for key in ("lengths", "heights", "twists"):
         if key not in data or not isinstance(data[key], dict):
             raise MetricError(f"surface JSON needs a '{key}' object")
-    lengths = {int(p): fraction_from_string(x) for p, x in data["lengths"].items()}
-    heights = {int(v): fraction_from_string(x) for v, x in data["heights"].items()}
-    twists = {int(v): fraction_from_string(x) for v, x in data["twists"].items()}
-    marks = [
-        Mark(int(m["port"]), fraction_from_string(m["offset"]))
-        for m in data.get("marks", [])
-    ]
+    lengths, heights, twists = (
+        {_json_label(k, key): fraction_from_string(x) for k, x in data[key].items()}
+        for key in ("lengths", "heights", "twists")
+    )
+    mark_entries = data.get("marks", [])
+    if not isinstance(mark_entries, list):
+        raise MetricError("surface JSON 'marks' must be a list")
+    marks = []
+    for m in mark_entries:
+        if not isinstance(m, dict) or "port" not in m or "offset" not in m:
+            raise MetricError(f"mark {m!r} needs a 'port' and an 'offset'")
+        marks.append(Mark(_json_label(m["port"], "marks"), fraction_from_string(m["offset"])))
     return build(skeleton, lengths, heights, twists, marks)
 
 

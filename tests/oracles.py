@@ -447,3 +447,102 @@ def corner_classes_fraction(s: HyperellipticSurface) -> list[tuple]:
     for x in parent:
         groups.setdefault(find(x), []).append(x)
     return [tuple(sorted(g)) for g in groups.values()]
+
+
+# -- recursive reference for the lemma sweeps ----------------------------------
+# The interval and balls enumerators and kernels as first written: recursive
+# generators, an O(n^2) pair scan and per-gap ``Counter`` multisets.  The
+# library runs iterative enumerators, bitmask intervals and a spacing
+# prefilter, and must agree with these case by case and in order.
+
+
+def interval_systems_recursive(n: int):
+    """Anchor vectors of single-winding interval systems, lexicographic, by recursion."""
+    if n <= 2:
+        yield from itertools.product(range(n), repeat=n)
+        return
+    k = [0] * n
+
+    def extend(j: int, winding: int):
+        if j == n:
+            len0 = (k[n - 1] - k[0]) % n
+            len1 = (k[0] - k[1]) % n
+            lenlast = (k[n - 2] - k[n - 1]) % n
+            if lenlast + len0 <= n - 1 and len0 + len1 <= n - 1 and winding + len0 <= n:
+                yield tuple(k)
+            return
+        for val in range(n):
+            k[j] = val
+            cur = 0
+            if j >= 1:
+                cur = (k[j - 1] - k[j]) % n
+                if winding + cur > n:
+                    continue
+            if j >= 2:
+                prev = (k[j - 2] - k[j - 1]) % n
+                if prev + cur > n - 1:
+                    continue
+            yield from extend(j + 1, winding + cur)
+
+    yield from extend(0, 0)
+
+
+def max_graph_is_forest_pairs(n: int, k: tuple[int, ...]) -> tuple[bool, tuple[int, int] | None]:
+    """Union-find over all pairs ``i < j`` in order; the first cycle-closing edge."""
+    lens = [(k[i - 1] - k[i]) % n for i in range(n)]
+
+    def inside(x: int, i: int) -> bool:
+        return (x - k[i]) % n <= lens[i]
+
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if inside(j, i) and inside(i, j):
+                a, b = find(i), find(j)
+                if a == b:
+                    return False, (i, j)
+                parent[a] = b
+    return True, None
+
+
+def restricted_growth_strings_recursive(n: int, max_classes: int):
+    """Surjective colorings up to renaming colors, lexicographic, by recursion."""
+    coloring = [0] * n
+
+    def extend(i: int, used: int):
+        if i == n:
+            yield tuple(coloring)
+            return
+        top = min(used + 1, max_classes)
+        for c in range(top):
+            coloring[i] = c
+            yield from extend(i + 1, max(used, c + 1))
+
+    yield from extend(0, 0)
+
+
+def gaps_agree_counter(colors: tuple[int, ...], m: int) -> bool:
+    """Per color below ``m``: ``Counter`` multisets of the gaps between occurrences agree."""
+    n = len(colors)
+    doubled = colors + colors
+    for c in range(m):
+        occ = [i for i, x in enumerate(colors) if x == c]
+        if len(occ) < 2:
+            continue
+        gaps = []
+        for a in range(len(occ)):
+            start = occ[a]
+            end = occ[(a + 1) % len(occ)]
+            if end <= start:
+                end += n
+            gaps.append(frozenset(Counter(doubled[start + 1 : end]).items()))
+        if len(set(gaps)) > 1:
+            return False
+    return True

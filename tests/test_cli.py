@@ -82,6 +82,21 @@ class TestEnumerate:
     def test_no_subcommand_exits_2(self):
         assert main([]) == 2
 
+    # the default --limit is the library guard, 12
+    @pytest.mark.parametrize("argv", [["--ports", "13"], ["--ports", "5", "--limit", "4"]])
+    def test_above_guard_is_refused_before_enumerating(self, argv, capsys, monkeypatch):
+        import flattree.halftree
+
+        def no_work(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(flattree.halftree, "_entry_seqs", no_work)
+        rc = main(["enumerate", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and "guard" in captured.err
+
 
 class TestBuild:
     def test_seeded_build_from_skeleton(self, tmp_path):
@@ -149,6 +164,23 @@ class TestProfile:
         assert data["weierstrass"]["formula_residual"] == "0"
         assert data["involution"]["ok"] is True
         assert data["area"] == "13/2"
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"lengths": {**PATH3_SURFACE["lengths"], "x": "1"}},
+            {"marks": [{"offset": "1/2"}]},
+            {"marks": 5},
+        ],
+        ids=["non-integer-length-key", "mark-without-port", "scalar-marks"],
+    )
+    def test_malformed_surface_is_a_domain_error(self, tmp_path, capsys, patch):
+        src = write(tmp_path, "bad.json", {**PATH3_SURFACE, **patch})
+        rc = main(["profile", src])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
 
 
 class TestDeform:

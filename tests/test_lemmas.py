@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 
 import pytest
 
@@ -8,9 +10,12 @@ from flattree import (
     verify_colored_tree_lemma,
     verify_interval_lemma,
 )
+from flattree.cli import main
 from flattree.lemmas import (
     _gaps_agree,
+    _interval_masks,
     _interval_systems,
+    _max_graph_is_forest,
     _restricted_growth_strings,
     neighbor_sets_homogeneous,
 )
@@ -38,6 +43,79 @@ class TestIntervalLemma:
     def test_oracle_finds_nontrivial_graphs(self):
         graphs = list(oracles.interval_admissible_graphs(4))
         assert any(len(e) >= 3 for e in graphs)
+
+
+class TestIntervalKernels:
+    """The iterative enumerator and bitmask forest check against the recursive reference."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_enumeration_order_matches_reference(self, n):
+        assert list(_interval_systems(n)) == list(oracles.interval_systems_recursive(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_forest_check_matches_reference_on_every_system(self, n):
+        masks = _interval_masks(n)
+        for k in _interval_systems(n):
+            assert _max_graph_is_forest(k, masks) == oracles.max_graph_is_forest_pairs(n, k), k
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_forest_check_matches_reference_off_systems(self, n):
+        rng = random.Random(1000 + n)
+        systems = set(_interval_systems(n))
+        masks = _interval_masks(n)
+        cycles = 0
+        for _ in range(5000):
+            k = tuple(rng.randrange(n) for _ in range(n))
+            if k in systems:
+                continue
+            got = _max_graph_is_forest(k, masks)
+            assert got == oracles.max_graph_is_forest_pairs(n, k), k
+            cycles += not got[0]
+        # random anchor vectors wind several times and do close cycles
+        assert n < 4 or cycles > 0
+
+    def test_double_winding_triangle(self):
+        k = (0, 0, 2, 2, 4, 4)
+        got = _max_graph_is_forest(k, _interval_masks(6))
+        assert got == oracles.max_graph_is_forest_pairs(6, k)
+        assert got == (False, (2, 4))
+
+    def test_masks_are_cyclic_intervals(self):
+        masks = _interval_masks(5)
+        # masks[end][start]
+        assert masks[3][3] == 0b01000
+        assert masks[0][3] == 0b00001 | 0b01000 | 0b10000
+        assert masks[4][0] == 0b11111
+        assert masks[1][2] == 0b11111
+
+
+class TestBallsKernels:
+    """The iterative enumerator and spacing-prefiltered gap check against the reference."""
+
+    @pytest.mark.parametrize("n", range(0, 12))
+    def test_enumeration_order_matches_reference(self, n):
+        for m in range(0, 6):
+            got = list(_restricted_growth_strings(n, m))
+            assert got == list(oracles.restricted_growth_strings_recursive(n, m)), m
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_gap_check_matches_reference_on_every_coloring(self, n):
+        # colorings with fewer than five colors are a subset of these
+        for colors in _restricted_growth_strings(n, 5):
+            m = max(colors) + 1
+            assert _gaps_agree(colors, m) == oracles.gaps_agree_counter(colors, m), colors
+
+    def test_gap_check_with_partial_palette(self):
+        # only colors below m are tested, but gaps count every color
+        for n in range(1, 9):
+            for colors in _restricted_growth_strings(n, 4):
+                for m in range(0, 5):
+                    assert _gaps_agree(colors, m) == oracles.gaps_agree_counter(colors, m)
+
+    def test_spacing_is_necessary_not_sufficient(self):
+        # evenly spaced 0s, but the two gaps hold different colors
+        assert not _gaps_agree((0, 1, 0, 2), 3)
+        assert _gaps_agree((0, 1, 0, 1), 2)
 
 
 class TestBallsLemma:
@@ -112,6 +190,44 @@ class TestColoredTreeLemma:
                         for b in adj:
                             if a < b and coloring[a] == coloring[b]:
                                 assert dist[(a, b)] % 2 == 0
+
+
+class TestFrozenDefaultReports:
+    def test_cli_default_bounds_reports(self, capsys):
+        # with test_criterion_5_lemma_exhaustion, guards against a sweep that
+        # silently checks fewer cases
+        assert main(["verify", "lemmas"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        reports = {c["name"]: c["report"] for c in payload["checks"]}
+        assert reports == {
+            "circular-balls-periodicity": {
+                "lemma": "circular-balls-periodicity",
+                "bounds": {"max_n": 10, "max_m": 4},
+                "cases_checked": 58769,
+                "holds": True,
+                "counterexample": None,
+                "details": {"hypothesis_held": 20},
+            },
+            "interval-forest": {
+                "lemma": "interval-forest",
+                "bounds": {"max_n": 8},
+                "cases_checked": 65815,
+                "holds": True,
+                "counterexample": None,
+                "details": {
+                    "1": 1, "2": 4, "3": 6, "4": 80,
+                    "5": 510, "6": 2562, "7": 11676, "8": 50976,
+                },
+            },
+            "colored-tree-even-distance": {
+                "lemma": "colored-tree-even-distance",
+                "bounds": {"max_vertices": 8, "max_colors": 4},
+                "cases_checked": 10039,
+                "holds": True,
+                "counterexample": None,
+                "details": {"trees": 48, "hypothesis_held": 693},
+            },
+        }
 
 
 class TestReports:

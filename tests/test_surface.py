@@ -424,6 +424,14 @@ class TestSurfaceSerialization:
             broken = {k: v for k, v in data.items() if k != key}
             with pytest.raises(MetricError, match=key):
                 surface_from_json(broken)
+        with pytest.raises(MetricError, match="must be an object"):
+            surface_from_json([data])
+
+    def test_fractional_mark_port_rejected(self, path3_surface):
+        # int() would truncate 1.5 to port 1
+        data = {**surface_to_json(path3_surface), "marks": [{"port": 1.5, "offset": "1/2"}]}
+        with pytest.raises(MetricError, match="not an integer"):
+            surface_from_json(data)
 
     def test_dot_output(self, path3_surface):
         dot = surface_to_dot(path3_surface)
