@@ -10,23 +10,17 @@ and forms quotients by cylinder equivalences, all over ``fractions.Fraction``.
 from .halftree import (
     CanonicalForm,
     CanonicalLabeling,
-    GraphCoverDatum,
-    GraphCoverError,
-    GraphCoverReport,
     HalfTree,
     SkeletonDiagnostics,
     SkeletonError,
     Stratum,
     bipartition,
     canonical_form,
-    check_graph_cover,
     enumerate_halftrees,
     halftree_from_json,
     halftree_to_dot,
     halftree_to_json,
-    identity_cover,
     stratum_of,
-    tree_distance,
     validate,
 )
 from .surface import (
@@ -36,7 +30,6 @@ from .surface import (
     HyperellipticSurface,
     InvolutionReport,
     Mark,
-    MarkedSurface,
     MetricError,
     Seam,
     SingularityProfile,
@@ -86,6 +79,7 @@ from .deform import (
     partitions_from_json,
     partitions_to_json,
     relative_deformation,
+    relative_flow,
     shear_class,
     singleton_partitions,
     standard_shear,

@@ -47,6 +47,7 @@ from .deform import (
     dilate_saddle_class,
     partitions_from_json,
     relative_deformation,
+    relative_flow,
     shear_class,
     singleton_partitions,
     standard_shear,
@@ -54,7 +55,6 @@ from .deform import (
 from .flow import FlowError
 from .halftree import (
     ENUMERATION_GUARD,
-    GraphCoverError,
     SkeletonError,
     canonical_form,
     enumerate_halftrees,
@@ -120,7 +120,6 @@ _DOMAIN_ERRORS = (
     CollapseError,
     CoverError,
     FlowError,
-    GraphCoverError,
 )
 
 
@@ -284,6 +283,18 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK if inv.ok else EXIT_FAIL
 
 
+# The surface-moving deform ops, shared by ``deform --<op>`` and pipeline steps:
+# op -> (move(surface, members, amount), key of its member list or None,
+# pipeline key of its amount).  The CLI reads the member list from ``--<key>``
+# and the amount from ``--<op>``.
+_MOVES = {
+    "shear": (shear_class, "cylinders", "amount"),
+    "dilate": (dilate_class, "cylinders", "factor"),
+    "dilate-saddle": (dilate_saddle_class, "saddles", "factor"),
+    "relative": (lambda s, _members, amount: relative_flow(s, amount), None, "amount"),
+}
+
+
 def cmd_deform(args: argparse.Namespace) -> int:
     s = _load_surface(args.input)
     actions = [
@@ -322,33 +333,15 @@ def cmd_deform(args: argparse.Namespace) -> int:
         _emit(_dump(cochain_to_json(c)), args.output)
         return EXIT_OK
 
-    if args.shear:
-        if not args.cylinders:
-            raise UsageError("--shear needs --cylinders")
-        out = shear_class(
-            s, _int_list(args.cylinders, "--cylinders"), _fraction_arg(args.shear, "--shear")
-        )
-    elif args.dilate:
-        if not args.cylinders:
-            raise UsageError("--dilate needs --cylinders")
-        out = dilate_class(
-            s, _int_list(args.cylinders, "--cylinders"), _fraction_arg(args.dilate, "--dilate")
-        )
-    elif args.dilate_saddle:
-        if not args.saddles:
-            raise UsageError("--dilate-saddle needs --saddles")
-        out = dilate_saddle_class(
-            s,
-            _int_list(args.saddles, "--saddles"),
-            _fraction_arg(args.dilate_saddle, "--dilate-saddle"),
-        )
-    else:
-        eta = relative_deformation(s)
-        amount = _fraction_arg(args.relative, "--relative")
-        twists = {
-            v: s.twists[v] + amount * eta.coefficient(v) for v in s.skeleton.vertices
-        }
-        out = build(s.skeleton, s.lengths, s.heights, twists, s.marks)
+    op = next(op for op in _MOVES if getattr(args, op.replace("-", "_")))
+    move, members_key, _ = _MOVES[op]
+    members = None
+    if members_key is not None:
+        raw = getattr(args, members_key)
+        if not raw:
+            raise UsageError(f"--{op} needs --{members_key}")
+        members = _int_list(raw, f"--{members_key}")
+    out = move(s, members, _fraction_arg(getattr(args, op.replace("-", "_")), f"--{op}"))
     _emit(_dump(surface_to_json(out)), args.output)
     return EXIT_OK
 
@@ -648,29 +641,10 @@ def _run_step(surface, step: dict):
         return out, surface_to_json(out)
     if surface is None:
         raise DeformError("no surface yet; pipelines start with a build step")
-    if op == "shear":
-        out = shear_class(
-            surface, [int(v) for v in step["cylinders"]], fraction_from_string(step["amount"])
-        )
-        return out, surface_to_json(out)
-    if op == "dilate":
-        out = dilate_class(
-            surface, [int(v) for v in step["cylinders"]], fraction_from_string(step["factor"])
-        )
-        return out, surface_to_json(out)
-    if op == "dilate-saddle":
-        out = dilate_saddle_class(
-            surface, [int(p) for p in step["saddles"]], fraction_from_string(step["factor"])
-        )
-        return out, surface_to_json(out)
-    if op == "relative":
-        eta = relative_deformation(surface)
-        amount = fraction_from_string(step["amount"])
-        twists = {
-            v: surface.twists[v] + amount * eta.coefficient(v)
-            for v in surface.skeleton.vertices
-        }
-        out = build(surface.skeleton, surface.lengths, surface.heights, twists, surface.marks)
+    if op in _MOVES:
+        move, members_key, amount_key = _MOVES[op]
+        members = None if members_key is None else [int(x) for x in step[members_key]]
+        out = move(surface, members, fraction_from_string(step[amount_key]))
         return out, surface_to_json(out)
     if op == "collapse":
         return _pipeline_collapse(surface, step)

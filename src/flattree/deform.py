@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .halftree import HalfTree, bipartition, canonical_form, tree_distance
+from .halftree import HalfTree, bipartition, canonical_form
 from .surface import HyperellipticSurface, build, fraction_from_string, fraction_to_string
 
 
@@ -171,10 +171,17 @@ def relative_deformation(s: HyperellipticSurface) -> FormalCochain:
         )
     labeling = canonical_form(t).labelings[0]
     root = next(v for v, nv in labeling.vertex_map.items() if nv == 0)
-    coeffs = {
-        v: Fraction(-1 if tree_distance(t, root, v) % 2 else 1) for v in t.vertices
-    }
-    return FormalCochain.from_map(coeffs)
+    sides = bipartition(t, root)
+    return FormalCochain.from_map({v: Fraction(1 - 2 * side) for v, side in sides.items()})
+
+
+def relative_flow(s: HyperellipticSurface, amount: Fraction) -> HyperellipticSurface:
+    """Flow ``amount`` along :func:`relative_deformation`: each twist moves by
+    ``amount`` times its cylinder's coefficient."""
+    eta = relative_deformation(s)
+    amount = Fraction(amount)
+    twists = {v: s.twists[v] + amount * eta.coefficient(v) for v in s.skeleton.vertices}
+    return build(s.skeleton, s.lengths, s.heights, twists, s.marks)
 
 
 # -- candidate partitions -----------------------------------------------------

@@ -25,10 +25,6 @@ class SkeletonError(ValueError):
     """Raised when half-tree data is structurally unusable."""
 
 
-class GraphCoverError(ValueError):
-    """Raised when a graph-covering datum is malformed past the point of checking."""
-
-
 class HalfTree:
     """Immutable vertex/port incidence structure with a partial port pairing.
 
@@ -448,149 +444,26 @@ def enumerate_halftrees(n: int, *, limit: int = ENUMERATION_GUARD) -> tuple[Half
 # -- metrics on the tree ---------------------------------------------------
 
 
-def tree_distance(t: HalfTree, a: int, b: int) -> int:
-    """Number of full edges on the unique path from vertex ``a`` to ``b``."""
+def bipartition(t: HalfTree, root: int | None = None) -> dict[int, int]:
+    """Two-coloring of the vertices by parity of distance from ``root``.
+
+    One breadth-first pass over the full edges, after one validity check.
+    """
     diag = validate(t)
     if not diag.ok:
         raise SkeletonError(f"invalid skeleton: {diag.first}")
-    if a not in t._ports or b not in t._ports:
-        raise SkeletonError(f"unknown vertex in pair ({a}, {b})")
-    if a == b:
-        return 0
-    dist = {a: 0}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in t.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if w == b:
-                        return dist[w]
-                    nxt.append(w)
-        frontier = nxt
-    raise SkeletonError(f"vertices {a} and {b} are not connected")
-
-
-def bipartition(t: HalfTree, root: int | None = None) -> dict[int, int]:
-    """Two-coloring of the vertices by parity of distance from ``root``."""
     if root is None:
         root = t.vertices[0]
-    return {v: tree_distance(t, root, v) % 2 for v in t.vertices}
-
-
-# -- graph coverings -------------------------------------------------------
-
-
-@dataclass
-class GraphCoverDatum:
-    """A claimed covering of half-trees: vertex map, degree, ramification indices."""
-
-    source: HalfTree
-    target: HalfTree
-    vertex_map: dict[int, int]
-    degree: int
-    ramification: dict[int, int]
-
-
-@dataclass(frozen=True)
-class GraphCoverReport:
-    ok: bool
-    failures: tuple[str, ...]
-    euler_source: int
-    euler_target: int
-    residual: int
-    ramification: dict[int, int]
-    fiber_sums: dict[int, int]
-    excess_sum: int
-    notes: tuple[str, ...]
-
-
-def identity_cover(t: HalfTree) -> GraphCoverDatum:
-    return GraphCoverDatum(
-        source=t,
-        target=t,
-        vertex_map={v: v for v in t.vertices},
-        degree=1,
-        ramification={v: 1 for v in t.vertices},
-    )
-
-
-def check_graph_cover(datum: GraphCoverDatum) -> GraphCoverReport:
-    """Check a combinatorial covering claim between half-trees.
-
-    Hard errors (exceptions): incomplete vertex map, an edge whose endpoints
-    map to the same target vertex or to a non-edge, fractional degree ratios.
-    Soft failures (reported): ramification claims that disagree with computed
-    port-degree ratios, edge or fiber counts inconsistent with the degree, and
-    a nonzero Riemann-Hurwitz residual
-    ``chi_src - (d * chi_tgt - sum(e_v - 1))``.
-
-    Fibers must satisfy ``sum(e_v) == degree`` over each target vertex.  The
-    excess convention ``sum(e_v - 1) == degree`` is reported in the notes for
-    comparison; it is not enforced because it already fails on identity
-    coverings.
-    """
-    src, tgt = datum.source, datum.target
-    for t, nm in ((src, "source"), (tgt, "target")):
-        diag = validate(t)
-        if not diag.ok:
-            raise GraphCoverError(f"{nm} skeleton invalid: {diag.first}")
-    vm = datum.vertex_map
-    if set(vm) != set(src.vertices):
-        raise GraphCoverError("vertex map is not defined on exactly the source vertices")
-    if not set(vm.values()) <= set(tgt.vertices):
-        raise GraphCoverError("vertex map hits unknown target vertices")
-    tgt_edge_pairs = {frozenset((tgt.vertex_of(p), tgt.vertex_of(q))) for p, q in tgt.edges()}
-    for p, q in src.edges():
-        a, b = vm[src.vertex_of(p)], vm[src.vertex_of(q)]
-        if a == b:
-            raise GraphCoverError(f"edge ({p}, {q}) collapses to vertex {a}; map is not simplicial")
-        if frozenset((a, b)) not in tgt_edge_pairs:
-            raise GraphCoverError(f"edge ({p}, {q}) maps to the non-edge ({a}, {b})")
-    ram: dict[int, int] = {}
-    for v in src.vertices:
-        dv, dw = src.degree(v), tgt.degree(vm[v])
-        if dv % dw != 0:
-            raise GraphCoverError(
-                f"vertex {v} has port degree {dv}, not a multiple of its image's {dw}"
-            )
-        ram[v] = dv // dw
-    failures: list[str] = []
-    if datum.ramification != ram:
-        failures.append(f"claimed ramification {datum.ramification} != computed {ram}")
-    d = datum.degree
-    if len(src.edges()) != d * len(tgt.edges()):
-        failures.append(
-            f"edge count {len(src.edges())} != degree {d} x {len(tgt.edges())}"
-        )
-    fiber_sums: dict[int, int] = {w: 0 for w in tgt.vertices}
-    for v in src.vertices:
-        fiber_sums[vm[v]] += ram[v]
-    bad = {w: s for w, s in fiber_sums.items() if s != d}
-    if bad:
-        failures.append(f"fiber sums != degree at target vertices {sorted(bad)}")
-    chi_s = len(src.vertices) - len(src.edges())
-    chi_t = len(tgt.vertices) - len(tgt.edges())
-    excess = sum(e - 1 for e in ram.values())
-    residual = chi_s - (d * chi_t - excess)
-    if residual != 0:
-        failures.append(f"Riemann-Hurwitz residual {residual} != 0")
-    notes = (
-        f"excess sum Σ(e_v - 1) = {excess}; the excess-equals-degree convention "
-        f"would require {d} and is reported only, since it fails on identity coverings",
-    )
-    return GraphCoverReport(
-        ok=not failures,
-        failures=tuple(failures),
-        euler_source=chi_s,
-        euler_target=chi_t,
-        residual=residual,
-        ramification=ram,
-        fiber_sums=fiber_sums,
-        excess_sum=excess,
-        notes=notes,
-    )
+    elif root not in t._ports:
+        raise SkeletonError(f"unknown vertex {root}")
+    side = {root: 0}
+    queue = [root]
+    for v in queue:
+        for w in t.neighbors(v):
+            if w not in side:
+                side[w] = 1 - side[v]
+                queue.append(w)
+    return {v: side[v] for v in t.vertices}
 
 
 # -- serialization ---------------------------------------------------------
@@ -615,11 +488,18 @@ def halftree_from_json(data: object) -> HalfTree:
         raise SkeletonError("'vertices' and 'pairs' must be lists")
     ports_of: dict[int, list[int]] = {}
     for entry in vertices:
-        if not isinstance(entry, dict) or "id" not in entry or "ports" not in entry:
+        if (
+            not isinstance(entry, dict)
+            or not isinstance(entry.get("id"), int)
+            or not isinstance(entry.get("ports"), list)
+        ):
             raise SkeletonError(f"malformed vertex entry {entry!r}")
         if entry["id"] in ports_of:
             raise SkeletonError(f"vertex {entry['id']} listed twice")
         ports_of[entry["id"]] = entry["ports"]
+    for pq in pairs:
+        if not isinstance(pq, list) or len(pq) != 2 or not all(isinstance(x, int) for x in pq):
+            raise SkeletonError(f"pair {pq!r} is not a list of two port ids")
     return HalfTree(ports_of, pairs)
 
 

@@ -328,15 +328,62 @@ def verify_balls_lemma(max_n: int = 10, max_m: int = 4) -> LemmaReport:
 # -- colored trees ---------------------------------------------------------
 
 
-def _all_trees(n: int) -> Iterator[dict[int, list[int]]]:
-    """Unlabeled trees on ``n`` vertices as adjacency dicts."""
-    if n == 1:
-        yield {0: []}
-        return
-    import networkx as nx
+def _tree_code(adj: dict[int, list[int]]) -> str:
+    """Canonical string of an unlabeled tree: the least AHU code over its centres.
 
-    for g in nx.nonisomorphic_trees(n):
-        yield {v: sorted(g.neighbors(v)) for v in sorted(g.nodes)}
+    The centres (one or two) are what is left after peeling leaves layer by
+    layer; the AHU code of a rooted tree wraps the sorted codes of its
+    children in parentheses, built here bottom-up from a breadth-first order.
+    """
+    degree = {v: len(ws) for v, ws in adj.items()}
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    codes = []
+    for root in layer:
+        parent = {root: None}
+        order = [root]
+        for v in order:
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        below: dict[int, list[str]] = {v: [] for v in adj}
+        for v in reversed(order):
+            code = "(" + "".join(sorted(below[v])) + ")"
+            if parent[v] is not None:
+                below[parent[v]].append(code)
+        codes.append(code)
+    return min(codes)
+
+
+def _all_trees(n: int) -> list[dict[int, list[int]]]:
+    """Unlabeled trees on ``n`` vertices as adjacency dicts, one per class.
+
+    Removing a leaf from a tree on ``k + 1`` vertices leaves a tree on ``k``,
+    so attaching a leaf at every vertex of every class on ``k`` vertices and
+    keeping one tree per :func:`_tree_code` gives every class on ``k + 1``.
+    Vertices are ``0..n-1`` with sorted neighbor lists.
+    """
+    level = [{0: []}]
+    for k in range(1, n):
+        classes: dict[str, dict[int, list[int]]] = {}
+        for adj in level:
+            for v in range(k):
+                grown = {u: list(ws) for u, ws in adj.items()}
+                grown[v].append(k)
+                grown[k] = [v]
+                classes.setdefault(_tree_code(grown), grown)
+        level = [classes[code] for code in sorted(classes)]
+    return level
 
 
 def neighbor_sets_homogeneous(adj: dict[int, list[int]], coloring: dict[int, int]) -> bool:
@@ -348,22 +395,6 @@ def neighbor_sets_homogeneous(adj: dict[int, list[int]], coloring: dict[int, int
             return False
         seen.setdefault(c, s)
     return True
-
-
-def _tree_distances(adj: dict[int, list[int]]) -> dict[tuple[int, int], int]:
-    dist: dict[tuple[int, int], int] = {}
-    for s in adj:
-        dist[(s, s)] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if (s, w) not in dist:
-                        dist[(s, w)] = dist[(s, v)] + 1
-                        nxt.append(w)
-            frontier = nxt
-    return dist
 
 
 def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> LemmaReport:
@@ -380,15 +411,15 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
     for n in range(1, max_vertices + 1):
         for adj in _all_trees(n):
             trees_seen += 1
-            dist = _tree_distances(adj)
             order = sorted(adj)
-            # BFS order guarantees each non-root has a previously colored neighbor
+            # BFS order guarantees each non-root has a previously colored neighbor;
+            # two vertices sit at odd distance exactly when their sides differ
             bfs = [order[0]]
-            seen = {order[0]}
+            side = {order[0]: 0}
             for v in bfs:
                 for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in side:
+                        side[w] = 1 - side[v]
                         bfs.append(w)
             coloring: dict[int, int] = {}
 
@@ -401,7 +432,7 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
                     hypothesis_held += 1
                     for v in adj:
                         for w in adj:
-                            if v < w and coloring[v] == coloring[w] and dist[(v, w)] % 2 == 1:
+                            if v < w and coloring[v] == coloring[w] and side[v] != side[w]:
                                 if counterexample is None:
                                     counterexample = {
                                         "n": n,

@@ -107,10 +107,6 @@ class HyperellipticSurface:
         )
 
 
-class MarkedSurface(HyperellipticSurface):
-    """A surface whose mark set is meant to be nonempty; same layout, same ops."""
-
-
 @dataclass(frozen=True)
 class DisjointSurface:
     """A finite disjoint union, as produced by degeneration."""
@@ -231,15 +227,11 @@ def build(
             raise MetricError(
                 f"marks not involution-closed: missing partner of ({m.port}, {m.offset})"
             )
-    cls = MarkedSurface if mark_list else HyperellipticSurface
-    return cls(skeleton, lens, hts, tws, mark_list)
+    return HyperellipticSurface(skeleton, lens, hts, tws, mark_list)
 
 
-def with_marks(s: HyperellipticSurface, marks: Iterable[Mark]) -> MarkedSurface:
-    out = build(s.skeleton, s.lengths, s.heights, s.twists, tuple(s.marks) + tuple(marks))
-    if not isinstance(out, MarkedSurface):
-        out = MarkedSurface(out.skeleton, out.lengths, out.heights, out.twists, out.marks)
-    return out
+def with_marks(s: HyperellipticSurface, marks: Iterable[Mark]) -> HyperellipticSurface:
+    return build(s.skeleton, s.lengths, s.heights, s.twists, tuple(s.marks) + tuple(marks))
 
 
 def involution_orbit(s: HyperellipticSurface, mark: Mark) -> tuple[Mark, ...]:

@@ -222,6 +222,28 @@ def labeled_trees(n: int):
         yield {v: sorted(ws) for v, ws in adj.items()}
 
 
+def unrooted_tree_code(adj: dict[int, list[int]]) -> str:
+    """Least rooted AHU code over every choice of root.
+
+    Two trees get the same code exactly when they are isomorphic: an
+    isomorphism carries roots to roots and rooted codes to equal codes.
+    """
+
+    def rooted(v: int, parent: int | None) -> str:
+        return "(" + "".join(sorted(rooted(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(rooted(r, None) for r in adj)
+
+
+def unlabeled_trees(n: int) -> dict[str, dict[int, list[int]]]:
+    """One labeled tree per isomorphism class on ``n`` vertices, keyed by
+    :func:`unrooted_tree_code`, out of all ``n**(n-2)`` labeled trees."""
+    classes: dict[str, dict[int, list[int]]] = {}
+    for adj in labeled_trees(n):
+        classes.setdefault(unrooted_tree_code(adj), adj)
+    return classes
+
+
 # -- Fraction reference for the vertical flow and the corner walk -------------
 # Every table and step in ``Fraction``, positions read off ``port_start``,
 # ``top_start`` and ``seam_sides``; the library walks the same lattice in

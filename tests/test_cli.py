@@ -171,8 +171,16 @@ class TestProfile:
             {"lengths": {**PATH3_SURFACE["lengths"], "x": "1"}},
             {"marks": [{"offset": "1/2"}]},
             {"marks": 5},
+            {"vertices": [{"id": 0, "ports": 5}, *PATH3["vertices"][1:]]},
+            {"pairs": [5]},
         ],
-        ids=["non-integer-length-key", "mark-without-port", "scalar-marks"],
+        ids=[
+            "non-integer-length-key",
+            "mark-without-port",
+            "scalar-marks",
+            "scalar-ports",
+            "scalar-pair",
+        ],
     )
     def test_malformed_surface_is_a_domain_error(self, tmp_path, capsys, patch):
         src = write(tmp_path, "bad.json", {**PATH3_SURFACE, **patch})
@@ -237,6 +245,49 @@ class TestDeform:
         src = write(tmp_path, "s.json", PATH3_SURFACE)
         rc, _ = run("deform", src)
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags, step",
+        [
+            (["--shear", "2", "--cylinders", "1"], {"op": "shear", "cylinders": [1], "amount": "2"}),
+            (
+                ["--dilate", "3/2", "--cylinders", "0,2"],
+                {"op": "dilate", "cylinders": [0, 2], "factor": "3/2"},
+            ),
+            (
+                ["--dilate-saddle", "1/2", "--saddles", "2"],
+                {"op": "dilate-saddle", "saddles": [2], "factor": "1/2"},
+            ),
+            (["--relative", "1/3"], {"op": "relative", "amount": "1/3"}),
+        ],
+        ids=["shear", "dilate", "dilate-saddle", "relative"],
+    )
+    def test_deform_matches_pipeline_step(self, tmp_path, flags, step):
+        src = write(tmp_path, "s.json", PATH3_SURFACE)
+        out = tmp_path / "d.json"
+        assert run("deform", src, *flags, "--output", str(out))[0] == 0
+        script = write(tmp_path, "script.json", {"steps": [{"op": "build", "surface": PATH3_SURFACE}, step]})
+        outdir = tmp_path / "a"
+        assert run("pipeline", script, "--outdir", str(outdir))[0] == 0
+        artifact = outdir / f"step_01_{step['op'].replace('-', '_')}.json"
+        assert out.read_text() == artifact.read_text()
+        assert surface_from_json(json.loads(out.read_text())) != surface_from_json(PATH3_SURFACE)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shear", "1"], "--shear needs --cylinders"),
+            (["--dilate-saddle", "2"], "--dilate-saddle needs --saddles"),
+            (["--dilate", "two", "--cylinders", "0"], "--dilate:"),
+            (["--shear", "1", "--cylinders", "a"], "--cylinders must be"),
+        ],
+    )
+    def test_move_usage_mistakes_exit_2(self, tmp_path, capsys, flags, message):
+        src = write(tmp_path, "s.json", PATH3_SURFACE)
+        rc = main(["deform", src, *flags])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
 
 
 class TestCollapse:
@@ -422,6 +473,20 @@ class TestPipeline:
         assert "step 1 (quotient)" in err
         # nothing past the failing step was written
         assert sorted(p.name for p in outdir.iterdir()) == ["step_00_build.json"]
+
+    def test_move_step_missing_its_members_fails_with_1(self, tmp_path, capsys):
+        script = {
+            "steps": [
+                {"op": "build", "surface": PATH3_SURFACE},
+                {"op": "shear", "amount": "1"},
+            ]
+        }
+        src = write(tmp_path, "script.json", script)
+        rc = main(["pipeline", src, "--outdir", str(tmp_path / "a")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("step 1 (shear): ")
+        assert "Traceback" not in err
 
     def test_empty_script_is_a_noop(self, tmp_path, capsys):
         src = write(tmp_path, "script.json", {"steps": []})

@@ -24,6 +24,7 @@ from flattree import (
     partitions_to_json,
     random_metric,
     relative_deformation,
+    relative_flow,
     shear_class,
     singleton_partitions,
     singularity_profile,
@@ -213,6 +214,15 @@ class TestRelativeDeformation:
         eta = relative_deformation(path3_surface)
         for v in path3_surface.skeleton.vertices:
             assert eta.evaluate([(v, 1)]) in (F(1), F(-1))
+
+    def test_flow_moves_each_twist_by_its_coefficient(self, path3_surface):
+        s = path3_surface
+        eta = relative_deformation(s)
+        moved = relative_flow(s, F(1, 3))
+        for v in s.skeleton.vertices:
+            step = (moved.twists[v] - s.twists[v]) % s.circumference(v)
+            assert step == (F(1, 3) * eta.coefficient(v)) % s.circumference(v)
+        assert (moved.lengths, moved.heights) == (s.lengths, s.heights)
 
 
 class TestCochain:

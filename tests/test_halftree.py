@@ -1,21 +1,18 @@
+import time
+
 import pytest
 
 import oracles
 from flattree import (
-    GraphCoverDatum,
-    GraphCoverError,
     HalfTree,
     SkeletonError,
     bipartition,
     canonical_form,
-    check_graph_cover,
     enumerate_halftrees,
     halftree_from_json,
     halftree_to_dot,
     halftree_to_json,
-    identity_cover,
     stratum_of,
-    tree_distance,
     validate,
 )
 
@@ -213,19 +210,34 @@ class TestEnumeration:
         assert len(enumerate_halftrees(13, limit=13)) > 0
 
 
+def path(n: int) -> HalfTree:
+    """The path on ``n >= 2`` vertices, ports numbered along it."""
+    ports_of = {0: [0], n - 1: [2 * n - 3]}
+    ports_of.update({v: [2 * v - 1, 2 * v] for v in range(1, n - 1)})
+    return HalfTree(ports_of, [(2 * v, 2 * v + 1) for v in range(n - 1)])
+
+
 class TestTreeMetrics:
-    def test_distance(self):
-        t = path3()
-        assert tree_distance(t, 0, 2) == 2
-        assert tree_distance(t, 0, 1) == 1
-        assert tree_distance(t, 1, 1) == 0
-
-    def test_distance_unknown_vertex(self):
-        with pytest.raises(SkeletonError):
-            tree_distance(path3(), 0, 9)
-
     def test_bipartition(self):
         assert bipartition(path3()) == {0: 0, 1: 1, 2: 0}
+
+    def test_bipartition_from_a_given_root(self):
+        assert bipartition(path3(), 1) == {0: 1, 1: 0, 2: 1}
+        with pytest.raises(SkeletonError, match="unknown vertex"):
+            bipartition(path3(), 9)
+
+    def test_bipartition_of_an_invalid_skeleton_raises(self):
+        with pytest.raises(SkeletonError, match="invalid"):
+            bipartition(HalfTree({0: [0], 1: [1]}))
+
+    def test_bipartition_of_a_deep_path(self):
+        n = 10**4
+        t = path(n)
+        start = time.perf_counter()
+        sides = bipartition(t)
+        elapsed = time.perf_counter() - start
+        assert sides == {v: v % 2 for v in range(n)}
+        assert elapsed < 1.0
 
 
 class TestSerialization:
@@ -241,6 +253,11 @@ class TestSerialization:
             {"vertices": [], "pairs": {}},
             {"vertices": [{"id": 0}], "pairs": []},
             {"vertices": [{"id": 0, "ports": [0]}, {"id": 0, "ports": [1]}], "pairs": []},
+            {"vertices": [{"id": 0, "ports": 5}], "pairs": []},
+            {"vertices": [{"id": [0], "ports": [0]}], "pairs": []},
+            {"vertices": [{"id": 0, "ports": [0, 1]}], "pairs": [5]},
+            {"vertices": [{"id": 0, "ports": [0, 1]}], "pairs": [[0]]},
+            {"vertices": [{"id": 0, "ports": [0, 1]}], "pairs": [[[0], [1]]]},
         ],
     )
     def test_malformed(self, data):
@@ -251,73 +268,3 @@ class TestSerialization:
         dot = halftree_to_dot(stub_pair())
         assert "s1 [shape=point" in dot
         assert "v0 -- v1" in dot
-
-
-class TestGraphCover:
-    def test_identity(self):
-        for t in (single(3), path3()):
-            rep = check_graph_cover(identity_cover(t))
-            assert rep.ok and rep.residual == 0
-
-    def test_nine_stubs_over_three(self):
-        datum = GraphCoverDatum(
-            source=single(9),
-            target=single(3),
-            vertex_map={0: 0},
-            degree=3,
-            ramification={0: 3},
-        )
-        rep = check_graph_cover(datum)
-        assert rep.ok
-        assert rep.euler_source == 1 and rep.euler_target == 1
-        assert rep.excess_sum == 2
-        assert rep.residual == 0
-
-    def test_star_over_path(self):
-        star = HalfTree(
-            {0: [0, 1, 2, 3], 1: [4], 2: [5], 3: [6], 4: [7]},
-            [(0, 4), (1, 5), (2, 6), (3, 7)],
-        )
-        datum = GraphCoverDatum(
-            source=star,
-            target=path3(),
-            vertex_map={0: 1, 1: 0, 2: 0, 3: 2, 4: 2},
-            degree=2,
-            ramification={0: 2, 1: 1, 2: 1, 3: 1, 4: 1},
-        )
-        rep = check_graph_cover(datum)
-        assert rep.ok
-        assert rep.residual == 0
-        assert rep.fiber_sums == {0: 2, 1: 2, 2: 2}
-
-    def test_wrong_ramification_claim_is_soft_failure(self):
-        datum = identity_cover(single(3))
-        datum.ramification = {0: 2}
-        rep = check_graph_cover(datum)
-        assert not rep.ok
-        assert any("ramification" in f for f in rep.failures)
-
-    def test_wrong_degree_fails_fiber_sums(self):
-        datum = identity_cover(path3())
-        datum.degree = 2
-        rep = check_graph_cover(datum)
-        assert not rep.ok
-
-    def test_non_simplicial_raises(self):
-        t = path3()
-        datum = GraphCoverDatum(
-            source=t, target=t, vertex_map={0: 0, 1: 0, 2: 2}, degree=1, ramification={}
-        )
-        with pytest.raises(GraphCoverError, match="simplicial|non-edge"):
-            check_graph_cover(datum)
-
-    def test_fractional_ramification_raises(self):
-        datum = GraphCoverDatum(
-            source=single(4), target=single(3), vertex_map={0: 0}, degree=1, ramification={}
-        )
-        with pytest.raises(GraphCoverError, match="multiple"):
-            check_graph_cover(datum)
-
-    def test_notes_mention_excess_convention(self):
-        rep = check_graph_cover(identity_cover(single(3)))
-        assert any("excess" in note for note in rep.notes)

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flattree
 import oracles
 from flattree import (
     verify_balls_lemma,
@@ -12,11 +17,13 @@ from flattree import (
 )
 from flattree.cli import main
 from flattree.lemmas import (
+    _all_trees,
     _gaps_agree,
     _interval_masks,
     _interval_systems,
     _max_graph_is_forest,
     _restricted_growth_strings,
+    _tree_code,
     neighbor_sets_homogeneous,
 )
 
@@ -159,6 +166,23 @@ class TestColoredTreeLemma:
         rep = verify_colored_tree_lemma(6, 3)
         assert rep.details["trees"] == 1 + 1 + 1 + 2 + 3 + 6
 
+    def test_odd_distance_check_fires_without_the_hypothesis(self, monkeypatch):
+        monkeypatch.setattr("flattree.lemmas.neighbor_sets_homogeneous", lambda adj, c: True)
+        rep = verify_colored_tree_lemma(4, 3)
+        assert not rep.holds
+        ce = rep.counterexample
+        adj = {int(a): bs for a, bs in ce["adjacency"].items()}
+        v, w = ce["odd_pair"]
+        assert ce["coloring"][str(v)] == ce["coloring"][str(w)]
+        dist = {v: 0}
+        queue = [v]
+        for a in queue:
+            for b in adj[a]:
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    queue.append(b)
+        assert dist[w] % 2 == 1
+
     def test_homogeneity_helper(self):
         path4 = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
         assert neighbor_sets_homogeneous(path4, {0: 0, 1: 1, 2: 0, 3: 1})
@@ -190,6 +214,44 @@ class TestColoredTreeLemma:
                         for b in adj:
                             if a < b and coloring[a] == coloring[b]:
                                 assert dist[(a, b)] % 2 == 0
+
+
+class TestTreeGenerator:
+    def test_class_counts(self):
+        assert [len(_all_trees(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_pruefer_reference(self, n):
+        # over every labeled tree, the centre code and the all-roots reference
+        # code must split the trees into the same classes
+        codes = {
+            (oracles.unrooted_tree_code(adj), _tree_code(adj)) for adj in oracles.labeled_trees(n)
+        }
+        reference = {ref for ref, _ in codes}
+        assert len(reference) == len({own for _, own in codes}) == len(codes)
+        trees = _all_trees(n)
+        assert len(trees) == len(reference)
+        assert {oracles.unrooted_tree_code(adj) for adj in trees} == reference
+        for adj in trees:
+            assert list(adj) == list(range(n))
+            assert all(ws == sorted(ws) and all(v in adj[w] for w in ws) for v, ws in adj.items())
+            assert sum(len(ws) for ws in adj.values()) == 2 * (n - 1)
+            reached = [0]
+            for v in reached:
+                reached.extend(w for w in adj[v] if w not in reached)
+            assert len(reached) == n
+
+    def test_no_networkx_import(self):
+        src = Path(flattree.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, flattree; flattree.verify_colored_tree_lemma(); "
+            "print('networkx' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestFrozenDefaultReports:

@@ -13,7 +13,6 @@ from flattree import (
     GluedSurface,
     HalfTree,
     Mark,
-    MarkedSurface,
     MetricError,
     Seam,
     SkeletonError,
@@ -124,10 +123,6 @@ class TestBuild:
     def test_midpoint_mark_is_self_closed(self):
         s = build(one_vertex(1), {0: F(2)}, {0: F(1)}, {}, [Mark(0, F(1))])
         assert s.marks == (Mark(0, F(1)),)
-        assert isinstance(s, MarkedSurface)
-
-    def test_unmarked_build_is_plain_surface(self, path3_surface):
-        assert not isinstance(path3_surface, MarkedSurface)
 
 
 class TestGeometry:
