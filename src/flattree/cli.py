@@ -628,8 +628,16 @@ def _pipeline_collapse(surface, step: dict):
     raise DeformError(f"collapse kind must be horizontal or vertical, got {kind!r}")
 
 
+class _Step(dict):
+    """A pipeline step; looking up a key it lacks is a domain error that names the key."""
+
+    def __missing__(self, key: str):
+        raise DeformError(f"missing key {key!r}")
+
+
 def _run_step(surface, step: dict):
     """Apply one pipeline step; returns (next surface, artifact dict)."""
+    step = _Step(step)
     op = step.get("op")
     if op == "build":
         if "surface" in step:

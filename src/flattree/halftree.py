@@ -325,17 +325,10 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
     diag = validate(t)
     if not diag.ok:
         raise SkeletonError(f"cannot canonicalize an invalid skeleton: {diag.first}")
-    best: str | None = None
-    winners: list[tuple[int, int]] = []
-    for v in t.vertices:
-        for i in range(t.degree(v)):
-            enc = _encode_from(t, v, i)[0]
-            if best is None or enc < best:
-                best = enc
-                winners = [(v, i)]
-            elif enc == best:
-                winners.append((v, i))
-    assert best is not None
+    # validate() rules out an empty skeleton and bare vertices, so there is a flag
+    encodings = [(_encode_from(t, v, i)[0], v, i) for v in t.vertices for i in range(t.degree(v))]
+    best = min(enc for enc, _, _ in encodings)
+    winners = [(v, i) for enc, v, i in encodings if enc == best]
     labelings = []
     for v, i in winners:
         _, vorder, porder, rotation = _encode_from(t, v, i)

@@ -20,6 +20,9 @@ Walks over many positions (the corner walk, :func:`lower`, the vertical flow)
 evaluate this convention in integers: :func:`_layout` scales every position
 by ``D``, the lcm of the denominators of all lengths, twists and mark offsets,
 and results become ``Fraction`` again, as ``x / D``, only at the API edge.
+Certification runs on the same integers: :func:`certify_glued` scales its
+seam table once and searches alignments with an explicit stack, and
+:func:`involution_check` certifies and counts fixed points on one layout.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .halftree import (
@@ -301,33 +305,38 @@ class SingularityProfile:
         return sum(self.orders)
 
 
-def _corner_classes(s: HyperellipticSurface) -> list[tuple[Corner, ...]]:
-    """Identification classes of boundary-circle corner points under regluing."""
-    parent: dict[Corner, Corner] = {}
+def _corner_walk(lay: _Layout) -> list[list[tuple[int, str, int]]]:
+    """Identification classes of boundary-circle corner points under regluing, in layout units."""
+    parent: dict[tuple[int, str, int], tuple[int, str, int]] = {}
 
-    def find(x: Corner) -> Corner:
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x: Corner, y: Corner) -> None:
+    def union(x, y) -> None:
         for z in (x, y):
             parent.setdefault(z, z)
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
 
-    lay = _layout(s)
     L = lay.circumference
     for p, ((v, a), (w, ts)) in lay.seams.items():
         ell = lay.length[p]
         union((v, "b", a), (w, "t", ts))
         union((v, "b", (a + ell) % L[v]), (w, "t", (ts + ell) % L[w]))
-    groups: dict[Corner, list[Corner]] = {}
+    groups: dict[tuple[int, str, int], list[tuple[int, str, int]]] = {}
     for x in parent:
         groups.setdefault(find(x), []).append(x)
-    return [tuple(sorted((v, e, Fraction(x, lay.scale)) for v, e, x in g)) for g in groups.values()]
+    return list(groups.values())
+
+
+def _corner_classes(s: HyperellipticSurface) -> list[tuple[Corner, ...]]:
+    lay = _layout(s)
+    D = lay.scale
+    return [tuple(sorted((v, e, Fraction(x, D)) for v, e, x in g)) for g in _corner_walk(lay)]
 
 
 def singularity_profile(s: HyperellipticSurface) -> SingularityProfile:
@@ -377,18 +386,31 @@ class WeierstrassReport:
         return self.count == self.expected and self.formula_residual == 0
 
 
-def _fixed_corner_classes(
-    s: HyperellipticSurface, classes: Sequence[tuple[Corner, ...]]
-) -> list[int]:
-    """Indices of the corner classes that rotation by pi maps onto themselves."""
+def _fixed_classes(lay: _Layout, classes: Sequence[Sequence[tuple[int, str, int]]]) -> list[int]:
+    """Indices of the corner classes, in layout units, that rotation by pi maps onto themselves.
+
+    On a broken presentation the image of a corner may be no corner at all;
+    its class then counts as not fixed.
+    """
     index = {c: i for i, g in enumerate(classes) for c in g}
-    L = {v: s.circumference(v) for v in s.skeleton.vertices}
+    L = lay.circumference
     flip = {"b": "t", "t": "b"}
     return [
         i
         for i, g in enumerate(classes)
-        if {index[(v, flip[side], (-x) % L[v])] for v, side, x in g} == {i}
+        if {index.get((v, flip[side], (-x) % L[v])) for v, side, x in g} == {i}
     ]
+
+
+def _fixed_corner_classes(
+    s: HyperellipticSurface, classes: Sequence[tuple[Corner, ...]]
+) -> list[int]:
+    """:func:`_fixed_classes` for ``Fraction`` corner classes of ``s``, such as a profile's."""
+    lay = _layout(s)
+    D = lay.scale
+    return _fixed_classes(
+        lay, [[(v, e, x.numerator * (D // x.denominator)) for v, e, x in g] for g in classes]
+    )
 
 
 def weierstrass_points(s: HyperellipticSurface) -> WeierstrassReport:
@@ -399,19 +421,27 @@ def weierstrass_points(s: HyperellipticSurface) -> WeierstrassReport:
     involution.  The count is compared against ``2g + 2`` and against the
     closed formula ``sum(deg_v + 2) - 2 * #edges + #fixed corner classes``.
     """
+    return _weierstrass(s, _layout(s))
+
+
+def _weierstrass(s: HyperellipticSurface, lay: _Layout) -> WeierstrassReport:
     t = s.skeleton
+    D2 = 2 * lay.scale
     points: list[tuple] = []
     for v in t.vertices:
-        L = s.circumference(v)
-        h = s.heights[v]
-        x0 = (-s.twists[v] / 2) % L
-        points.append(("core", v, x0, h / 2))
-        points.append(("core", v, (x0 + L / 2) % L, h / 2))
+        L2 = 2 * lay.circumference[v]
+        h = s.heights[v] / 2
+        # -twist / 2 and the point half a circumference on, mod L, over 2D
+        x0 = -lay.twist[v] % L2
+        points.append(("core", v, Fraction(x0, D2), h))
+        points.append(("core", v, Fraction((x0 + L2 // 2) % L2, D2), h))
     for p in t.half_edge_ports():
         points.append(("midpoint", p, s.lengths[p] / 2))
-    classes = _corner_classes(s)
-    fixed = _fixed_corner_classes(s, classes)
-    points.extend(("corner-class", i, classes[i][0]) for i in fixed)
+    classes = _corner_walk(lay)
+    fixed = _fixed_classes(lay, classes)
+    for i in fixed:
+        v, e, x = min(classes[i])
+        points.append(("corner-class", i, (v, e, Fraction(x, lay.scale))))
     g_ = stratum_of(t).genus
     count = len(points)
     residual = (
@@ -427,40 +457,22 @@ class InvolutionReport:
     ok: bool
     fixed_point_count: int
     expected_fixed_points: int
-    isometry_samples: int
     failures: tuple[str, ...]
 
 
-def involution_check(s: HyperellipticSurface, samples: int = 5) -> InvolutionReport:
+def involution_check(s: HyperellipticSurface) -> InvolutionReport:
     """Certify the rotation involution on a built surface.
 
     Runs the glued-level certification (which searches for per-cylinder
-    alignments and checks global seam consistency) and spot-checks that the
-    involution preserves within-cylinder distances on sample point pairs.
+    alignments and checks global seam consistency) and the Weierstrass count,
+    both on one integer layout.  Distances need no separate check: inside a
+    cylinder the involution is ``j(x, y) = (-tw - x mod L, h - y)``, which only
+    flips the sign of differences, so ``min(dx, L - dx)`` and ``|y1 - y2|`` are
+    preserved for every ``L``, ``h`` and ``tw``.
     """
-    failures: list[str] = []
-    cert = certify_glued(lower(s))
-    if not cert.ok:
-        failures.extend(cert.failures)
-    rng = random.Random(1203 + s.skeleton.n_ports)
-    checked = 0
-    for v in s.skeleton.vertices:
-        L, h, tw = s.circumference(v), s.heights[v], s.twists[v]
-        for _ in range(samples):
-            x1 = Fraction(rng.randint(0, 97), 98) * L
-            x2 = Fraction(rng.randint(0, 97), 98) * L
-            s1 = Fraction(rng.randint(1, 97), 98) * h
-            s2 = Fraction(rng.randint(1, 97), 98) * h
-            dx = (x1 - x2) % L
-            dd = min(dx, L - dx)
-            j1 = ((-tw - x1) % L, h - s1)
-            j2 = ((-tw - x2) % L, h - s2)
-            jdx = (j1[0] - j2[0]) % L
-            jdd = min(jdx, L - jdx)
-            if (dd, abs(s1 - s2)) != (jdd, abs(j1[1] - j2[1])):
-                failures.append(f"involution distorted a sample pair in cylinder {v}")
-            checked += 1
-    wr = weierstrass_points(s)
+    lay = _layout(s)
+    failures = list(certify_glued(_lowered(s, lay)).failures)
+    wr = _weierstrass(s, lay)
     if not wr.ok:
         failures.append(
             f"fixed point count {wr.count} != {wr.expected} or formula residual {wr.formula_residual}"
@@ -469,7 +481,6 @@ def involution_check(s: HyperellipticSurface, samples: int = 5) -> InvolutionRep
         ok=not failures,
         fixed_point_count=wr.count,
         expected_fixed_points=wr.expected,
-        isometry_samples=checked,
         failures=tuple(failures),
     )
 
@@ -508,7 +519,10 @@ class GluedSurface:
 
 def lower(s: HyperellipticSurface) -> GluedSurface:
     """Expand a surface into its explicit seam table (seam ids = port ids)."""
-    lay = _layout(s)
+    return _lowered(s, _layout(s))
+
+
+def _lowered(s: HyperellipticSurface, lay: _Layout) -> GluedSurface:
     D = lay.scale
     cylinders = {
         v: (Fraction(L, D), s.heights[v], s.twists[v]) for v, L in lay.circumference.items()
@@ -538,46 +552,6 @@ class CertifyResult:
     failures: tuple[str, ...]
 
 
-def _circle_partitions(
-    gs: GluedSurface,
-) -> tuple[dict[int, list[Seam]], dict[int, list[Seam]], list[str]]:
-    """Sort seams onto the circles they tile and verify exact tiling."""
-    bottoms: dict[int, list[Seam]] = {c: [] for c in gs.cylinders}
-    tops: dict[int, list[Seam]] = {c: [] for c in gs.cylinders}
-    failures: list[str] = []
-    for seam in gs.seams.values():
-        if seam.length <= 0:
-            failures.append(f"seam {seam.seam_id} has nonpositive length")
-        for (cyl, start), table in ((seam.above, bottoms), (seam.below, tops)):
-            if cyl not in gs.cylinders:
-                failures.append(f"seam {seam.seam_id} references unknown cylinder {cyl}")
-            else:
-                table[cyl].append(seam)
-    for cyl, (L, h, _) in gs.cylinders.items():
-        if L <= 0 or h <= 0:
-            failures.append(f"cylinder {cyl} has nonpositive dimensions")
-        for table, side in ((bottoms, "bottom"), (tops, "top")):
-            segs = sorted(table[cyl], key=lambda s: (s.above if side == "bottom" else s.below)[1])
-            table[cyl] = segs
-            pos = Fraction(0)
-            for seam in segs:
-                start = (seam.above if side == "bottom" else seam.below)[1]
-                if start != pos:
-                    failures.append(
-                        f"{side} circle of cylinder {cyl} is not tiled at position {pos}"
-                    )
-                    break
-                pos += seam.length
-            else:
-                if table[cyl] and pos != L:
-                    failures.append(
-                        f"{side} circle of cylinder {cyl} covers {pos} of circumference {L}"
-                    )
-                if not table[cyl]:
-                    failures.append(f"{side} circle of cylinder {cyl} carries no seams")
-    return bottoms, tops, failures
-
-
 def certify_glued(gs: GluedSurface) -> CertifyResult:
     """Decide whether a seam table is a disjoint union of rotation-symmetric surfaces.
 
@@ -587,93 +561,105 @@ def certify_glued(gs: GluedSurface) -> CertifyResult:
     pass then forces every seam's two induced images to agree; the first
     consistent assignment in ascending ``kappa`` order wins, which makes
     certification of a lowered surface reproduce its twists exactly.
+
+    The table is scaled once to integers, like :func:`_layout`: ``D`` is the
+    lcm of the denominators of all circumferences, drifts, seam starts,
+    lengths and mark offsets.  Positions become ``Fraction`` again only in
+    the alignments, the rebuilt components and failure text.
     """
-    bottoms, tops, failures = _circle_partitions(gs)
+    cyls = gs.cylinders
+    D = math.lcm(
+        *(x.denominator for circ, _, drift in cyls.values() for x in (circ, drift)),
+        *(x.denominator for sm in gs.seams.values() for x in (sm.above[1], sm.below[1], sm.length)),
+        *(x.denominator for _, x in gs.marks),
+    )
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (D // x.denominator)
+
+    L = {c: scaled(circ) for c, (circ, _, _) in cyls.items()}
+    heights = {c: h for c, (_, h, _) in cyls.items()}
+    drifts = {c: scaled(drift) for c, (_, _, drift) in cyls.items()}
+    length = {sid: scaled(sm.length) for sid, sm in gs.seams.items()}
+    seams = {
+        sid: ((sm.above[0], scaled(sm.above[1])), (sm.below[0], scaled(sm.below[1])))
+        for sid, sm in gs.seams.items()
+    }
+    marks = tuple((sid, scaled(u)) for sid, u in gs.marks)
+
+    def refuse(failure: str) -> CertifyResult:
+        return CertifyResult(False, (), {}, {}, (failure,))
+
+    # each circle must be tiled exactly by the seams that start on it
+    bottoms: dict[int, list[tuple[int, int]]] = {c: [] for c in L}
+    tops: dict[int, list[tuple[int, int]]] = {c: [] for c in L}
+    failures: list[str] = []
+    for sid, sides in seams.items():
+        if length[sid] <= 0:
+            failures.append(f"seam {sid} has nonpositive length")
+        for (cyl, start), table in zip(sides, (bottoms, tops)):
+            if cyl not in L:
+                failures.append(f"seam {sid} references unknown cylinder {cyl}")
+            else:
+                table[cyl].append((start, sid))
+    for cyl, circ in L.items():
+        if circ <= 0 or heights[cyl] <= 0:
+            failures.append(f"cylinder {cyl} has nonpositive dimensions")
+        for table, side in ((bottoms, "bottom"), (tops, "top")):
+            segs = table[cyl]
+            segs.sort(key=itemgetter(0))
+            pos = 0
+            for start, sid in segs:
+                if start != pos:
+                    failures.append(
+                        f"{side} circle of cylinder {cyl} is not tiled at position {Fraction(pos, D)}"
+                    )
+                    break
+                pos += length[sid]
+            else:
+                if segs and pos != circ:
+                    failures.append(
+                        f"{side} circle of cylinder {cyl} covers {Fraction(pos, D)} "
+                        f"of circumference {Fraction(circ, D)}"
+                    )
+                if not segs:
+                    failures.append(f"{side} circle of cylinder {cyl} carries no seams")
     if failures:
         return CertifyResult(False, (), {}, {}, tuple(failures))
 
-    mark_sets: dict[int, tuple[set[Fraction], set[Fraction]]] = {
-        c: (set(), set()) for c in gs.cylinders
-    }
-    for seam_id, offset in gs.marks:
-        seam = gs.seams.get(seam_id)
-        if seam is None:
-            return CertifyResult(False, (), {}, {}, (f"mark on unknown seam {seam_id}",))
-        if not 0 < offset < seam.length:
-            return CertifyResult(
-                False, (), {}, {}, (f"mark offset {offset} outside seam {seam_id}",)
-            )
-        mark_sets[seam.above[0]][0].add(seam.above[1] + offset)
-        mark_sets[seam.below[0]][1].add(seam.below[1] + offset)
+    bottom_marks: dict[int, set[int]] = {c: set() for c in L}
+    top_marks: dict[int, set[int]] = {c: set() for c in L}
+    for sid, u in marks:
+        if sid not in seams:
+            return refuse(f"mark on unknown seam {sid}")
+        if not 0 < u < length[sid]:
+            return refuse(f"mark offset {Fraction(u, D)} outside seam {sid}")
+        (a, x), (b, y) = seams[sid]
+        bottom_marks[a].add(x + u)
+        top_marks[b].add(y + u)
 
-    candidates: dict[int, list[Fraction]] = {}
-    bottom_at: dict[int, dict[Fraction, Seam]] = {}
-    top_at: dict[int, dict[Fraction, Seam]] = {}
-    for cyl, (L, _, _) in gs.cylinders.items():
-        bsegs, tsegs = bottoms[cyl], tops[cyl]
-        bottom_at[cyl] = {seg.above[1]: seg for seg in bsegs}
-        top_at[cyl] = {seg.below[1]: seg for seg in tsegs}
-        first = bsegs[0]
+    # candidate alignments per cylinder, ascending
+    bottom_at = {c: dict(bottoms[c]) for c in L}
+    top_at = {c: dict(tops[c]) for c in L}
+    candidates: dict[int, list[int]] = {}
+    for cyl, circ in L.items():
+        x0, first = bottoms[cyl][0]
+        ell, top = length[first], top_at[cyl]
         opts = []
-        for tseg in tsegs:
-            if tseg.length != first.length:
+        for y, tid in tops[cyl]:
+            if length[tid] != ell:
                 continue
-            kappa = (tseg.below[1] + first.above[1] + first.length) % L
-            good = all(
-                top_at[cyl]
-                .get((kappa - seg.above[1] - seg.length) % L, _NO_SEAM)
-                .length
-                == seg.length
-                for seg in bsegs
-            )
-            bmarks, tmarks = mark_sets[cyl]
-            if good and {(kappa - x) % L for x in bmarks} == tmarks:
+            kappa = (y + x0 + ell) % circ
+            if all(
+                length.get(top.get((kappa - x - length[sid]) % circ)) == length[sid]
+                for x, sid in bottoms[cyl]
+            ) and {(kappa - x) % circ for x in bottom_marks[cyl]} == top_marks[cyl]:
                 opts.append(kappa)
         if not opts:
-            return CertifyResult(
-                False,
-                (),
-                {},
-                {},
-                (f"cylinder {cyl}: no rotation aligns its bottom onto its top",),
-            )
+            return refuse(f"cylinder {cyl}: no rotation aligns its bottom onto its top")
         candidates[cyl] = sorted(opts)
 
-    comp_of = _components(gs)
-    kappas: dict[int, Fraction] = {}
-    involution: dict[int, int] = {}
-    for comp_cyls in comp_of:
-        result = _assign_alignments(gs, comp_cyls, candidates, bottom_at, top_at)
-        if isinstance(result, tuple):
-            return CertifyResult(False, (), {}, {}, result)
-        kappas.update(result)
-
-    for seam in gs.seams.values():
-        involution[seam.seam_id] = _jmap_bottom(gs, seam, kappas, top_at).seam_id
-    for sid, tid in involution.items():
-        if involution[tid] != sid:
-            return CertifyResult(
-                False, (), {}, {}, (f"seam map not involutive at ({sid}, {tid})",)
-            )
-
-    components = []
-    for comp_cyls in comp_of:
-        surf, errors = _extract_component(gs, comp_cyls, kappas, involution, bottoms)
-        if errors:
-            return CertifyResult(False, (), involution, kappas, errors)
-        components.append(surf)
-    return CertifyResult(True, tuple(components), involution, kappas, ())
-
-
-class _Missing:
-    length = None
-
-
-_NO_SEAM = _Missing()
-
-
-def _components(gs: GluedSurface) -> list[list[int]]:
-    parent = {c: c for c in gs.cylinders}
+    parent = {c: c for c in L}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -681,118 +667,94 @@ def _components(gs: GluedSurface) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for seam in gs.seams.values():
-        a, b = find(seam.above[0]), find(seam.below[0])
-        if a != b:
-            parent[a] = b
+    touching: dict[int, list[int]] = {c: [] for c in L}
+    for sid, ((a, _), (b, _)) in seams.items():
+        touching[a].append(sid)
+        if b != a:
+            touching[b].append(sid)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     groups: dict[int, list[int]] = {}
-    for c in gs.cylinders:
+    for c in L:
         groups.setdefault(find(c), []).append(c)
-    return [sorted(g) for g in sorted(groups.values())]
+    components = [sorted(g) for g in sorted(groups.values())]
 
+    kappas: dict[int, int] = {}
 
-def _jmap_bottom(
-    gs: GluedSurface, seam: Seam, kappas: dict[int, Fraction], top_at
-) -> Seam:
-    cyl, x = seam.above
-    L = gs.cylinders[cyl][0]
-    return top_at[cyl][(kappas[cyl] - x - seam.length) % L]
+    def image(sid: int) -> int:
+        """The seam whose top copy rotation by pi puts the bottom copy of ``sid`` on."""
+        a, x = seams[sid][0]
+        return top_at[a][(kappas[a] - x - length[sid]) % L[a]]
 
+    def clash(sid: int) -> str | None:
+        (a, _), (b, y) = seams[sid]
+        if a not in kappas or b not in kappas:
+            return None
+        t1, t2 = image(sid), bottom_at[b][(kappas[b] - y - length[sid]) % L[b]]
+        if t1 == t2:
+            return None
+        return f"seam {sid}: involution images disagree, saddle pair ({t1}, {t2})"
 
-def _jmap_top(
-    gs: GluedSurface, seam: Seam, kappas: dict[int, Fraction], bottom_at
-) -> Seam:
-    cyl, y = seam.below
-    L = gs.cylinders[cyl][0]
-    return bottom_at[cyl][(kappas[cyl] - y - seam.length) % L]
+    # backtracking per component over its sorted cylinders, on an explicit
+    # stack: ``tried[i]`` counts the candidates of ``comp[i]`` tried so far
+    for comp in components:
+        conflict = None
+        tried = [0] * len(comp)
+        i = 0
+        while 0 <= i < len(comp):
+            cyl = comp[i]
+            opts = candidates[cyl]
+            while tried[i] < len(opts):
+                kappas[cyl] = opts[tried[i]]
+                tried[i] += 1
+                for sid in touching[cyl]:
+                    msg = clash(sid)
+                    if msg is not None:
+                        conflict = msg
+                        break
+                else:
+                    i += 1
+                    break
+                del kappas[cyl]
+            else:
+                tried[i] = 0
+                i -= 1
+                if i >= 0:
+                    del kappas[comp[i]]
+        if i < 0:
+            return refuse(conflict or f"component {comp}: no consistent alignment")
 
+    involution = {sid: image(sid) for sid in seams}
+    for sid, tid in involution.items():
+        if involution[tid] != sid:
+            return refuse(f"seam map not involutive at ({sid}, {tid})")
 
-def _assign_alignments(
-    gs: GluedSurface,
-    comp_cyls: list[int],
-    candidates: dict[int, list[Fraction]],
-    bottom_at,
-    top_at,
-) -> dict[int, Fraction] | tuple[str, ...]:
-    """Backtracking search for globally consistent alignments on one component."""
-    order = comp_cyls
-    chosen: dict[int, Fraction] = {}
-    touching: dict[int, list[Seam]] = {c: [] for c in comp_cyls}
-    for seam in gs.seams.values():
-        if seam.above[0] in touching:
-            touching[seam.above[0]].append(seam)
-        if seam.below[0] in touching and seam.below[0] != seam.above[0]:
-            touching[seam.below[0]].append(seam)
-    last_conflict: list[str] = []
-
-    def consistent(seam: Seam) -> bool:
-        a, b = seam.above[0], seam.below[0]
-        if a not in chosen or b not in chosen:
-            return True
-        t1 = _jmap_bottom(gs, seam, chosen, top_at)
-        t2 = _jmap_top(gs, seam, chosen, bottom_at)
-        if t1.seam_id != t2.seam_id:
-            del last_conflict[:]
-            last_conflict.append(
-                f"seam {seam.seam_id}: involution images disagree, "
-                f"saddle pair ({t1.seam_id}, {t2.seam_id})"
+    alignments = {c: Fraction(kappas[c], D) for comp in components for c in comp}
+    surfaces = []
+    for comp in components:
+        ports_of = {c: [sid for _, sid in bottoms[c]] for c in comp}
+        comp_seams = {sid for c in comp for sid in ports_of[c]}
+        pairs = [(sid, involution[sid]) for sid in comp_seams if sid < involution[sid]]
+        skeleton = HalfTree(ports_of, pairs)
+        diag = validate(skeleton)
+        if not diag.ok:
+            error = f"reglued component {comp} is not a half-tree: {diag.first}"
+            return CertifyResult(False, (), involution, alignments, (error,))
+        try:
+            surfaces.append(
+                build(
+                    skeleton,
+                    {sid: Fraction(length[sid], D) for sid in comp_seams},
+                    {c: heights[c] for c in comp},
+                    {c: Fraction((drifts[c] - kappas[c]) % L[c], D) for c in comp},
+                    [Mark(sid, Fraction(u, D)) for sid, u in marks if sid in comp_seams],
+                )
             )
-            return False
-        return True
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        cyl = order[i]
-        for kappa in candidates[cyl]:
-            chosen[cyl] = kappa
-            if all(consistent(seam) for seam in touching[cyl]):
-                if place(i + 1):
-                    return True
-            del chosen[cyl]
-        return False
-
-    if place(0):
-        return dict(chosen)
-    msg = last_conflict[0] if last_conflict else f"component {comp_cyls}: no consistent alignment"
-    return (msg,)
-
-
-def _extract_component(
-    gs: GluedSurface,
-    comp_cyls: list[int],
-    kappas: dict[int, Fraction],
-    involution: dict[int, int],
-    bottoms: dict[int, list[Seam]],
-) -> tuple[HyperellipticSurface | None, tuple[str, ...]]:
-    """Rebuild a half-tree presentation from one certified component."""
-    ports_of: dict[int, list[int]] = {}
-    for cyl in comp_cyls:
-        ports_of[cyl] = [seam.seam_id for seam in bottoms[cyl]]
-    comp_seams = {sid for cyl in comp_cyls for sid in ports_of[cyl]}
-    pairs = []
-    for sid in comp_seams:
-        tid = involution[sid]
-        if tid != sid and sid < tid:
-            pairs.append((sid, tid))
-    skeleton = HalfTree({c: ports_of[c] for c in comp_cyls}, pairs)
-    diag = validate(skeleton)
-    if not diag.ok:
-        return None, (f"reglued component {comp_cyls} is not a half-tree: {diag.first}",)
-    lengths = {sid: gs.seams[sid].length for sid in comp_seams}
-    heights = {c: gs.cylinders[c][1] for c in comp_cyls}
-    twists = {}
-    for c in comp_cyls:
-        L, _, drift = gs.cylinders[c]
-        twists[c] = (drift - kappas[c]) % L
-    marks = [
-        Mark(sid, offset) for sid, offset in gs.marks if sid in comp_seams
-    ]
-    try:
-        surf = build(skeleton, lengths, heights, twists, marks)
-    except (MetricError, SkeletonError) as exc:
-        return None, (f"component {comp_cyls} fails to rebuild: {exc}",)
-    return surf, ()
+        except (MetricError, SkeletonError) as exc:
+            error = f"component {comp} fails to rebuild: {exc}"
+            return CertifyResult(False, (), involution, alignments, (error,))
+    return CertifyResult(True, tuple(surfaces), involution, alignments, ())
 
 
 def extract_skeleton(s: HyperellipticSurface) -> HalfTree:

@@ -14,8 +14,16 @@ from collections import Counter
 from fractions import Fraction
 
 from flattree.flow import FlowError, Trajectory, VerticalCylinder
-from flattree.halftree import HalfTree, canonical_form, validate
-from flattree.surface import HyperellipticSurface
+from flattree.halftree import HalfTree, SkeletonError, canonical_form, validate
+from flattree.surface import (
+    CertifyResult,
+    GluedSurface,
+    HyperellipticSurface,
+    Mark,
+    MetricError,
+    Seam,
+    build,
+)
 
 
 def labeled_halftrees(n: int):
@@ -470,6 +478,258 @@ def corner_classes_fraction(s: HyperellipticSurface) -> list[tuple]:
         groups.setdefault(find(x), []).append(x)
     return [tuple(sorted(g)) for g in groups.values()]
 
+
+
+def fixed_corner_classes_fraction(s: HyperellipticSurface, classes) -> list[int]:
+    """Indices of the corner classes that rotation by pi maps onto themselves, in ``Fraction``."""
+    index = {c: i for i, g in enumerate(classes) for c in g}
+    L = {v: s.circumference(v) for v in s.skeleton.vertices}
+    flip = {"b": "t", "t": "b"}
+    return [
+        i
+        for i, g in enumerate(classes)
+        if {index[(v, flip[side], (-x) % L[v])] for v, side, x in g} == {i}
+    ]
+
+
+
+def weierstrass_points_fraction(s: HyperellipticSurface) -> tuple[tuple, ...]:
+    """Fixed points of rotation by pi in ``Fraction``: cores, stub midpoints, fixed corner classes."""
+    t = s.skeleton
+    points: list[tuple] = []
+    for v in t.vertices:
+        L = s.circumference(v)
+        h = s.heights[v]
+        x0 = (-s.twists[v] / 2) % L
+        points.append(("core", v, x0, h / 2))
+        points.append(("core", v, (x0 + L / 2) % L, h / 2))
+    for p in t.half_edge_ports():
+        points.append(("midpoint", p, s.lengths[p] / 2))
+    classes = corner_classes_fraction(s)
+    fixed = fixed_corner_classes_fraction(s, classes)
+    points.extend(("corner-class", i, classes[i][0]) for i in fixed)
+    return tuple(points)
+
+# -- Fraction reference for glued certification --------------------------------
+# ``certify_glued`` as first written: every position a ``Fraction`` and a
+# recursive backtracking search, one level per cylinder.  The library runs the
+# same search on integers with an explicit stack and must agree with this,
+# result and failure text.
+
+
+class _Missing:
+    length = None
+
+
+_NO_SEAM = _Missing()
+
+
+def _circle_partitions_fraction(gs: GluedSurface):
+    bottoms: dict[int, list[Seam]] = {c: [] for c in gs.cylinders}
+    tops: dict[int, list[Seam]] = {c: [] for c in gs.cylinders}
+    failures: list[str] = []
+    for seam in gs.seams.values():
+        if seam.length <= 0:
+            failures.append(f"seam {seam.seam_id} has nonpositive length")
+        for (cyl, start), table in ((seam.above, bottoms), (seam.below, tops)):
+            if cyl not in gs.cylinders:
+                failures.append(f"seam {seam.seam_id} references unknown cylinder {cyl}")
+            else:
+                table[cyl].append(seam)
+    for cyl, (L, h, _) in gs.cylinders.items():
+        if L <= 0 or h <= 0:
+            failures.append(f"cylinder {cyl} has nonpositive dimensions")
+        for table, side in ((bottoms, "bottom"), (tops, "top")):
+            segs = sorted(table[cyl], key=lambda s: (s.above if side == "bottom" else s.below)[1])
+            table[cyl] = segs
+            pos = Fraction(0)
+            for seam in segs:
+                start = (seam.above if side == "bottom" else seam.below)[1]
+                if start != pos:
+                    failures.append(
+                        f"{side} circle of cylinder {cyl} is not tiled at position {pos}"
+                    )
+                    break
+                pos += seam.length
+            else:
+                if table[cyl] and pos != L:
+                    failures.append(
+                        f"{side} circle of cylinder {cyl} covers {pos} of circumference {L}"
+                    )
+                if not table[cyl]:
+                    failures.append(f"{side} circle of cylinder {cyl} carries no seams")
+    return bottoms, tops, failures
+
+
+def certify_glued_fraction(gs: GluedSurface) -> CertifyResult:
+    """Reference certification of a seam table, in ``Fraction`` and by recursion."""
+    bottoms, tops, failures = _circle_partitions_fraction(gs)
+    if failures:
+        return CertifyResult(False, (), {}, {}, tuple(failures))
+
+    mark_sets: dict[int, tuple[set, set]] = {c: (set(), set()) for c in gs.cylinders}
+    for seam_id, offset in gs.marks:
+        seam = gs.seams.get(seam_id)
+        if seam is None:
+            return CertifyResult(False, (), {}, {}, (f"mark on unknown seam {seam_id}",))
+        if not 0 < offset < seam.length:
+            return CertifyResult(
+                False, (), {}, {}, (f"mark offset {offset} outside seam {seam_id}",)
+            )
+        mark_sets[seam.above[0]][0].add(seam.above[1] + offset)
+        mark_sets[seam.below[0]][1].add(seam.below[1] + offset)
+
+    candidates: dict[int, list[Fraction]] = {}
+    bottom_at: dict[int, dict] = {}
+    top_at: dict[int, dict] = {}
+    for cyl, (L, _, _) in gs.cylinders.items():
+        bsegs, tsegs = bottoms[cyl], tops[cyl]
+        bottom_at[cyl] = {seg.above[1]: seg for seg in bsegs}
+        top_at[cyl] = {seg.below[1]: seg for seg in tsegs}
+        first = bsegs[0]
+        opts = []
+        for tseg in tsegs:
+            if tseg.length != first.length:
+                continue
+            kappa = (tseg.below[1] + first.above[1] + first.length) % L
+            good = all(
+                top_at[cyl].get((kappa - seg.above[1] - seg.length) % L, _NO_SEAM).length
+                == seg.length
+                for seg in bsegs
+            )
+            bmarks, tmarks = mark_sets[cyl]
+            if good and {(kappa - x) % L for x in bmarks} == tmarks:
+                opts.append(kappa)
+        if not opts:
+            return CertifyResult(
+                False, (), {}, {}, (f"cylinder {cyl}: no rotation aligns its bottom onto its top",)
+            )
+        candidates[cyl] = sorted(opts)
+
+    comp_of = _components_fraction(gs)
+    kappas: dict[int, Fraction] = {}
+    involution: dict[int, int] = {}
+    for comp_cyls in comp_of:
+        result = _assign_alignments_fraction(gs, comp_cyls, candidates, bottom_at, top_at)
+        if isinstance(result, tuple):
+            return CertifyResult(False, (), {}, {}, result)
+        kappas.update(result)
+
+    for seam in gs.seams.values():
+        involution[seam.seam_id] = _jmap_bottom(gs, seam, kappas, top_at).seam_id
+    for sid, tid in involution.items():
+        if involution[tid] != sid:
+            return CertifyResult(False, (), {}, {}, (f"seam map not involutive at ({sid}, {tid})",))
+
+    components = []
+    for comp_cyls in comp_of:
+        surf, errors = _extract_component_fraction(gs, comp_cyls, kappas, involution, bottoms)
+        if errors:
+            return CertifyResult(False, (), involution, kappas, errors)
+        components.append(surf)
+    return CertifyResult(True, tuple(components), involution, kappas, ())
+
+
+def _components_fraction(gs: GluedSurface) -> list[list[int]]:
+    parent = {c: c for c in gs.cylinders}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for seam in gs.seams.values():
+        a, b = find(seam.above[0]), find(seam.below[0])
+        if a != b:
+            parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for c in gs.cylinders:
+        groups.setdefault(find(c), []).append(c)
+    return [sorted(g) for g in sorted(groups.values())]
+
+
+def _jmap_bottom(gs: GluedSurface, seam: Seam, kappas, top_at) -> Seam:
+    cyl, x = seam.above
+    L = gs.cylinders[cyl][0]
+    return top_at[cyl][(kappas[cyl] - x - seam.length) % L]
+
+
+def _jmap_top(gs: GluedSurface, seam: Seam, kappas, bottom_at) -> Seam:
+    cyl, y = seam.below
+    L = gs.cylinders[cyl][0]
+    return bottom_at[cyl][(kappas[cyl] - y - seam.length) % L]
+
+
+def _assign_alignments_fraction(gs, comp_cyls, candidates, bottom_at, top_at):
+    """Recursive backtracking, one level per cylinder, ascending kappa."""
+    order = comp_cyls
+    chosen: dict[int, Fraction] = {}
+    touching: dict[int, list[Seam]] = {c: [] for c in comp_cyls}
+    for seam in gs.seams.values():
+        if seam.above[0] in touching:
+            touching[seam.above[0]].append(seam)
+        if seam.below[0] in touching and seam.below[0] != seam.above[0]:
+            touching[seam.below[0]].append(seam)
+    last_conflict: list[str] = []
+
+    def consistent(seam: Seam) -> bool:
+        a, b = seam.above[0], seam.below[0]
+        if a not in chosen or b not in chosen:
+            return True
+        t1 = _jmap_bottom(gs, seam, chosen, top_at)
+        t2 = _jmap_top(gs, seam, chosen, bottom_at)
+        if t1.seam_id != t2.seam_id:
+            del last_conflict[:]
+            last_conflict.append(
+                f"seam {seam.seam_id}: involution images disagree, "
+                f"saddle pair ({t1.seam_id}, {t2.seam_id})"
+            )
+            return False
+        return True
+
+    def place(i: int) -> bool:
+        if i == len(order):
+            return True
+        cyl = order[i]
+        for kappa in candidates[cyl]:
+            chosen[cyl] = kappa
+            if all(consistent(seam) for seam in touching[cyl]):
+                if place(i + 1):
+                    return True
+            del chosen[cyl]
+        return False
+
+    if place(0):
+        return dict(chosen)
+    msg = last_conflict[0] if last_conflict else f"component {comp_cyls}: no consistent alignment"
+    return (msg,)
+
+
+def _extract_component_fraction(gs, comp_cyls, kappas, involution, bottoms):
+    ports_of = {cyl: [seam.seam_id for seam in bottoms[cyl]] for cyl in comp_cyls}
+    comp_seams = {sid for cyl in comp_cyls for sid in ports_of[cyl]}
+    pairs = []
+    for sid in comp_seams:
+        tid = involution[sid]
+        if tid != sid and sid < tid:
+            pairs.append((sid, tid))
+    skeleton = HalfTree({c: ports_of[c] for c in comp_cyls}, pairs)
+    diag = validate(skeleton)
+    if not diag.ok:
+        return None, (f"reglued component {comp_cyls} is not a half-tree: {diag.first}",)
+    lengths = {sid: gs.seams[sid].length for sid in comp_seams}
+    heights = {c: gs.cylinders[c][1] for c in comp_cyls}
+    twists = {}
+    for c in comp_cyls:
+        L, _, drift = gs.cylinders[c]
+        twists[c] = (drift - kappas[c]) % L
+    marks = [Mark(sid, offset) for sid, offset in gs.marks if sid in comp_seams]
+    try:
+        surf = build(skeleton, lengths, heights, twists, marks)
+    except (MetricError, SkeletonError) as exc:
+        return None, (f"component {comp_cyls} fails to rebuild: {exc}",)
+    return surf, ()
 
 # -- recursive reference for the lemma sweeps ----------------------------------
 # The interval and balls enumerators and kernels as first written: recursive

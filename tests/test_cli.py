@@ -488,6 +488,23 @@ class TestPipeline:
         assert err.startswith("step 1 (shear): ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"op": "shear", "amount": "1"}, "step 1 (shear): missing key 'cylinders'"),
+            ({"op": "dilate-saddle", "saddles": [0]}, "step 1 (dilate-saddle): missing key 'factor'"),
+            (
+                {"op": "quotient", "saddle_classes": [[0], [2]]},
+                "step 1 (quotient): missing key 'cylinder_classes'",
+            ),
+        ],
+    )
+    def test_step_missing_a_key_names_it(self, tmp_path, capsys, step, message):
+        src = write(tmp_path, "script.json", {"steps": [{"op": "build", "surface": PATH3_SURFACE}, step]})
+        rc = main(["pipeline", src, "--outdir", str(tmp_path / "a")])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_empty_script_is_a_noop(self, tmp_path, capsys):
         src = write(tmp_path, "script.json", {"steps": []})
         rc, out = run("pipeline", src, "--outdir", str(tmp_path / "a"), capsys=capsys)

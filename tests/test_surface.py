@@ -1,6 +1,8 @@
 """Surface layer: build validation, corner walk, involution, glued certification."""
 
 import json
+import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -36,7 +38,13 @@ from flattree import (
     weierstrass_points,
     with_marks,
 )
-from flattree.surface import fraction_from_string, fraction_to_string
+from flattree import surface
+from flattree.surface import (
+    HyperellipticSurface,
+    _fixed_corner_classes,
+    fraction_from_string,
+    fraction_to_string,
+)
 
 
 def one_vertex(n: int):
@@ -227,6 +235,27 @@ class TestWeierstrass:
         mids = [p for p in weierstrass_points(s).points if p[0] == "midpoint"]
         assert len(mids) == 3
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_points_match_fraction_oracle(self, n):
+        for t in enumerate_halftrees(n):
+            for seed in (n, n + 1):
+                s = random_metric(t, seed)
+                expected = oracles.weierstrass_points_fraction(s)
+                assert repr(weierstrass_points(s).points) == repr(expected)
+                prof = singularity_profile(s).corner_classes
+                fixed = oracles.fixed_corner_classes_fraction(s, prof)
+                assert _fixed_corner_classes(s, prof) == fixed
+
+    def test_fixed_class_needs_its_whole_image(self):
+        # rotation by pi sends (0, side, x) to (0, other side, -x mod 3): class 0
+        # goes partly onto itself and partly onto class 1, and the image of
+        # (0, "t", 1) is no corner at all
+        lay = surface._Layout(1, {0: 3}, {0: 0}, {}, {}, ())
+        classes = [[(0, "b", 0), (0, "t", 0), (0, "b", 1)], [(0, "t", 2)], [(0, "t", 1)]]
+        assert surface._fixed_classes(lay, classes) == []
+        assert surface._fixed_classes(lay, [[(0, "b", 0), (0, "t", 0), (0, "t", 1)]]) == []
+        assert surface._fixed_classes(lay, [[(0, "b", 0), (0, "t", 0)]]) == [0]
+
     def test_fixed_corner_classes(self):
         # single zero of even order is rotation-fixed; the two order-1 zeros swap
         one = weierstrass_points(unit_surface(one_vertex(3)))
@@ -236,14 +265,118 @@ class TestWeierstrass:
         assert not [p for p in two.points if p[0] == "corner-class"]
 
 
+PATH3 = HalfTree({0: [0], 1: [1, 2], 2: [3]}, [(0, 1), (2, 3)])
+
+
+def raw_path3(lengths=(2, 2, 3, 3), heights=(1, 1, 1), marks=()):
+    """A path3 surface made without :func:`build`, so nothing is validated."""
+    return HyperellipticSurface(
+        PATH3,
+        {p: F(x) for p, x in enumerate(lengths)},
+        {v: F(x) for v, x in enumerate(heights)},
+        {0: F(0), 1: F(1, 3), 2: F(0)},
+        marks,
+    )
+
+
 class TestInvolution:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_reports_ok(self, n):
         for t in enumerate_halftrees(n):
-            rep = involution_check(random_metric(t, seed=n + 1), samples=3)
+            rep = involution_check(random_metric(t, seed=n + 1))
             assert rep.ok, rep.failures
             assert rep.fixed_point_count == rep.expected_fixed_points
-            assert rep.isometry_samples == 3 * len(t.vertices)
+
+    @pytest.mark.parametrize(
+        "raw, failure",
+        [
+            # paired ports 0 and 1 of unequal length: the top circles do not close
+            (raw_path3(lengths=(2, 3, 3, 3)), "top circle of cylinder 0 covers 3 of circumference 2"),
+            # a mark whose involution partner is missing
+            (raw_path3(marks=(Mark(0, F(1, 3)),)), "cylinder 0: no rotation aligns"),
+            (raw_path3(heights=(1, -1, 1)), "cylinder 1 has nonpositive dimensions"),
+        ],
+    )
+    def test_broken_raw_surface_fails(self, raw, failure):
+        rep, cert = involution_check(raw), certify_glued(lower(raw))
+        assert not rep.ok
+        assert cert.failures[0].startswith(failure)
+        assert rep.failures[: len(cert.failures)] == cert.failures
+
+    def test_builds_one_layout(self, monkeypatch, star3_surface):
+        calls = []
+        layout = surface._layout
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return layout(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "_layout", counted)
+        assert involution_check(star3_surface).ok
+        assert len(calls) == 1
+
+
+def stubbed_path(n: int) -> HyperellipticSurface:
+    """A path of ``n`` cylinders, each with one self-glued stub."""
+    ports_of, pairs = {}, []
+    for v in range(n):
+        ports_of[v] = [3 * v] + ([3 * v + 1] if v + 1 < n else []) + ([3 * v + 2] if v else [])
+        if v:
+            pairs.append((3 * v - 2, 3 * v + 2))
+    t = HalfTree(ports_of, pairs)
+    lengths = {p: F(1 + p % 3, 1 + p % 2) for p in t.all_ports}
+    for p, q in pairs:
+        lengths[q] = lengths[p]
+    heights = {v: F(1, 1 + v % 3) for v in t.vertices}
+    return build(t, lengths, heights, {v: F(v % 5, 2) for v in t.vertices})
+
+
+def test_certification_of_a_deep_path():
+    # ten times the default recursion limit: nothing here may recurse per cylinder
+    start = time.perf_counter()
+    s = stubbed_path(10**4)
+    cert = certify_glued(lower(s))
+    assert cert.ok, cert.failures
+    assert cert.components == (s,)
+    assert extract_skeleton(s) == s.skeleton
+    assert weierstrass_points(s).ok
+    assert involution_check(s).ok
+    assert time.perf_counter() - start < 15
+
+
+def broken_tables(gs: GluedSurface, rng: random.Random):
+    """Seeded damage to a valid seam table, one defect per table."""
+    sids = sorted(gs.seams)
+    sid = rng.choice(sids)
+    seam = gs.seams[sid]
+    cyl, start = seam.above
+    shift = seam.length * F(rng.randint(1, 5), 6)
+    yield replace(gs, seams={**gs.seams, sid: replace(seam, above=(cyl, start + shift))})
+    cyl, start = seam.below
+    yield replace(gs, seams={**gs.seams, sid: replace(seam, below=(cyl, start + shift))})
+    other = gs.seams[rng.choice(sids)]
+    yield replace(
+        gs,
+        seams={
+            **gs.seams,
+            sid: replace(seam, below=other.below),
+            other.seam_id: replace(other, below=seam.below),
+        },
+    )
+    yield replace(gs, seams={k: v for k, v in gs.seams.items() if k != sid})
+    # a zero-length seam listed first on another seam's start: ties keep table order
+    stacked = replace(seam, seam_id=max(sids) + 1, length=F(0))
+    yield replace(gs, seams={stacked.seam_id: stacked, **gs.seams})
+    for offset in (F(0), seam.length, seam.length + F(1, 3), -F(1, 2)):
+        yield replace(gs, marks=gs.marks + ((sid, offset),))
+    yield replace(gs, marks=gs.marks + ((max(sids) + 1, F(1, 2)),))
+    yield replace(gs, marks=gs.marks + ((sid, seam.length / 3),))
+    for length in (F(0), -seam.length):
+        yield replace(gs, seams={**gs.seams, sid: replace(seam, length=length)})
+    c = rng.choice(sorted(gs.cylinders))
+    L, h, drift = gs.cylinders[c]
+    for dims in ((L + F(1, 2), h, drift), (L, -h, drift), (L, h, drift + F(1, 5))):
+        yield replace(gs, cylinders={**gs.cylinders, c: dims})
 
 
 class TestGluedCertification:
@@ -265,6 +398,33 @@ class TestGluedCertification:
                 cert = certify_glued(gs)
                 assert cert.ok, cert.failures
                 assert cert.components == (s,)
+                assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_marked_surfaces_match_fraction_oracle(self, n):
+        for t in enumerate_halftrees(n):
+            s = random_metric(t, seed=n)
+            rng = random.Random(n)
+            marks = []
+            for p in rng.sample(t.all_ports, min(2, n)):
+                marks.extend(involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
+            s = with_marks(s, set(marks))
+            gs = lower(s)
+            cert = certify_glued(gs)
+            assert cert.ok, cert.failures
+            assert cert.components == (s,)
+            assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_broken_tables_match_fraction_oracle(self, n):
+        refused = 0
+        for t in enumerate_halftrees(n):
+            for seed in (0, 1):
+                for gs in broken_tables(lower(random_metric(t, seed)), random.Random(seed)):
+                    cert = certify_glued(gs)
+                    assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
+                    refused += not cert.ok
+        assert refused > 0
 
     def test_roundtrip_keeps_marks(self, path3_surface):
         s = with_marks(path3_surface, involution_orbit(path3_surface, Mark(0, F(1, 3))))
@@ -317,6 +477,21 @@ class TestGluedCertification:
         res = certify_glued(bad)
         assert not res.ok
         assert any("circle of cylinder" in f for f in res.failures)
+
+    def test_search_backtracks_to_a_later_alignment(self):
+        # rotating the top circle of the centre of a symmetric star makes its
+        # least candidate alignment wrong; only the leaves can tell
+        t = HalfTree({0: [0, 1, 2], 1: [3], 2: [4], 3: [5]}, [(0, 3), (1, 4), (2, 5)])
+        gs = lower(unit_surface(t))
+        turned = {
+            sid: replace(sm, below=(0, (sm.below[1] + 1) % 3)) if sm.below[0] == 0 else sm
+            for sid, sm in gs.seams.items()
+        }
+        turned_gs = replace(gs, seams=turned)
+        cert = certify_glued(turned_gs)
+        assert cert.ok, cert.failures
+        assert cert.alignments[0] == 1
+        assert repr(cert) == repr(oracles.certify_glued_fraction(turned_gs))
 
     def test_two_components(self):
         sa = build(HalfTree({0: [0]}, []), {0: F(2)}, {0: F(1)}, {0: F(1, 2)})
