@@ -8,15 +8,17 @@ from such a blueprint; ``quotient`` goes the other way, collapsing a verified
 candidate partition onto its common base; ``certify_cover`` rechecks a
 claimed quotient from scratch.
 
-The graph-level sanity check used throughout is the half-edge-aware Euler
-count chi = V - E - H/2 together with vertex ramification equal to the wrap
-numbers; branch behaviour at the singularities is read off the corner-class
-projection, whose local degrees must be integers summing to the covering
-degree over every base class.
+The graph-level sanity check is the half-edge-aware Euler count
+chi = V - E - H/2 with vertex ramification equal to the wrap numbers.  Branch
+behaviour is read off the corner-class projection, whose local degrees must be
+integers summing to the degree over every base class.  That check and the
+involution-equivariance check run in integers, on one scale per (source, base)
+pair: each public call lays out and walks each surface once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,11 +34,13 @@ from .surface import (
     HyperellipticSurface,
     MetricError,
     area,
-    _fixed_corner_classes,
+    _fixed_classes,
+    _Layout,
+    _layout,
+    _profile_classes,
     build,
     fraction_from_string,
     fraction_to_string,
-    singularity_profile,
     surface_from_json,
     surface_to_json,
 )
@@ -163,8 +167,10 @@ def pullback(b: CoverBlueprint) -> HyperellipticSurface:
     offsets = {f.cylinder: Fraction(0) for f in b.fibers}
     wraps = {f.cylinder: f.wrap for f in b.fibers}
     degree = sum(f.wrap for f in b.fibers if f.base == b.base.skeleton.vertices[0])
-    problems = _branch_failures(surface, b.base, cyl_map, offsets, degree)
-    problems += _equivariance_failures(surface, b.base, cyl_map, offsets)
+    branch, equivariance = _cover_failures(
+        surface, b.base, _scaled(surface, b.base, offsets), cyl_map, degree
+    )
+    problems = branch + equivariance
     if problems:
         raise CoverError(f"pullback is not a translation covering: {problems[0]}")
     residual = _chi_residual(skeleton, b.base.skeleton, wraps, degree)
@@ -210,112 +216,95 @@ def _chi_residual(
     return chi(src) - (degree * chi(base) - excess)
 
 
-def _project_corner(
-    corner: tuple[int, str, Fraction],
-    cyl_map: Mapping[int, int],
-    offsets: Mapping[int, Fraction],
-    base: HyperellipticSurface,
-) -> tuple[int, str, Fraction]:
-    v, side, x = corner
-    w = cyl_map[v]
-    L = base.circumference(w)
-    if side == "b":
-        return (w, "b", (x - offsets[v]) % L)
-    return (w, "t", (x + offsets[v]) % L)
+def _scaled(
+    source: HyperellipticSurface, base: HyperellipticSurface, offsets: Mapping[int, Fraction]
+) -> tuple[_Layout, _Layout, dict[int, int]]:
+    """Layouts of ``source`` and ``base`` on one scale, and the offsets on that scale.
+
+    The scale is twice the lcm of the denominators of both surfaces' lengths,
+    twists and marks and of the offsets, so half twists, half circumferences
+    and half lengths are ints as well.
+    """
+    values = [*offsets.values()]
+    for s in (source, base):
+        values += [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks)]
+    D = 2 * math.lcm(*(x.denominator for x in values))
+    unit = (Fraction(1, D),)
+    off = {v: x.numerator * (D // x.denominator) for v, x in offsets.items()}
+    return _layout(source, unit), _layout(base, unit), off
 
 
-def _branch_failures(
+def _cover_failures(
     source: HyperellipticSurface,
     base: HyperellipticSurface,
+    scaled: tuple[_Layout, _Layout, dict[int, int]],
     cyl_map: Mapping[int, int],
-    offsets: Mapping[int, Fraction],
     degree: int,
-) -> list[str]:
-    """Check the corner-class projection: integer local degrees, full fibers.
+) -> tuple[list[str], list[str]]:
+    """Branch and equivariance failures of the projection, on the layouts of :func:`_scaled`.
 
-    Every singularity class upstairs must project into a single class
-    downstairs with cone-angle ratio a positive integer, and those ratios sum
-    to the covering degree over each base class.  This is the combinatorial
-    meaning of branching only over the zeros.
+    Branching only over the zeros: every corner class upstairs projects into
+    one class downstairs with an integer cone-angle ratio, and the ratios sum
+    to the degree over each base class.  Equivariance: core fixed points,
+    half-edge midpoints and rotation-fixed corner classes land on their kind.
+    Each surface is walked once; class indices are those of
+    :func:`singularity_profile`, which also raises here on a broken walk.
     """
-    failures: list[str] = []
-    src_profile = singularity_profile(source)
-    base_profile = singularity_profile(base)
-    where: dict[tuple[int, str, Fraction], int] = {}
-    for j, g in enumerate(base_profile.corner_classes):
-        for c in g:
-            where[c] = j
-    totals = {j: 0 for j in range(len(base_profile.corner_classes))}
-    for i, g in enumerate(src_profile.corner_classes):
-        images = {_project_corner(c, cyl_map, offsets, base) for c in g}
-        hit = {where.get(c) for c in images}
+    lay_s, lay_b, off = scaled
+    t, bt = source.skeleton, base.skeleton
+    src = _profile_classes(t, lay_s)[0]
+    dst = _profile_classes(bt, lay_b)[0]
+    where = {c: j for j, g in enumerate(dst) for c in g}
+    Ls, Lb = lay_s.circumference, lay_b.circumference
+
+    def project(v: int, side: str, x: int) -> tuple[int, str, int]:
+        w = cyl_map[v]
+        return (w, side, (x - off[v] if side == "b" else x + off[v]) % Lb[w])
+
+    branch: list[str] = []
+    totals = [0] * len(dst)
+    for i, g in enumerate(src):
+        hit = {where.get(project(*c)) for c in g}
         if None in hit or len(hit) != 1:
-            failures.append(f"corner class {i} does not project into one base class")
+            branch.append(f"corner class {i} does not project into one base class")
             continue
         (j,) = hit
-        up = src_profile.corner_orders[i] + 1
-        down = base_profile.corner_orders[j] + 1
+        up, down = len(g) // 2, len(dst[j]) // 2
         if up % down:
-            failures.append(
-                f"corner class {i} has cone ratio {up}/{down}, not an integer"
-            )
+            branch.append(f"corner class {i} has cone ratio {up}/{down}, not an integer")
             continue
         totals[j] += up // down
-    for j, total in totals.items():
-        if total != degree:
-            failures.append(
-                f"base corner class {j} is covered {total} times, expected {degree}"
-            )
-    return failures
+    branch += [
+        f"base corner class {j} is covered {total} times, expected {degree}"
+        for j, total in enumerate(totals)
+        if total != degree
+    ]
 
-
-def _equivariance_failures(
-    source: HyperellipticSurface,
-    base: HyperellipticSurface,
-    cyl_map: Mapping[int, int],
-    offsets: Mapping[int, Fraction],
-) -> list[str]:
-    """Check the projection commutes with the two rotation involutions.
-
-    Fixed points map to fixed points: cylinder-core fixed points land on
-    cylinder-core fixed points, half-edge midpoints on half-edge midpoints,
-    and involution-fixed corner classes into involution-fixed classes.
-    """
-    failures: list[str] = []
-    for v in source.skeleton.vertices:
+    equivariance: list[str] = []
+    for v in t.vertices:
         w = cyl_map[v]
-        L = base.circumference(w)
-        base_half = {(-base.twists[w] / 2) % L, ((-base.twists[w] / 2) + L / 2) % L}
-        x0 = (-source.twists[v] / 2) % source.circumference(v)
-        for x in (x0, (x0 + source.circumference(v) / 2) % source.circumference(v)):
-            if (x - offsets[v]) % L not in base_half:
-                failures.append(
+        half = -lay_b.twist[w] // 2
+        fixed = {half % Lb[w], (half + Lb[w] // 2) % Lb[w]}
+        x0 = (-lay_s.twist[v] // 2) % Ls[v]
+        for x in (x0, (x0 + Ls[v] // 2) % Ls[v]):
+            if (x - off[v]) % Lb[w] not in fixed:
+                equivariance.append(
                     f"core fixed point of cylinder {v} projects off the base fixed circle"
                 )
-    for p in source.skeleton.half_edge_ports():
-        v = source.skeleton.vertex_of(p)
+    midpoints: dict[int, set[int]] = {}
+    for q in bt.half_edge_ports():
+        (w, a), _ = lay_b.seams[q]
+        midpoints.setdefault(w, set()).add((a + lay_b.length[q] // 2) % Lb[w])
+    for p in t.half_edge_ports():
+        (v, a), _ = lay_s.seams[p]
         w = cyl_map[v]
-        L = base.circumference(w)
-        pos = (source.port_start(p) + source.lengths[p] / 2 - offsets[v]) % L
-        ok = any(
-            (base.port_start(q) + base.lengths[q] / 2) % L == pos
-            for q in base.skeleton.ports(w)
-            if base.skeleton.partner(q) is None
-        )
-        if not ok:
-            failures.append(f"midpoint of self-glued saddle {p} projects off a base midpoint")
-
-    src_profile = singularity_profile(source)
-    base_profile = singularity_profile(base)
-    where = {c: j for j, g in enumerate(base_profile.corner_classes) for c in g}
-    fixed_src = set(_fixed_corner_classes(source, src_profile.corner_classes))
-    fixed_base = set(_fixed_corner_classes(base, base_profile.corner_classes))
-    for i in fixed_src:
-        rep = src_profile.corner_classes[i][0]
-        j = where.get(_project_corner(rep, cyl_map, offsets, base))
-        if j is None or j not in fixed_base:
-            failures.append(f"fixed corner class {i} projects to a non-fixed class")
-    return failures
+        if (a + lay_s.length[p] // 2 - off[v]) % Lb[w] not in midpoints.get(w, ()):
+            equivariance.append(f"midpoint of self-glued saddle {p} projects off a base midpoint")
+    fixed_dst = set(_fixed_classes(lay_b, dst))
+    for i in _fixed_classes(lay_s, src):
+        if where.get(project(*src[i][0])) not in fixed_dst:
+            equivariance.append(f"fixed corner class {i} projects to a non-fixed class")
+    return branch, equivariance
 
 
 # -- quotients ----------------------------------------------------------------
@@ -468,17 +457,19 @@ def quotient(
         for e in group
     }
     residual = _chi_residual(t, base_skeleton, report.wraps, degree)
-    problems = _branch_failures(s, base, cylinder_map, offsets, degree)
-    problems += _equivariance_failures(s, base, cylinder_map, offsets)
+    branch, equivariance = _cover_failures(
+        s, base, _scaled(s, base, offsets), cylinder_map, degree
+    )
+    problems = branch + equivariance
     if residual != 0:
         problems.insert(0, f"Riemann-Hurwitz residual {residual}")
     if problems:
         raise CoverError(f"quotient failed verification: {problems[0]}")
 
-    base_profile = singularity_profile(base)
     source_half_edges = bool(t.half_edge_ports())
-    rel = len(base_profile.orders) - 1
     stratum = stratum_of(base_skeleton)
+    # the check matched the base's corner orders to this stratum, marks aside
+    rel = len(stratum.orders) - 1
     dichotomy = source_half_edges == (rel == 0)
     return QuotientResult(
         base=base,
@@ -514,7 +505,9 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
     offsets, wraps, degree), not its verdict fields: local isometry on every
     cylinder, degree constancy over base cylinders and saddles, the
     Riemann-Hurwitz count, involution equivariance on the fixed-point data,
-    and exact area multiplicativity.
+    and exact area multiplicativity.  A cylinder whose image, offset or wrap
+    is missing fails local isometry once; the later checks that cannot run
+    without it fail with no message of their own.
     """
     t = source.skeleton
     base = result.base
@@ -532,36 +525,43 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
         checks[which] = False
         failures.append(msg)
 
+    known = set(bt.vertices)
+    scaled = lay_s, lay_b, off = _scaled(source, base, result.offsets)
+    D = lay_s.scale
     for v in t.vertices:
         w = result.cylinder_map.get(v)
-        if w not in set(bt.vertices):
+        if w not in known:
             fail("local_isometry", f"cylinder {v} maps to unknown base cylinder {w}")
             continue
         if source.heights[v] != base.heights[w]:
             fail("local_isometry", f"cylinder {v} changes height under the projection")
-        L = base.circumference(w)
-        wrap = result.wraps.get(v, 0)
-        if source.circumference(v) != wrap * L:
+        wrap = result.wraps.get(v)
+        if wrap is None:
+            fail("local_isometry", f"cylinder {v} has no wrap")
+            continue
+        L = lay_b.circumference[w]
+        if lay_s.circumference[v] != wrap * L:
             fail(
                 "local_isometry",
-                f"cylinder {v} has circumference {source.circumference(v)}, "
-                f"not {wrap} x {L}",
+                f"cylinder {v} has circumference {Fraction(lay_s.circumference[v], D)}, "
+                f"not {wrap} x {Fraction(L, D)}",
             )
             continue
-        ports = t.ports(v)
-        base_ports = bt.ports(w)
+        ports, base_ports = t.ports(v), bt.ports(w)
         if len(ports) != wrap * len(base_ports):
             fail("local_isometry", f"cylinder {v} port count does not match its wrap")
             continue
-        phi = result.offsets.get(v)
-        starts = [source.port_start(p) for p in ports]
-        if phi not in starts:
+        if v not in off:
+            fail("local_isometry", f"cylinder {v} has no offset")
+            continue
+        starts = [lay_s.seams[p][0][1] for p in ports]
+        if off[v] not in starts:
             fail("local_isometry", f"offset of cylinder {v} is not a saddle start")
             continue
-        r = starts.index(phi)
+        r = starts.index(off[v])
         for k, p in enumerate(ports[r:] + ports[:r]):
             q = base_ports[k % len(base_ports)]
-            if source.lengths[p] != base.lengths[q]:
+            if lay_s.length[p] != lay_b.length[q]:
                 fail("local_isometry", f"saddle {p} changes length over base saddle {q}")
             if result.saddle_map.get(t.edge_object_of(p)[0]) != min(bt.edge_object_of(q)):
                 fail("local_isometry", f"saddle {p} does not map onto base saddle {q}")
@@ -589,16 +589,21 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
                 f"base saddle {key} has {total} lifted sides, expected {expected}",
             )
 
-    residual = _chi_residual(t, bt, result.wraps, result.degree)
-    if residual != 0:
-        fail("riemann_hurwitz", f"residual {residual} != 0")
+    if all(v in result.wraps for v in t.vertices):
+        residual = _chi_residual(t, bt, result.wraps, result.degree)
+        if residual != 0:
+            fail("riemann_hurwitz", f"residual {residual} != 0")
+    else:
+        checks["riemann_hurwitz"] = False
 
-    for msg in _equivariance_failures(source, base, result.cylinder_map, result.offsets):
-        fail("involution_equivariance", msg)
-    for msg in _branch_failures(
-        source, base, result.cylinder_map, result.offsets, result.degree
-    ):
-        fail("involution_equivariance", msg)
+    if all(result.cylinder_map.get(v) in known and v in off for v in t.vertices):
+        branch, equivariance = _cover_failures(
+            source, base, scaled, result.cylinder_map, result.degree
+        )
+        for msg in equivariance + branch:
+            fail("involution_equivariance", msg)
+    else:
+        checks["involution_equivariance"] = False
 
     if area(source) != result.degree * area(base):
         fail(

@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, Sequence
 from .halftree import (
     HalfTree,
     SkeletonError,
+    Stratum,
     canonical_form,
     halftree_from_json,
     halftree_to_json,
@@ -333,10 +334,25 @@ def _corner_walk(lay: _Layout) -> list[list[tuple[int, str, int]]]:
     return list(groups.values())
 
 
-def _corner_classes(s: HyperellipticSurface) -> list[tuple[Corner, ...]]:
-    lay = _layout(s)
-    D = lay.scale
-    return [tuple(sorted((v, e, Fraction(x, D)) for v, e, x in g)) for g in _corner_walk(lay)]
+def _profile_classes(t: HalfTree, lay: _Layout) -> tuple[list[tuple], Stratum]:
+    """Sorted corner classes of ``lay``, in layout units and profile order, and the stratum.
+
+    Scaling keeps the order of positions, so class ``i`` here is class ``i``
+    of :func:`singularity_profile`.  A class of odd size, or zero orders other
+    than the stratum's, raise :class:`MetricError`.
+    """
+    classes = sorted((tuple(sorted(g)) for g in _corner_walk(lay)), key=lambda g: (-len(g), g))
+    for g in classes:
+        if len(g) % 2 != 0:
+            g = tuple((v, e, Fraction(x, lay.scale)) for v, e, x in g)
+            raise MetricError(f"corner class of odd size {len(g)}: {g}")
+    corner_orders = [len(g) // 2 - 1 for g in classes]
+    expected = stratum_of(t)
+    if corner_orders != sorted(expected.orders, reverse=True):
+        raise MetricError(
+            f"corner walk produced orders {corner_orders}, stratum expects {expected.orders}"
+        )
+    return classes, expected
 
 
 def singularity_profile(s: HyperellipticSurface) -> SingularityProfile:
@@ -348,24 +364,14 @@ def singularity_profile(s: HyperellipticSurface) -> SingularityProfile:
     returning; a mismatch would mean the gluing conventions are broken, so it
     raises rather than reports.
     """
-    classes = sorted(_corner_classes(s), key=lambda g: (-len(g), g))
-    corner_orders = []
-    for g in classes:
-        if len(g) % 2 != 0:
-            raise MetricError(f"corner class of odd size {len(g)}: {g}")
-        corner_orders.append(len(g) // 2 - 1)
-    expected = stratum_of(s.skeleton)
-    if tuple(sorted(corner_orders, reverse=True)) != tuple(
-        sorted(expected.orders, reverse=True)
-    ):
-        raise MetricError(
-            f"corner walk produced orders {corner_orders}, stratum expects {expected.orders}"
-        )
-    orders = tuple(sorted(corner_orders, reverse=True)) + (0,) * len(s.marks)
+    lay = _layout(s)
+    classes, expected = _profile_classes(s.skeleton, lay)
+    D = lay.scale
+    corner_orders = tuple(len(g) // 2 - 1 for g in classes)
     return SingularityProfile(
-        orders=orders,
-        corner_orders=tuple(sorted(corner_orders, reverse=True)),
-        corner_classes=tuple(classes),
+        orders=corner_orders + (0,) * len(s.marks),
+        corner_orders=corner_orders,
+        corner_classes=tuple(tuple((v, e, Fraction(x, D)) for v, e, x in g) for g in classes),
         decoration_count=len(s.marks),
         genus=expected.genus,
     )
@@ -400,17 +406,6 @@ def _fixed_classes(lay: _Layout, classes: Sequence[Sequence[tuple[int, str, int]
         for i, g in enumerate(classes)
         if {index.get((v, flip[side], (-x) % L[v])) for v, side, x in g} == {i}
     ]
-
-
-def _fixed_corner_classes(
-    s: HyperellipticSurface, classes: Sequence[tuple[Corner, ...]]
-) -> list[int]:
-    """:func:`_fixed_classes` for ``Fraction`` corner classes of ``s``, such as a profile's."""
-    lay = _layout(s)
-    D = lay.scale
-    return _fixed_classes(
-        lay, [[(v, e, x.numerator * (D // x.denominator)) for v, e, x in g] for g in classes]
-    )
 
 
 def weierstrass_points(s: HyperellipticSurface) -> WeierstrassReport:

@@ -731,6 +731,89 @@ def _extract_component_fraction(gs, comp_cyls, kappas, involution, bottoms):
         return None, (f"component {comp_cyls} fails to rebuild: {exc}",)
     return surf, ()
 
+# -- Fraction reference for the covering checks --------------------------------
+# The branch and equivariance checks of ``cover`` as first written: positions
+# from ``port_start`` and ``circumference``, offsets and halves in ``Fraction``,
+# classes from the Fraction corner walk in profile order.  The library runs
+# both checks on one integer scale and must agree with these, message for
+# message and in order.
+
+
+def _profile_classes_fraction(s: HyperellipticSurface) -> list[tuple]:
+    return sorted(corner_classes_fraction(s), key=lambda g: (-len(g), g))
+
+
+def _project_corner_fraction(corner, cyl_map, offsets, base: HyperellipticSurface):
+    v, side, x = corner
+    w = cyl_map[v]
+    L = base.circumference(w)
+    if side == "b":
+        return (w, "b", (x - offsets[v]) % L)
+    return (w, "t", (x + offsets[v]) % L)
+
+
+def branch_failures_fraction(source, base, cyl_map, offsets, degree) -> list[str]:
+    """Every class upstairs projects into one base class, integer cone ratios, full fibers."""
+    failures: list[str] = []
+    src = _profile_classes_fraction(source)
+    dst = _profile_classes_fraction(base)
+    where = {c: j for j, g in enumerate(dst) for c in g}
+    totals = {j: 0 for j in range(len(dst))}
+    for i, g in enumerate(src):
+        images = {_project_corner_fraction(c, cyl_map, offsets, base) for c in g}
+        hit = {where.get(c) for c in images}
+        if None in hit or len(hit) != 1:
+            failures.append(f"corner class {i} does not project into one base class")
+            continue
+        (j,) = hit
+        up = len(g) // 2
+        down = len(dst[j]) // 2
+        if up % down:
+            failures.append(f"corner class {i} has cone ratio {up}/{down}, not an integer")
+            continue
+        totals[j] += up // down
+    for j, total in totals.items():
+        if total != degree:
+            failures.append(f"base corner class {j} is covered {total} times, expected {degree}")
+    return failures
+
+
+def equivariance_failures_fraction(source, base, cyl_map, offsets) -> list[str]:
+    """Core fixed points, half-edge midpoints and fixed corner classes map to their kind."""
+    failures: list[str] = []
+    for v in source.skeleton.vertices:
+        w = cyl_map[v]
+        L = base.circumference(w)
+        base_half = {(-base.twists[w] / 2) % L, ((-base.twists[w] / 2) + L / 2) % L}
+        x0 = (-source.twists[v] / 2) % source.circumference(v)
+        for x in (x0, (x0 + source.circumference(v) / 2) % source.circumference(v)):
+            if (x - offsets[v]) % L not in base_half:
+                failures.append(
+                    f"core fixed point of cylinder {v} projects off the base fixed circle"
+                )
+    for p in source.skeleton.half_edge_ports():
+        v = source.skeleton.vertex_of(p)
+        w = cyl_map[v]
+        L = base.circumference(w)
+        pos = (source.port_start(p) + source.lengths[p] / 2 - offsets[v]) % L
+        ok = any(
+            (base.port_start(q) + base.lengths[q] / 2) % L == pos
+            for q in base.skeleton.ports(w)
+            if base.skeleton.partner(q) is None
+        )
+        if not ok:
+            failures.append(f"midpoint of self-glued saddle {p} projects off a base midpoint")
+    src = _profile_classes_fraction(source)
+    dst = _profile_classes_fraction(base)
+    where = {c: j for j, g in enumerate(dst) for c in g}
+    fixed_base = set(fixed_corner_classes_fraction(base, dst))
+    for i in fixed_corner_classes_fraction(source, src):
+        j = where.get(_project_corner_fraction(src[i][0], cyl_map, offsets, base))
+        if j is None or j not in fixed_base:
+            failures.append(f"fixed corner class {i} projects to a non-fixed class")
+    return failures
+
+
 # -- recursive reference for the lemma sweeps ----------------------------------
 # The interval and balls enumerators and kernels as first written: recursive
 # generators, an O(n^2) pair scan and per-gap ``Counter`` multisets.  The

@@ -1,10 +1,12 @@
 """Coverings: blueprint validation, pullback, quotient, certification."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from flattree import (
     CoverBlueprint,
     CoverError,
@@ -25,6 +27,7 @@ from flattree import (
     stratum_of,
     surfaces_isomorphic,
 )
+from flattree import cover, surface
 from flattree.deform import CylinderPartition, SaddlePartition
 
 F = Fraction
@@ -381,6 +384,27 @@ class TestCertifyCover:
         assert not verdict.ok
         assert not verdict.checks["local_isometry"]
 
+    @pytest.mark.parametrize(
+        "field, tamper, message",
+        [
+            ("cylinder_map", lambda m: {**m, 10: 99}, "cylinder 10 maps to unknown base cylinder 99"),
+            ("offsets", lambda m: {v: x for v, x in m.items() if v != 10}, "cylinder 10 has no offset"),
+            ("wraps", lambda m: {v: x for v, x in m.items() if v != 10}, "cylinder 10 has no wrap"),
+        ],
+        ids=["unknown-image", "no-offset", "no-wrap"],
+    )
+    def test_bad_map_entry_is_a_failed_verdict(self, stock, field, tamper, message):
+        b = stock["ramified-star"]
+        s = pullback(b)
+        r = quotient(s, *fiber_partitions(b))
+        verdict = certify_cover(s, replace(r, **{field: tamper(getattr(r, field))}))
+        assert not verdict.ok
+        assert not verdict.checks["local_isometry"]
+        assert verdict.failures.count(message) == 1
+        # the checks that need the missing entry fail without repeating it
+        needs = "riemann_hurwitz" if field == "wraps" else "involution_equivariance"
+        assert not verdict.checks[needs]
+
     def test_wrong_base_surface_is_caught(self, stock):
         b = stock["triple-wrap"]
         s = pullback(b)
@@ -388,6 +412,172 @@ class TestCertifyCover:
         other = one_cylinder(lengths=(1, 2, 4))
         verdict = certify_cover(s, replace(r, base=other))
         assert not verdict.ok
+
+
+def seeded_blueprints(seed):
+    """Wrapped and tree blueprints over one-cylinder bases with seeded metrics."""
+    rng = random.Random(seed)
+
+    def frac():
+        return F(rng.randint(1, 8), rng.randint(1, 4))
+
+    def one_cylinder_base(m):
+        return build(
+            HalfTree({0: list(range(m))}, []),
+            {p: frac() for p in range(m)},
+            {0: frac()},
+            {0: frac() * rng.randint(0, 3)},
+        )
+
+    out = []
+    for m in range(2, 6):
+        for r in range(1, 4):
+            base = one_cylinder_base(m)
+            twist = base.twists[0] + base.circumference(0) * rng.randrange(r)
+            fiber = FiberCylinder(0, 0, r, twist, tuple(range(100, 100 + r * m)))
+            out.append(CoverBlueprint(base=base, fibers=(fiber,), pairs=()))
+        for d in range(2, 5):
+            base = one_cylinder_base(m)
+            ports = {i: tuple(range(1000 + i * m, 1000 + (i + 1) * m)) for i in range(d)}
+            free = {i: set(range(m)) for i in range(d)}
+            pairs = []
+            for j in range(1, d):
+                i = rng.randrange(j)
+                common = sorted(free[i] & free[j])
+                if not common:
+                    break
+                k = rng.choice(common)
+                free[i].discard(k)
+                free[j].discard(k)
+                pairs.append((ports[i][k], ports[j][k]))
+            else:
+                fibers = tuple(FiberCylinder(i, 0, 1, base.twists[0], ports[i]) for i in range(d))
+                out.append(CoverBlueprint(base=base, fibers=fibers, pairs=tuple(pairs)))
+    return out
+
+
+def blueprint_degree(b):
+    first = b.base.skeleton.vertices[0]
+    return sum(f.wrap for f in b.fibers if f.base == first)
+
+
+def both_failure_lists(source, base, cyl_map, offsets, degree):
+    """(kernel, oracle) pairs of (branch failures, equivariance failures)."""
+    got = cover._cover_failures(
+        source, base, cover._scaled(source, base, offsets), cyl_map, degree
+    )
+    want = (
+        oracles.branch_failures_fraction(source, base, cyl_map, offsets, degree),
+        oracles.equivariance_failures_fraction(source, base, cyl_map, offsets),
+    )
+    return got, want
+
+
+class TestIntegerCheck:
+    """The integer branch and equivariance check against the Fraction reference."""
+
+    MESSAGES = {
+        "does not project into one base class",
+        "not an integer",
+        "is covered",
+        "projects off the base fixed circle",
+        "projects off a base midpoint",
+        "projects to a non-fixed class",
+    }
+
+    def test_stock_blueprints(self, stock):
+        for name, b in stock.items():
+            s = pullback(b)
+            zero = {f.cylinder: F(0) for f in b.fibers}
+            got, want = both_failure_lists(
+                s, b.base, {f.cylinder: f.base for f in b.fibers}, zero, blueprint_degree(b)
+            )
+            assert got == want == ([], []), name
+            r = quotient(s, *fiber_partitions(b))
+            got, want = both_failure_lists(s, r.base, r.cylinder_map, r.offsets, r.degree)
+            assert got == want == ([], []), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_blueprints(self, seed):
+        for b in seeded_blueprints(seed):
+            s = pullback(b)
+            cyl_map = {f.cylinder: f.base for f in b.fibers}
+            zero = {f.cylinder: F(0) for f in b.fibers}
+            for offsets in (zero, {**zero, b.fibers[-1].cylinder: F(1, 3)}):
+                got, want = both_failure_lists(s, b.base, cyl_map, offsets, blueprint_degree(b))
+                assert got == want
+
+    def test_tampered_inputs_give_every_message(self, stock):
+        seen = []
+
+        def compare(*args):
+            got, want = both_failure_lists(*args)
+            assert got == want, args
+            seen.extend(got[0] + got[1])
+
+        for b in stock.values():
+            s = pullback(b)
+            r = quotient(s, *fiber_partitions(b))
+            cm, off, base = r.cylinder_map, r.offsets, r.base
+            for v in s.skeleton.vertices:
+                half = base.circumference(cm[v]) / 2
+                compare(s, base, cm, {**off, v: off[v] + F(1, 3)}, r.degree)
+                compare(s, base, cm, {**off, v: off[v] + half}, r.degree)
+            compare(s, base, cm, off, r.degree + 1)
+            vs = s.skeleton.vertices
+            for i, v in enumerate(vs):
+                for w in vs[i + 1 :]:
+                    if cm[v] != cm[w]:
+                        compare(s, base, {**cm, v: cm[w], w: cm[v]}, off, r.degree)
+            for w in base.skeleton.vertices:
+                twists = {**base.twists, w: base.twists[w] + F(1, 2)}
+                compare(s, build(base.skeleton, base.lengths, base.heights, twists), cm, off, r.degree)
+            # bases whose circumference divides no circumference upstairs
+            for twist in (4, 5):
+                other = one_cylinder(lengths=(1, 2, 4), twist=twist)
+                compare(s, other, dict.fromkeys(cm, 0), off, r.degree)
+        # the covering read backwards: sheets of the torus double as a base
+        b = stock["torus-double"]
+        compare(b.base, pullback(b), {0: 10, 1: 12}, {0: F(0), 1: F(0)}, 1)
+        for text in self.MESSAGES:
+            assert any(text in m for m in seen), text
+
+
+class TestWorkPerCall:
+    """Each public cover call walks each surface once and lays it out at most twice."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        layouts, walks, owner = {}, {}, {}
+        real_layout, real_walk = surface._layout, surface._corner_walk
+
+        def layout(s, extra=()):
+            lay = real_layout(s, extra)
+            layouts[id(s)] = layouts.get(id(s), 0) + 1
+            owner[id(lay)] = id(s)
+            return lay
+
+        def walk(lay):
+            walks[owner[id(lay)]] = walks.get(owner[id(lay)], 0) + 1
+            return real_walk(lay)
+
+        for module in (surface, cover):
+            monkeypatch.setattr(module, "_layout", layout)
+        monkeypatch.setattr(surface, "_corner_walk", walk)
+        return layouts, walks
+
+    def test_each_public_call(self, stock, counts):
+        layouts, walks = counts
+        for name, b in stock.items():
+            s = pullback(b)
+            cp, sp = fiber_partitions(b)
+            r = quotient(s, cp, sp)
+            for call in (lambda: pullback(b), lambda: quotient(s, cp, sp), lambda: certify_cover(s, r)):
+                layouts.clear()
+                walks.clear()
+                call()
+                assert walks and max(walks.values()) == 1, name
+                assert len(walks) == 2 and max(layouts.values()) <= 2, name
 
 
 class TestSerialization:

@@ -41,7 +41,6 @@ from flattree import (
 from flattree import surface
 from flattree.surface import (
     HyperellipticSurface,
-    _fixed_corner_classes,
     fraction_from_string,
     fraction_to_string,
 )
@@ -244,7 +243,8 @@ class TestWeierstrass:
                 assert repr(weierstrass_points(s).points) == repr(expected)
                 prof = singularity_profile(s).corner_classes
                 fixed = oracles.fixed_corner_classes_fraction(s, prof)
-                assert _fixed_corner_classes(s, prof) == fixed
+                lay = surface._layout(s)
+                assert surface._fixed_classes(lay, surface._profile_classes(s.skeleton, lay)[0]) == fixed
 
     def test_fixed_class_needs_its_whole_image(self):
         # rotation by pi sends (0, side, x) to (0, other side, -x mod 3): class 0
