@@ -1,11 +1,12 @@
 """Degenerations: shrink saddle classes to zero, or delete whole cylinders.
 
 Vertical collapse rescales saddle classes by (1 - p) and removes the fully
-collapsed edges; the skeleton falls apart into the predicted subtrees and
-each piece is rebuilt and certified.  Horizontal collapse removes cylinders
-and reglues their two boundary circles to each other along vertical lines;
-the regluing is done on the explicit seam table, strip by strip, and the
-result is pushed through the same certification as everything else.
+collapsed edges; the rescaled forest is certified once, as one surface, and
+certification hands back its pieces, one rebuilt surface per subtree.
+Horizontal collapse removes cylinders and reglues their two boundary circles
+to each other along vertical lines; the regluing is done on the explicit
+seam table, strip by strip, and the result is pushed through the same
+certification as everything else.
 
 Cylinders that lose their whole boundary collapse to points and are dropped
 with a notice rather than an error; only a collapse that leaves nothing at
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .deform import DeformError, SaddlePartition
-from .halftree import HalfTree, validate
+from .halftree import HalfTree
 from .surface import (
     CertifyResult,
     DisjointSurface,
@@ -27,8 +28,9 @@ from .surface import (
     HyperellipticSurface,
     Mark,
     Seam,
+    _certify,
+    _layout,
     area,
-    build,
     certify_glued,
     fraction_to_string,
     lower,
@@ -51,7 +53,7 @@ def certify_hyperelliptic(
     verdicts concatenated.
     """
     if isinstance(obj, HyperellipticSurface):
-        return certify_glued(lower(obj))
+        return _certify(_layout(obj), obj.heights)
     if isinstance(obj, GluedSurface):
         return certify_glued(obj)
     if isinstance(obj, DisjointSurface):
@@ -61,7 +63,7 @@ def certify_hyperelliptic(
         alignments: dict[int, Fraction] = {}
         ok = True
         for comp in obj.components:
-            res = certify_glued(lower(comp))
+            res = _certify(_layout(comp), comp.heights)
             ok = ok and res.ok
             components.extend(res.components)
             failures.extend(res.failures)
@@ -141,64 +143,33 @@ def vertical_collapse(
     if not new_ports:
         raise CollapseError("every cylinder collapsed to a point; nothing survives")
 
-    parent = {v: v for v in new_ports}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pairs = []
-    for p, q in t.edges():
-        if p in survivors:
-            pairs.append((p, q))
-            a, b = find(t.vertex_of(p)), find(t.vertex_of(q))
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for v in new_ports:
-        groups.setdefault(find(v), []).append(v)
-
-    new_lengths = {p: s.lengths[p] * scale[p] for p in survivors}
-    kept_marks: list[Mark] = []
+    marks: list[Mark] = []
     for m in s.marks:
         if m.port in survivors:
-            kept_marks.append(Mark(m.port, m.offset * scale[m.port]))
+            marks.append(Mark(m.port, m.offset * scale[m.port]))
         else:
             notices.append(f"mark on collapsed saddle {m.port} was dropped")
-
-    components: list[HyperellipticSurface] = []
-    for comp_vertices in sorted(sorted(g) for g in groups.values()):
-        vset = set(comp_vertices)
-        skeleton = HalfTree(
-            {v: new_ports[v] for v in comp_vertices},
-            [pq for pq in pairs if t.vertex_of(pq[0]) in vset],
-        )
-        diag = validate(skeleton)
-        if not diag.ok:
-            raise CollapseError(f"collapsed component {comp_vertices} invalid: {diag.first}")
-        comp_ports = {p for v in comp_vertices for p in new_ports[v]}
-        components.append(
-            build(
-                skeleton,
-                {p: new_lengths[p] for p in comp_ports},
-                {v: s.heights[v] for v in comp_vertices},
-                {v: s.twists[v] for v in comp_vertices},
-                [m for m in kept_marks if m.port in comp_ports],
-            )
-        )
-
-    out = DisjointSurface(tuple(components), tuple(notices))
-    after = sum((area(c) for c in components), Fraction(0))
+    # one raw surface on the surviving forest: twists may exceed the shrunken
+    # circumferences, and certification reduces them as it rebuilds each tree
+    forest = HyperellipticSurface(
+        HalfTree(new_ports, [(p, q) for p, q in t.edges() if p in survivors]),
+        {p: s.lengths[p] * scale[p] for p in survivors},
+        {v: s.heights[v] for v in new_ports},
+        {v: s.twists[v] for v in new_ports},
+        tuple(marks),
+    )
+    cert = _certify(_layout(forest), forest.heights)
+    if not cert.ok:
+        raise CollapseError(f"collapsed surface failed certification: {cert.failures[0]}")
+    after = sum((area(c) for c in cert.components), Fraction(0))
     return VerticalCollapseResult(
-        surfaces=out,
+        surfaces=DisjointSurface(cert.components, tuple(notices)),
         collapsed_area=area(s) - after,
         area_before=area(s),
         area_after=after,
         deleted_edges=tuple(deleted_edges),
         dropped_cylinders=tuple(dropped),
-        certification=certify_hyperelliptic(out),
+        certification=cert,
     )
 
 
@@ -289,19 +260,6 @@ def horizontal_collapse(
     """
     chosen = _deleted_set_preconditions(s, delete)
     gs = lower(s)
-
-    has_vertical_saddle = False
-    for c in chosen:
-        L = gs.cylinders[c][0]
-        bottoms = {s.port_start(p) for p in s.skeleton.ports(c)}
-        tops = {seam.below[1] for seam in gs.seams.values() if seam.below[0] == c}
-        if any((x + s.twists[c]) % L in tops for x in bottoms):
-            has_vertical_saddle = True
-            break
-    if not has_vertical_saddle:
-        raise CollapseError(
-            "no vertical saddle connection inside the deleted set; shear first"
-        )
 
     seam_marks: dict[int, list[Fraction]] = {}
     for m in s.marks:
@@ -424,6 +382,11 @@ def horizontal_collapse(
             ForestReport(c, tuple(neighbors), tuple(edges), tuple(sorted(half_strips)), is_forest)
         )
 
+    # a junction where a bottom and a top corner meet is a vertical saddle connection
+    if not any(kind == "both" for _, _, kind in junctions):
+        raise CollapseError(
+            "no vertical saddle connection inside the deleted set; shear first"
+        )
     bad = [f for f in forests if not f.is_forest]
     if bad:
         raise CollapseError(

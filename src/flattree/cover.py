@@ -29,7 +29,7 @@ from .deform import (
     SaddlePartition,
     check_candidate,
 )
-from .halftree import HalfTree, SkeletonError, stratum_of, validate
+from .halftree import HalfTree, SkeletonError, stratum_of
 from .surface import (
     HyperellipticSurface,
     MetricError,
@@ -154,15 +154,15 @@ def pullback(b: CoverBlueprint) -> HyperellipticSurface:
         {f.cylinder: f.ports for f in b.fibers},
         b.pairs,
     )
-    diag = validate(skeleton)
-    if not diag.ok:
-        raise CoverError(f"lifted skeleton is not a half-tree: {diag.first}")
-    surface = build(
-        skeleton,
-        {fp: b.base.lengths[p] for fp, p in lifts.items()},
-        {f.cylinder: b.base.heights[f.base] for f in b.fibers},
-        {f.cylinder: Fraction(f.twist) for f in b.fibers},
-    )
+    try:
+        surface = build(
+            skeleton,
+            {fp: b.base.lengths[p] for fp, p in lifts.items()},
+            {f.cylinder: b.base.heights[f.base] for f in b.fibers},
+            {f.cylinder: Fraction(f.twist) for f in b.fibers},
+        )
+    except SkeletonError as exc:
+        raise CoverError(f"lifted skeleton is not a half-tree: {exc}") from exc
     cyl_map = {f.cylinder: f.base for f in b.fibers}
     offsets = {f.cylinder: Fraction(0) for f in b.fibers}
     wraps = {f.cylinder: f.wrap for f in b.fibers}
@@ -427,9 +427,6 @@ def quotient(
                 )
 
     base_skeleton = HalfTree(base_ports, base_pairs)
-    diag = validate(base_skeleton)
-    if not diag.ok:
-        raise CoverError(f"quotient diagram is not a half-tree: {diag.first}")
 
     degrees = {
         a: sum(report.wraps[v] for v in group) for a, group in enumerate(cp.classes)

@@ -241,6 +241,13 @@ def partitions_from_json(data: object) -> tuple[CylinderPartition, SaddlePartiti
     for key in ("cylinder_classes", "saddle_classes"):
         if key not in data or not isinstance(data[key], list):
             raise DeformError(f"partition JSON needs a '{key}' array")
+        for group in data[key]:
+            if not isinstance(group, list) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in group
+            ):
+                raise DeformError(
+                    f"partition JSON '{key}': class {group!r} is not a list of integers"
+                )
     return (
         CylinderPartition.of(data["cylinder_classes"]),
         SaddlePartition.of(data["saddle_classes"]),

@@ -106,9 +106,6 @@ class HalfTree:
             raise SkeletonError(f"unknown port {p}")
         return self._pair.get(p)
 
-    def is_paired(self, p: int) -> bool:
-        return self.partner(p) is not None
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Full edges as sorted port pairs, in sorted order."""
         return tuple(sorted((p, q) for p, q in self._pair.items() if p < q))

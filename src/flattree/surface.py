@@ -20,9 +20,11 @@ Walks over many positions (the corner walk, :func:`lower`, the vertical flow)
 evaluate this convention in integers: :func:`_layout` scales every position
 by ``D``, the lcm of the denominators of all lengths, twists and mark offsets,
 and results become ``Fraction`` again, as ``x / D``, only at the API edge.
-Certification runs on the same integers: :func:`certify_glued` scales its
-seam table once and searches alignments with an explicit stack, and
-:func:`involution_check` certifies and counts fixed points on one layout.
+Every surface certifies on that layout: the integer kernel :func:`_certify`
+searches alignments with an explicit stack, and :func:`involution_check`,
+:func:`extract_skeleton` and the collapses hand it a layout directly.
+:func:`certify_glued` is the entry for foreign seam tables only; it scales
+the table once into the same layout shape.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ class DisjointSurface:
 class _Layout:
     """The layout convention of one surface, every position multiplied by ``scale``.
 
-    ``seams[p]`` is ``seam_sides(p)`` in ints, in ``all_ports`` order.
+    ``seams[p]`` is ``seam_sides(p)`` in ints, in ``all_ports`` order, and
+    ``marks`` are sorted.  For a seam table scaled by :func:`certify_glued`,
+    keys are cylinder and seam ids and ``twist`` holds each cylinder's drift.
     """
 
     scale: int
@@ -163,7 +167,7 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
         L = circumference[w]
         seams[p] = ((t.vertex_of(p), bottom[p]), (w, (L - bottom[q] - length[q]) % L))
     twist = {v: scaled(x) for v, x in s.twists.items()}
-    marks = tuple((m.port, scaled(m.offset)) for m in s.marks)
+    marks = tuple(sorted((m.port, scaled(m.offset)) for m in s.marks))
     return _Layout(D, circumference, twist, length, seams, marks)
 
 
@@ -300,10 +304,6 @@ class SingularityProfile:
     corner_classes: tuple[tuple[Corner, ...], ...]
     decoration_count: int
     genus: int
-
-    @property
-    def total_order(self) -> int:
-        return sum(self.orders)
 
 
 def _corner_walk(lay: _Layout) -> list[list[tuple[int, str, int]]]:
@@ -466,7 +466,7 @@ def involution_check(s: HyperellipticSurface) -> InvolutionReport:
     preserved for every ``L``, ``h`` and ``tw``.
     """
     lay = _layout(s)
-    failures = list(certify_glued(_lowered(s, lay)).failures)
+    failures = list(_certify(lay, s.heights).failures)
     wr = _weierstrass(s, lay)
     if not wr.ok:
         failures.append(
@@ -513,11 +513,12 @@ class GluedSurface:
 
 
 def lower(s: HyperellipticSurface) -> GluedSurface:
-    """Expand a surface into its explicit seam table (seam ids = port ids)."""
-    return _lowered(s, _layout(s))
+    """Expand a surface into its explicit seam table (seam ids = port ids).
 
-
-def _lowered(s: HyperellipticSurface, lay: _Layout) -> GluedSurface:
+    The table is for code that edits seams, as horizontal collapse does; a
+    built surface certifies on its own layout and needs no table.
+    """
+    lay = _layout(s)
     D = lay.scale
     cylinders = {
         v: (Fraction(L, D), s.heights[v], s.twists[v]) for v, L in lay.circumference.items()
@@ -557,10 +558,12 @@ def certify_glued(gs: GluedSurface) -> CertifyResult:
     consistent assignment in ascending ``kappa`` order wins, which makes
     certification of a lowered surface reproduce its twists exactly.
 
-    The table is scaled once to integers, like :func:`_layout`: ``D`` is the
-    lcm of the denominators of all circumferences, drifts, seam starts,
-    lengths and mark offsets.  Positions become ``Fraction`` again only in
-    the alignments, the rebuilt components and failure text.
+    This entry point is for foreign tables, such as the reglued table of a
+    horizontal collapse.  It only scales the table once to integers, like
+    :func:`_layout`: ``D`` is the lcm of the denominators of all
+    circumferences, drifts, seam starts, lengths and mark offsets.  The
+    search itself is the integer kernel :func:`_certify`, which a built
+    surface reaches directly through its own layout.
     """
     cyls = gs.cylinders
     D = math.lcm(
@@ -572,15 +575,30 @@ def certify_glued(gs: GluedSurface) -> CertifyResult:
     def scaled(x: Fraction) -> int:
         return x.numerator * (D // x.denominator)
 
-    L = {c: scaled(circ) for c, (circ, _, _) in cyls.items()}
-    heights = {c: h for c, (_, h, _) in cyls.items()}
-    drifts = {c: scaled(drift) for c, (_, _, drift) in cyls.items()}
-    length = {sid: scaled(sm.length) for sid, sm in gs.seams.items()}
-    seams = {
-        sid: ((sm.above[0], scaled(sm.above[1])), (sm.below[0], scaled(sm.below[1])))
-        for sid, sm in gs.seams.items()
-    }
-    marks = tuple((sid, scaled(u)) for sid, u in gs.marks)
+    lay = _Layout(
+        scale=D,
+        circumference={c: scaled(circ) for c, (circ, _, _) in cyls.items()},
+        twist={c: scaled(drift) for c, (_, _, drift) in cyls.items()},
+        length={sid: scaled(sm.length) for sid, sm in gs.seams.items()},
+        seams={
+            sid: ((sm.above[0], scaled(sm.above[1])), (sm.below[0], scaled(sm.below[1])))
+            for sid, sm in gs.seams.items()
+        },
+        marks=tuple((sid, scaled(u)) for sid, u in gs.marks),
+    )
+    return _certify(lay, {c: h for c, (_, h, _) in cyls.items()})
+
+
+def _certify(lay: _Layout, heights: Mapping[int, Fraction]) -> CertifyResult:
+    """The certification of :func:`certify_glued`, on one integer layout.
+
+    Cylinders are the keys of ``lay.circumference``, ``lay.twist`` is each
+    cylinder's flow drift and ``heights`` its height.  Positions become
+    ``Fraction`` again, over ``lay.scale``, only in the alignments, the
+    rebuilt components and failure text.
+    """
+    D = lay.scale
+    L, drifts, length, seams, marks = lay.circumference, lay.twist, lay.length, lay.seams, lay.marks
 
     def refuse(failure: str) -> CertifyResult:
         return CertifyResult(False, (), {}, {}, (failure,))
@@ -755,10 +773,11 @@ def certify_glued(gs: GluedSurface) -> CertifyResult:
 def extract_skeleton(s: HyperellipticSurface) -> HalfTree:
     """Recover the half-tree of a built surface through full certification.
 
-    Deliberately round-trips through the glued seam table instead of reading
-    ``s.skeleton`` back, so the layout conventions are exercised end to end.
+    Deliberately certifies the surface's integer layout and reads the
+    skeleton off the reglued component instead of reading ``s.skeleton``
+    back, so the layout conventions are exercised end to end.
     """
-    cert = certify_glued(lower(s))
+    cert = _certify(_layout(s), s.heights)
     if not cert.ok:
         raise MetricError(f"surface failed certification: {cert.failures[0]}")
     if len(cert.components) != 1:

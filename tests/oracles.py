@@ -731,6 +731,95 @@ def _extract_component_fraction(gs, comp_cyls, kappas, involution, bottoms):
         return None, (f"component {comp_cyls} fails to rebuild: {exc}",)
     return surf, ()
 
+# -- per-component reference for vertical collapse ------------------------------
+# ``vertical_collapse`` as first written: split the surviving forest with its
+# own union-find, then validate and build each subtree.  The library certifies
+# the rescaled forest once and takes the pieces from the certification; the
+# two must agree on every field below.
+
+
+def vertical_collapse_per_component(s: HyperellipticSurface, sp, proportions) -> dict:
+    """Components, notices, dropped cylinders, deleted edges and areas of the collapse."""
+    t = s.skeleton
+    props = {e: Fraction(proportions[i]) for i, group in enumerate(sp.classes) for e in group}
+    scale: dict[int, Fraction] = {}
+    deleted_edges = []
+    for obj in t.edge_objects():
+        p = props[obj[0]]
+        if p == 1:
+            deleted_edges.append(obj)
+        for port in obj:
+            scale[port] = 1 - p
+    survivors = {p for p in t.all_ports if scale[p] > 0}
+    notices: list[str] = []
+    new_ports: dict[int, list[int]] = {}
+    dropped: list[int] = []
+    for v in t.vertices:
+        remaining = [p for p in t.ports(v) if p in survivors]
+        if remaining:
+            new_ports[v] = remaining
+        else:
+            dropped.append(v)
+            notices.append(f"cylinder {v} collapsed to a point and was dropped")
+    parent = {v: v for v in new_ports}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = []
+    for p, q in t.edges():
+        if p in survivors:
+            pairs.append((p, q))
+            a, b = find(t.vertex_of(p)), find(t.vertex_of(q))
+            if a != b:
+                parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for v in new_ports:
+        groups.setdefault(find(v), []).append(v)
+    kept_marks: list[Mark] = []
+    for m in s.marks:
+        if m.port in survivors:
+            kept_marks.append(Mark(m.port, m.offset * scale[m.port]))
+        else:
+            notices.append(f"mark on collapsed saddle {m.port} was dropped")
+    components = []
+    for comp_vertices in sorted(sorted(g) for g in groups.values()):
+        vset = set(comp_vertices)
+        skeleton = HalfTree(
+            {v: new_ports[v] for v in comp_vertices},
+            [pq for pq in pairs if t.vertex_of(pq[0]) in vset],
+        )
+        diag = validate(skeleton)
+        if not diag.ok:
+            raise ValueError(f"collapsed component {comp_vertices} invalid: {diag.first}")
+        comp_ports = {p for v in comp_vertices for p in new_ports[v]}
+        components.append(
+            build(
+                skeleton,
+                {p: s.lengths[p] * scale[p] for p in comp_ports},
+                {v: s.heights[v] for v in comp_vertices},
+                {v: s.twists[v] for v in comp_vertices},
+                [m for m in kept_marks if m.port in comp_ports],
+            )
+        )
+    before = sum((s.circumference(v) * s.heights[v] for v in t.vertices), Fraction(0))
+    after = sum(
+        (c.circumference(v) * c.heights[v] for c in components for v in c.skeleton.vertices),
+        Fraction(0),
+    )
+    return {
+        "components": tuple(components),
+        "notices": tuple(notices),
+        "dropped_cylinders": tuple(dropped),
+        "deleted_edges": tuple(deleted_edges),
+        "area_before": before,
+        "area_after": after,
+        "collapsed_area": before - after,
+    }
+
+
 # -- Fraction reference for the covering checks --------------------------------
 # The branch and equivariance checks of ``cover`` as first written: positions
 # from ``port_start`` and ``circumference``, offsets and halves in ``Fraction``,

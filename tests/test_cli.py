@@ -1,6 +1,10 @@
 """Command line front end: exit codes, determinism, artifact shapes."""
 
+import copy
 import json
+import random
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +19,7 @@ from flattree import (
     surfaces_isomorphic,
     surface_from_json,
 )
+from flattree import cli
 from flattree.cli import main
 
 PATH3 = {
@@ -351,6 +356,29 @@ class TestQuotient:
         assert rc == 1
 
 
+PATH3_PARTITIONS = {"cylinder_classes": [[0], [1], [2]], "saddle_classes": [[0], [2]]}
+
+
+@pytest.mark.parametrize(
+    "partitions",
+    [
+        {**PATH3_PARTITIONS, "cylinder_classes": [[0], ["0"], [2]]},
+        {**PATH3_PARTITIONS, "cylinder_classes": [[0], [True], [2]]},
+        {**PATH3_PARTITIONS, "saddle_classes": ["x", [2]]},
+        {**PATH3_PARTITIONS, "cylinder_classes": [0, 1, 2]},
+    ],
+)
+@pytest.mark.parametrize("command", [["deform", "--check"], ["quotient"]])
+def test_malformed_partition_class_is_a_domain_error(tmp_path, capsys, command, partitions):
+    src = write(tmp_path, "s.json", PATH3_SURFACE)
+    parts = write(tmp_path, "p.json", partitions)
+    rc = main([command[0], src, *command[1:], "--partitions", parts])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error: partition JSON ")
+    assert "is not a list of integers" in err
+
+
 class TestVerify:
     def test_lemmas_suite(self, tmp_path):
         out = tmp_path / "r.json"
@@ -538,3 +566,112 @@ class TestDiagram:
         assert "shape=record" in out
         # self-glued saddles seam the rectangle to itself
         assert "v0:b0 -- v0:t0;" in out
+
+
+# -- malformed-input sweep -------------------------------------------------------
+
+PIPELINE_SCRIPT = {
+    "steps": [
+        {"op": "build", "surface": PATH3_SURFACE},
+        {"op": "shear", "cylinders": [1], "amount": "2"},
+        {"op": "dilate", "cylinders": [0], "factor": "3/2"},
+        {"op": "quotient", **PATH3_PARTITIONS},
+        {"op": "collapse", "kind": "vertical", "classes": [[0], [2]], "proportions": ["1/2", "0"]},
+    ]
+}
+
+# what a mutation may put in place of a value
+REPLACEMENTS = (None, True, False, -1, -7, "x", "1/0", "", 0.5, [], [[0]], {}, {"a": 1})
+
+# one error line: ``error: ...`` from main, ``step i (op): ...`` from a pipeline step
+ERROR_LINE = re.compile(r"(error|step \d+( \(.*\))?): ")
+
+
+def value_paths(doc, prefix=()):
+    """Key/index paths to every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+def mutations(doc, rng: random.Random, count: int):
+    """Seeded one-site mutations: delete a key or entry, or replace a value."""
+    paths = list(value_paths(doc))
+    for _ in range(count):
+        *head, key = rng.choice(paths)
+        out = copy.deepcopy(doc)
+        parent = out
+        for k in head:
+            parent = parent[k]
+        if rng.random() < 0.25:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+        yield out
+
+
+def test_malformed_inputs_never_escape_as_tracebacks(tmp_path, capsys, monkeypatch):
+    """About 150 mutations of each input kind, through every subcommand reading it.
+
+    ``main`` must return, never raise.  Whenever anything reaches stderr it is
+    one line naming the error; exit 2 always has that line.  Exit 1 with an
+    empty stderr is a verdict, not an error (a rejected candidate, a failed
+    certificate), and then stdout holds the JSON report.
+    """
+    # building the argument parser is most of a small call's cost; build it once
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    surface = write(tmp_path, "surface.json", PATH3_SURFACE)
+    partitions = write(tmp_path, "partitions.json", PATH3_PARTITIONS)
+    outdir = str(tmp_path / "out")
+    # one entry per subcommand reading the kind; an entry with several argv
+    # forms takes them in turn, mutation by mutation
+    kinds = [
+        (
+            PATH3_SURFACE,
+            [
+                [["build", "{}"]],
+                [["profile", "{}"]],
+                [["diagram", "{}"]],
+                [
+                    ["deform", "{}", "--check", "--partitions", partitions],
+                    ["deform", "{}", "--shear", "1", "--cylinders", "1"],
+                ],
+                [["collapse", "{}", "--proportions", "0=1/2"], ["collapse", "{}", "--delete", "1"]],
+                [["quotient", "{}", "--partitions", partitions]],
+            ],
+        ),
+        (PATH3, [[["build", "{}", "--seed", "3"]], [["diagram", "{}"]]]),
+        (
+            PATH3_PARTITIONS,
+            [
+                [["deform", surface, "--check", "--partitions", "{}"]],
+                [["quotient", surface, "--partitions", "{}"]],
+            ],
+        ),
+        (PIPELINE_SCRIPT, [[["pipeline", "{}", "--outdir", outdir]]]),
+    ]
+    start = time.perf_counter()
+    escapes = []
+    for seed, (doc, commands) in enumerate(kinds):
+        for i, mutated in enumerate(mutations(doc, random.Random(seed), 150)):
+            path = write(tmp_path, "mutated.json", mutated)
+            for forms in commands:
+                argv = [path if a == "{}" else a for a in forms[i % len(forms)]]
+                try:
+                    rc = main(argv)
+                except Exception as exc:  # noqa: BLE001 - the escape is the finding
+                    rc = f"raised {type(exc).__name__}: {exc}"
+                out, err = capsys.readouterr()
+                lines = err.splitlines()
+                if rc in (1, 2) and lines:
+                    ok = len(lines) == 1 and ERROR_LINE.match(lines[0]) is not None
+                elif rc == 1:
+                    ok = json.loads(out) is not None
+                else:
+                    ok = rc == 0 and not lines
+                if not ok:
+                    escapes.append((seed, i, argv, rc, err[-300:], json.dumps(mutated)))
+    assert escapes == []
+    assert time.perf_counter() - start < 10

@@ -1,8 +1,13 @@
 """Degeneration procedures: saddle shrinking and cylinder deletion."""
 
+import random
 from fractions import Fraction
 
+import oracles
 import pytest
+
+import flattree.collapse
+import flattree.surface
 
 from flattree import (
     CollapseError,
@@ -54,6 +59,29 @@ def full_edge_class_containing(s, port):
     sp = singleton_partitions(s.skeleton)[1]
     key = s.skeleton.edge_object_of(port)[0]
     return sp, [F(1) if key in g else F(0) for g in sp.classes]
+
+
+def full_edge_collapses(s):
+    """Singleton saddle classes; each full-edge class alone at proportion 1 and 1/2."""
+    sp = singleton_partitions(s.skeleton)[1]
+    for key in (g[0] for g in sp.classes if s.skeleton.partner(g[0]) is not None):
+        for p in (F(1), F(1, 2)):
+            yield sp, [p if g[0] == key else F(0) for g in sp.classes]
+
+
+def assert_matches_per_component_reference(s, sp, props):
+    want = oracles.vertical_collapse_per_component(s, sp, props)
+    try:
+        got = vertical_collapse(s, sp, props)
+    except CollapseError as exc:
+        assert "nothing survives" in str(exc) and want["components"] == ()
+        return
+    assert got.certification.ok
+    assert repr(got.surfaces.components) == repr(want["components"])
+    for field in ("notices", "dropped_cylinders", "deleted_edges"):
+        assert getattr(got, field) == want[field], field
+    for field in ("area_before", "area_after", "collapsed_area"):
+        assert getattr(got, field) == want[field], field
 
 
 class TestCertifyHyperelliptic:
@@ -193,6 +221,47 @@ class TestVerticalCollapse:
             }
             for group in survivors:
                 assert group in predicted
+
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_per_component_reference(self, n):
+        for t in enumerate_halftrees(n):
+            for seed in (0, 1):
+                s = random_metric(t, seed)
+                for sp, props in full_edge_collapses(s):
+                    assert_matches_per_component_reference(s, sp, props)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_marked_surfaces_match_per_component_reference(self, n):
+        for t in enumerate_halftrees(n):
+            s = random_metric(t, seed=n)
+            rng = random.Random(n)
+            marks = []
+            for p in rng.sample(t.all_ports, 2):
+                marks.extend(involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
+            s = with_marks(s, set(marks))
+            for sp, props in full_edge_collapses(s):
+                assert_matches_per_component_reference(s, sp, props)
+
+    def test_one_layout_and_one_build_per_component(self, monkeypatch, horned_path3):
+        layouts, builds = [], []
+        layout, build_ = flattree.collapse._layout, flattree.surface.build
+
+        def counted_layout(*args):
+            layouts.append(args)
+            return layout(*args)
+
+        def counted_build(*args):
+            builds.append(args)
+            return build_(*args)
+
+        monkeypatch.setattr(flattree.collapse, "_layout", counted_layout)
+        monkeypatch.setattr(flattree.surface, "build", counted_build)
+        sp, props = full_edge_class_containing(horned_path3, 1)
+        res = vertical_collapse(horned_path3, sp, props)
+        assert len(res.surfaces.components) == 2
+        assert len(layouts) == 1
+        assert len(builds) == 2
 
 
 class TestHorizontalCollapse:

@@ -17,3 +17,26 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+    return None
+
+
+def test_no_surface_certifies_through_a_seam_table():
+    # a built surface certifies on its integer layout (``_certify(_layout(s), ...)``);
+    # ``certify_glued`` is for foreign seam tables, never for ``lower(s)``
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _called_name(node) == "certify_glued"
+        and any(_called_name(arg) == "lower" for arg in (*node.args, *(k.value for k in node.keywords)))
+    ]
+    assert found == []

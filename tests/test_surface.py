@@ -302,6 +302,7 @@ class TestInvolution:
         assert not rep.ok
         assert cert.failures[0].startswith(failure)
         assert rep.failures[: len(cert.failures)] == cert.failures
+        assert repr(surface._certify(surface._layout(raw), raw.heights)) == repr(cert)
 
     def test_builds_one_layout(self, monkeypatch, star3_surface):
         calls = []
@@ -314,6 +315,15 @@ class TestInvolution:
         monkeypatch.setattr(surface, "_layout", counted)
         assert involution_check(star3_surface).ok
         assert len(calls) == 1
+
+    def test_surfaces_certify_without_a_seam_table(self, monkeypatch, star3_surface):
+        def refuse(*args):
+            raise AssertionError("a built surface went through a Fraction seam table")
+
+        monkeypatch.setattr(surface, "lower", refuse)
+        monkeypatch.setattr(surface, "certify_glued", refuse)
+        assert involution_check(star3_surface).ok
+        assert extract_skeleton(star3_surface) == star3_surface.skeleton
 
 
 def stubbed_path(n: int) -> HyperellipticSurface:
@@ -399,6 +409,7 @@ class TestGluedCertification:
                 assert cert.ok, cert.failures
                 assert cert.components == (s,)
                 assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
+                assert repr(surface._certify(surface._layout(s), s.heights)) == repr(cert)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_marked_surfaces_match_fraction_oracle(self, n):
@@ -414,6 +425,7 @@ class TestGluedCertification:
             assert cert.ok, cert.failures
             assert cert.components == (s,)
             assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
+            assert repr(surface._certify(surface._layout(s), s.heights)) == repr(cert)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_broken_tables_match_fraction_oracle(self, n):
