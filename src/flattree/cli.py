@@ -14,6 +14,7 @@ failure, 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -69,6 +70,7 @@ from .lemmas import (
 )
 from .surface import (
     MetricError,
+    _json_label,
     area,
     build,
     extract_skeleton,
@@ -608,14 +610,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- pipelines ----------------------------------------------------------------
 
 
+def _label(x: object, key: str) -> int:
+    """An integer label in a pipeline step, read as surface JSON reads one.
+
+    An int or a numeric string; a bool, a float or anything else is a
+    ``DeformError`` that names the step's key.
+    """
+    try:
+        return _json_label(x, f"key {key!r}")
+    except MetricError as exc:
+        raise DeformError(str(exc)) from None
+
+
+def _label_classes(step: dict, key: str) -> list[list[int]]:
+    return [[_label(x, key) for x in g] for g in step[key]]
+
+
 def _pipeline_collapse(surface, step: dict):
     kind = step.get("kind")
     if kind == "horizontal":
-        result = horizontal_collapse(surface, [int(v) for v in step["delete"]])
+        result = horizontal_collapse(surface, [_label(v, "delete") for v in step["delete"]])
         return result.surfaces.components[0], horizontal_collapse_report(result)
     if kind == "vertical":
         if "classes" in step:
-            sp = SaddlePartition.of([[int(e) for e in g] for g in step["classes"]])
+            sp = SaddlePartition.of(_label_classes(step, "classes"))
         else:
             _, sp = singleton_partitions(surface.skeleton)
         props = [fraction_from_string(x) for x in step["proportions"]]
@@ -651,14 +669,14 @@ def _run_step(surface, step: dict):
         raise DeformError("no surface yet; pipelines start with a build step")
     if op in _MOVES:
         move, members_key, amount_key = _MOVES[op]
-        members = None if members_key is None else [int(x) for x in step[members_key]]
+        members = None if members_key is None else [_label(x, members_key) for x in step[members_key]]
         out = move(surface, members, fraction_from_string(step[amount_key]))
         return out, surface_to_json(out)
     if op == "collapse":
         return _pipeline_collapse(surface, step)
     if op == "quotient":
-        cp = CylinderPartition.of([[int(v) for v in g] for g in step["cylinder_classes"]])
-        sp = SaddlePartition.of([[int(e) for e in g] for g in step["saddle_classes"]])
+        cp = CylinderPartition.of(_label_classes(step, "cylinder_classes"))
+        sp = SaddlePartition.of(_label_classes(step, "saddle_classes"))
         result = quotient(surface, cp, sp)
         return result.base, quotient_to_json(result)
     raise DeformError(f"unknown pipeline op {op!r}")
@@ -693,7 +711,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once: no argument has a mutable default or an append action
     parser = argparse.ArgumentParser(
         prog="flattree",
         description="exact toolkit for horizontally periodic translation surfaces",

@@ -12,11 +12,18 @@ Port counts encode the stratum: a half-tree with ``n`` ports presents a
 surface of genus ``g`` with ``(n+1)//2 + 1`` or ``n//2 + 1`` singular points
 collapsed into one or two zeros according to the parity of ``n``; see
 :func:`stratum_of`.
+
+A half-tree is immutable, so :func:`validate` keeps its verdict on it.
+:func:`canonical_form` ranks the planted subtrees behind all ports bottom-up
+and walks the tree only from its minimizing flags, in near-linear time.  No
+function here recurses per vertex or port, so paths of 10**4 cylinders need
+no raised recursion limit; the one recursive helper, ``_entry_seqs``, is as
+deep as the port count that :func:`enumerate_halftrees` is asked for.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,7 +42,7 @@ class HalfTree:
     in :func:`validate` so that diagnostics can name them.
     """
 
-    __slots__ = ("_vertices", "_ports", "_pair", "_vertex_of")
+    __slots__ = ("_vertices", "_ports", "_pair", "_vertex_of", "_verdict")
 
     def __init__(self, ports_of: Mapping[int, Sequence[int]], pairs: Iterable[Sequence[int]] = ()):
         ports: dict[int, tuple[int, ...]] = {}
@@ -70,6 +77,7 @@ class HalfTree:
         self._ports = {v: ports[v] for v in self._vertices}
         self._pair = pair
         self._vertex_of = vertex_of
+        self._verdict: SkeletonDiagnostics | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -176,21 +184,34 @@ class SkeletonDiagnostics:
         return self.ok
 
 
+_VALID = SkeletonDiagnostics(True, ())
+
+
 def validate(t: HalfTree) -> SkeletonDiagnostics:
     """Check the half-tree invariants, reporting every violation found.
 
     In order: at least one vertex, no bare vertices, no edge joining a vertex
-    to itself, connectivity of the full-edge graph, acyclicity.
+    to itself, connectivity of the full-edge graph, acyclicity.  A half-tree
+    is immutable, so the verdict is worked out once and kept on it.
     """
+    verdict = t._verdict
+    if verdict is None:
+        verdict = t._verdict = _diagnose(t)
+    return verdict
+
+
+def _diagnose(t: HalfTree) -> SkeletonDiagnostics:
     failures: list[str] = []
     if not t.vertices:
         return SkeletonDiagnostics(False, ("skeleton has no vertices",))
     for v in t.vertices:
         if t.degree(v) == 0:
             failures.append(f"vertex {v} has no ports")
-    for p, q in t.edges():
-        if t.vertex_of(p) == t.vertex_of(q):
-            failures.append(f"edge ({p}, {q}) joins vertex {t.vertex_of(p)} to itself")
+    vertex_of = t._vertex_of
+    edges = t.edges()
+    for p, q in edges:
+        if vertex_of[p] == vertex_of[q]:
+            failures.append(f"edge ({p}, {q}) joins vertex {vertex_of[p]} to itself")
     parent = {v: v for v in t.vertices}
 
     def find(x: int) -> int:
@@ -200,8 +221,8 @@ def validate(t: HalfTree) -> SkeletonDiagnostics:
         return x
 
     comp_edges = {v: 0 for v in t.vertices}
-    for p, q in t.edges():
-        a, b = find(t.vertex_of(p)), find(t.vertex_of(q))
+    for p, q in edges:
+        a, b = find(vertex_of[p]), find(vertex_of[q])
         if a == b:
             comp_edges[a] += 1
         else:
@@ -215,7 +236,7 @@ def validate(t: HalfTree) -> SkeletonDiagnostics:
         if comp_edges[r] != size - 1:
             failures.append("full-edge graph contains a cycle")
             break
-    return SkeletonDiagnostics(not failures, tuple(failures))
+    return SkeletonDiagnostics(False, tuple(failures)) if failures else _VALID
 
 
 @dataclass(frozen=True)
@@ -276,66 +297,232 @@ class CanonicalForm:
     labelings: tuple[CanonicalLabeling, ...]
 
 
-def _encode_from(t: HalfTree, root: int, start_idx: int) -> tuple[str, list[int], list[int], dict[int, int]]:
-    """Planar DFS encoding from one flag.
+# Order labels of planted-subtree classes lie in [0, 2**_LABEL_BITS).  In a
+# class's key, the end of its child list (the token ``)``) sorts after every
+# child class (``(``) and before a half-edge (``-``), as in ASCII.
+_LABEL_BITS = 96
+_END = 1 << _LABEL_BITS
+_STUB = _END + 1
+# most entries an aligned label range of size 2**j may keep: (6/5)**j
+_ROOM = tuple(6**j // 5**j for j in range(_LABEL_BITS + 1))
 
-    Tokens: ``-`` for a half-edge, ``( ... )`` wrapping the subtree behind a
-    full edge.  Also returns vertex preorder, port order (incoming port first
-    at each non-root vertex), and the rotation applied to each port list.
+
+def _planted_classes(t: HalfTree, index: dict[int, int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """Class id of the planted subtree behind every port, and each class's children.
+
+    The subtree behind a paired port ``p`` is the far side of its edge, entered
+    at ``q = partner(p)``; its children are the other ports of ``q``'s vertex,
+    clockwise from ``q``.  Class 0 is the half-edge.  A paired port's class is
+    interned by the tuple of its children's classes, so equal subtrees share
+    one id and every id exceeds its children's.  Rooting the tree at its first
+    vertex, the edges pointing away from the root are classed leaves first and
+    the others root first, so each class finds its children already classed.
     """
-    tokens: list[str] = []
-    vorder: list[int] = []
-    porder: list[int] = []
-    rotation: dict[int, int] = {}
+    ports, pair, vertex_of = t._ports, t._pair, t._vertex_of
+    entry: dict[int, int] = {}  # non-root vertex -> its port towards the root
+    queue = [t.vertices[0]]
+    for v in queue:
+        back = entry.get(v)
+        for p in ports[v]:
+            q = pair.get(p)
+            if q is not None and p != back:
+                entry[vertex_of[q]] = q
+                queue.append(vertex_of[q])
+    # the port each subtree is entered at: away from the root, then towards it
+    entered = [entry[w] for w in reversed(queue[1:])]
+    entered += [pair[entry[w]] for w in queue[1:]]
+    cls = {p: 0 for p in vertex_of if p not in pair}
+    of = cls.__getitem__
+    kids: list[tuple[int, ...]] = [()]
+    ids: dict[tuple[int, ...], int] = {}
+    for q in entered:
+        plist = ports[vertex_of[q]]
+        i = index[q]
+        key = tuple(map(of, plist[i + 1 :] + plist[:i]))
+        c = ids.get(key)
+        if c is None:
+            c = ids[key] = len(kids)
+            kids.append(key)
+        cls[pair[q]] = c
+    return cls, kids
 
-    def visit(v: int, first_idx: int, incoming: int | None) -> None:
-        vorder.append(v)
-        rotation[v] = first_idx
-        plist = t.ports(v)
-        deg = len(plist)
-        if incoming is not None:
-            porder.append(incoming)
-        offsets = range(1, deg) if incoming is not None else range(deg)
-        for k in offsets:
-            p = plist[(first_idx + k) % deg]
-            q = t.partner(p)
+
+def _order_labels(kids: list[tuple[int, ...]]) -> list[int]:
+    """Integer labels of the classes whose order is the order of their encodings.
+
+    The encoding of a class is ``(`` + its children's tokens + ``)``.  Tokens
+    form a prefix code, so comparing encodings is comparing the keys "child
+    labels, then the end marker" element by element.  Classes are inserted
+    children first into a sorted list by binary search on their keys; every
+    label change is written into the keys that hold it, so keys stay current.
+    """
+    label = [_STUB] * len(kids)
+    keys = [[*map(label.__getitem__, kd), _END] for kd in kids]
+    holders: list[list[tuple[int, int]]] = [[] for _ in kids]  # class -> (parent, slot)
+    for c in range(1, len(kids)):
+        for k, x in enumerate(kids[c]):
+            if x:
+                holders[x].append((c, k))
+    order: list[int] = []
+    for c in range(1, len(kids)):
+        i = bisect_left(order, keys[c], key=keys.__getitem__)
+        order.insert(i, c)
+        for x in _place(order, label, i):
+            value = label[x]
+            for p, k in holders[x]:
+                keys[p][k] = value
+    return label
+
+
+def _place(order: list[int], label: list[int], i: int) -> list[int]:
+    """Label ``order[i]``, just inserted, strictly between its neighbours.
+
+    List labelling after Bender, Cole, Demaine, Farach-Colton and Zito (2002):
+    the midpoint when there is room, else the smallest aligned label range of
+    size 2**j around a neighbour that holds at most (6/5)**j entries is
+    relabelled evenly, which costs O(log n) amortized per insertion.  Returns
+    the entries whose labels were set.
+    """
+    n = len(order)
+    lo = label[order[i - 1]] if i else -1
+    hi = label[order[i + 1]] if i + 1 < n else _END
+    if hi - lo > 1:
+        label[order[i]] = (lo + hi) // 2
+        return order[i : i + 1]
+    anchor = lo if i else hi
+    at = label.__getitem__
+    for j in range(1, _LABEL_BITS + 1):
+        base = anchor >> j << j
+        top = base + (1 << j)
+        a = bisect_left(order, base, 0, i, key=at)
+        b = bisect_left(order, top, i + 1, n, key=at)
+        if b - a <= _ROOM[j] or j == _LABEL_BITS:
+            break
+    step = (1 << j) // (b - a)
+    moved = order[a:b]
+    for x, value in zip(moved, range(base + step // 2, top, step)):
+        label[x] = value
+    return moved
+
+
+def _least_rotation(seq: list[int]) -> int:
+    """Start index of the lexicographically least rotation of ``seq`` (Booth 1980)."""
+    s = seq + seq
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def _least_flags(t: HalfTree, cls: dict[int, int], label: list[int]) -> list[tuple[int, int]]:
+    """Every flag ``(vertex, index)`` whose encoding is least, in that order.
+
+    The encoding from a flag is its vertex's tokens read from that index on, so
+    it is a rotation of the vertex's label sequence; a vertex with a least
+    rotation of period ``p`` contributes every ``p``-th index.  Only vertices
+    holding the least token overall can win.
+    """
+    token = {p: label[c] for p, c in cls.items()}
+    seqs = [[token[p] for p in t._ports[v]] for v in t.vertices]
+    first = min(map(min, seqs))
+    best: list[int] | None = None
+    winners: list[tuple[int, int]] = []
+    for v, seq in zip(t.vertices, seqs):
+        if first not in seq:
+            continue
+        k = _least_rotation(seq)
+        rot = seq[k:] + seq[:k]
+        if best is None or rot < best:
+            best, winners = rot, []
+        if rot == best:
+            d = len(rot)
+            period = next(p for p in range(1, d + 1) if d % p == 0 and rot[p:] == rot[: d - p])
+            winners.extend((v, i) for i in range(k % period, d, period))
+    return winners
+
+
+def _walk(t: HalfTree, index: dict[int, int], root: int, start: int) -> tuple[list[str], list[int], list[int], dict[int, int]]:
+    """Planar depth-first walk from one flag, with an explicit stack.
+
+    Returns the tokens (``-`` for a half-edge, ``( ... )`` around the subtree
+    behind a full edge), the vertex preorder, the port order (incoming port
+    first at each non-root vertex) and the rotation applied to each port list.
+    """
+    ports, pair, vertex_of = t._ports, t._pair, t._vertex_of
+    tokens: list[str] = []
+    vorder = [root]
+    porder: list[int] = []
+    rotation = {root: start}
+    plist = ports[root]
+    stack = [iter(plist[start:] + plist[:start])]
+    while stack:
+        for p in stack[-1]:
             porder.append(p)
+            q = pair.get(p)
             if q is None:
                 tokens.append("-")
-            else:
-                tokens.append("(")
-                w = t.vertex_of(q)
-                visit(w, t.ports(w).index(q), q)
+                continue
+            tokens.append("(")
+            w = vertex_of[q]
+            j = index[q]
+            vorder.append(w)
+            rotation[w] = j
+            porder.append(q)
+            plist = ports[w]
+            stack.append(iter(plist[j + 1 :] + plist[:j]))
+            break
+        else:
+            stack.pop()
+            if stack:
                 tokens.append(")")
-
-    visit(root, start_idx, None)
-    return "".join(tokens), vorder, porder, rotation
+    return tokens, vorder, porder, rotation
 
 
 def canonical_form(t: HalfTree) -> CanonicalForm:
     """Lexicographically least planar encoding over all starting flags.
 
-    A flag is a (vertex, port index) choice of where the DFS begins.  The flag
-    action is free, so the number of minimizing flags is the size of the
-    orientation-preserving automorphism group.
+    A flag is a (vertex, port index) choice of where a planar depth-first walk
+    begins; the walk writes ``-`` for a half-edge and ``( ... )`` around the
+    subtree behind a full edge.  The flag action is free, so the number of
+    minimizing flags is the size of the orientation-preserving automorphism
+    group; ``labelings`` lists one relabeling per minimizing flag, in
+    (vertex, index) order.
+
+    No walk is made per flag.  The planted subtree behind every port gets a
+    class id bottom-up (Aho, Hopcroft and Ullman 1974), the classes get
+    integer labels in the order of their encodings (where ``)`` sorts between
+    ``(`` and ``-``), each vertex's label sequence is cut at its least rotation
+    (Booth 1980), and only the minimizing flags are walked.  Cost: near-linear
+    in the port count for bounded degree (a vertex of degree d costs O(d^2)),
+    plus one O(n) walk per automorphism, and no recursion.
     """
     diag = validate(t)
     if not diag.ok:
         raise SkeletonError(f"cannot canonicalize an invalid skeleton: {diag.first}")
     # validate() rules out an empty skeleton and bare vertices, so there is a flag
-    encodings = [(_encode_from(t, v, i)[0], v, i) for v in t.vertices for i in range(t.degree(v))]
-    best = min(enc for enc, _, _ in encodings)
-    winners = [(v, i) for enc, v, i in encodings if enc == best]
-    labelings = []
-    for v, i in winners:
-        _, vorder, porder, rotation = _encode_from(t, v, i)
-        labelings.append(
-            CanonicalLabeling(
-                vertex_map={ov: nv for nv, ov in enumerate(vorder)},
-                port_map={op: np for np, op in enumerate(porder)},
-                rotation=rotation,
-            )
+    index = {p: i for plist in t._ports.values() for i, p in enumerate(plist)}
+    cls, kids = _planted_classes(t, index)
+    walks = [_walk(t, index, v, i) for v, i in _least_flags(t, cls, _order_labels(kids))]
+    labelings = tuple(
+        CanonicalLabeling(
+            vertex_map={ov: nv for nv, ov in enumerate(vorder)},
+            port_map={op: np for np, op in enumerate(porder)},
+            rotation=rotation,
         )
+        for _, vorder, porder, rotation in walks
+    )
     lab = labelings[0]
     ports_of: dict[int, list[int]] = {}
     for ov in t.vertices:
@@ -343,16 +530,13 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
         plist = t.ports(ov)
         rotated = plist[r:] + plist[:r]
         ports_of[lab.vertex_map[ov]] = [lab.port_map[p] for p in rotated]
-    pairs = [
-        (lab.port_map[p], lab.port_map[q])
-        for p, q in t.edges()
-    ]
-    relabeled = HalfTree(ports_of, pairs)
+    relabeled = HalfTree(ports_of, [(lab.port_map[p], lab.port_map[q]) for p, q in t.edges()])
+    relabeled._verdict = _VALID  # isomorphic to t
     return CanonicalForm(
-        encoding=best,
-        automorphisms=len(winners),
+        encoding="".join(walks[0][0]),
+        automorphisms=len(walks),
         relabeled=relabeled,
-        labelings=tuple(labelings),
+        labelings=labelings,
     )
 
 
@@ -384,26 +568,25 @@ def _entry_seqs(budget: int, memo: dict[int, list[tuple]]) -> list[tuple]:
 
 
 def _tree_from_rooted(entries: tuple) -> HalfTree:
-    ports_of: dict[int, list[int]] = {}
+    """The presentation of one entry sequence: vertices and ports numbered in preorder."""
+    ports_of: dict[int, list[int]] = {0: []}
     pairs: list[tuple[int, int]] = []
-    next_port = itertools.count()
-    next_vertex = itertools.count()
-
-    def build(es: tuple, incoming_port: int | None) -> None:
-        v = next(next_vertex)
-        plist: list[int] = []
-        if incoming_port is not None:
-            own = next(next_port)
-            pairs.append((incoming_port, own))
-            plist.append(own)
-        ports_of[v] = plist
-        for e in es:
-            p = next(next_port)
-            plist.append(p)
+    next_port = 0
+    stack = [(iter(entries), ports_of[0])]
+    while stack:
+        it, plist = stack[-1]
+        for e in it:
+            plist.append(next_port)
+            next_port += 1
             if e is not None:
-                build(e, p)
-
-    build(entries, None)
+                pairs.append((next_port - 1, next_port))
+                child = [next_port]
+                next_port += 1
+                ports_of[len(ports_of)] = child
+                stack.append((iter(e), child))
+                break
+        else:
+            stack.pop()
     return HalfTree(ports_of, pairs)
 
 

@@ -14,7 +14,14 @@ from collections import Counter
 from fractions import Fraction
 
 from flattree.flow import FlowError, Trajectory, VerticalCylinder
-from flattree.halftree import HalfTree, SkeletonError, canonical_form, validate
+from flattree.halftree import (
+    CanonicalForm,
+    CanonicalLabeling,
+    HalfTree,
+    SkeletonError,
+    canonical_form,
+    validate,
+)
 from flattree.surface import (
     CertifyResult,
     GluedSurface,
@@ -110,6 +117,80 @@ def automorphism_count(t: HalfTree) -> int:
             if ok:
                 count += 1
     return count
+
+
+def _encode_from(t: HalfTree, root: int, start_idx: int) -> tuple[str, list[int], list[int], dict[int, int]]:
+    """Planar DFS encoding from one flag.
+
+    Tokens: ``-`` for a half-edge, ``( ... )`` wrapping the subtree behind a
+    full edge.  Also returns vertex preorder, port order (incoming port first
+    at each non-root vertex), and the rotation applied to each port list.
+    """
+    tokens: list[str] = []
+    vorder: list[int] = []
+    porder: list[int] = []
+    rotation: dict[int, int] = {}
+
+    def visit(v: int, first_idx: int, incoming: int | None) -> None:
+        vorder.append(v)
+        rotation[v] = first_idx
+        plist = t.ports(v)
+        deg = len(plist)
+        if incoming is not None:
+            porder.append(incoming)
+        offsets = range(1, deg) if incoming is not None else range(deg)
+        for k in offsets:
+            p = plist[(first_idx + k) % deg]
+            q = t.partner(p)
+            porder.append(p)
+            if q is None:
+                tokens.append("-")
+            else:
+                tokens.append("(")
+                w = t.vertex_of(q)
+                visit(w, t.ports(w).index(q), q)
+                tokens.append(")")
+
+    visit(root, start_idx, None)
+    return "".join(tokens), vorder, porder, rotation
+
+
+def canonical_form_reference(t: HalfTree) -> CanonicalForm:
+    """Least planar encoding by a recursive DFS from every flag: O(n^2).
+
+    The library's ``canonical_form`` ranks planted subtrees instead; this is
+    the direct definition it must agree with, labelings and all.
+    """
+    diag = validate(t)
+    if not diag.ok:
+        raise SkeletonError(f"cannot canonicalize an invalid skeleton: {diag.first}")
+    encodings = [(_encode_from(t, v, i)[0], v, i) for v in t.vertices for i in range(t.degree(v))]
+    best = min(enc for enc, _, _ in encodings)
+    winners = [(v, i) for enc, v, i in encodings if enc == best]
+    labelings = []
+    for v, i in winners:
+        _, vorder, porder, rotation = _encode_from(t, v, i)
+        labelings.append(
+            CanonicalLabeling(
+                vertex_map={ov: nv for nv, ov in enumerate(vorder)},
+                port_map={op: np for np, op in enumerate(porder)},
+                rotation=rotation,
+            )
+        )
+    lab = labelings[0]
+    ports_of: dict[int, list[int]] = {}
+    for ov in t.vertices:
+        r = lab.rotation[ov]
+        plist = t.ports(ov)
+        rotated = plist[r:] + plist[:r]
+        ports_of[lab.vertex_map[ov]] = [lab.port_map[p] for p in rotated]
+    pairs = [(lab.port_map[p], lab.port_map[q]) for p, q in t.edges()]
+    return CanonicalForm(
+        encoding=best,
+        automorphisms=len(winners),
+        relabeled=HalfTree(ports_of, pairs),
+        labelings=tuple(labelings),
+    )
 
 
 # -- naive lemma checkers ----------------------------------------------------

@@ -533,6 +533,63 @@ class TestPipeline:
         assert rc == 1
         assert capsys.readouterr().err == message + "\n"
 
+    # the three-cylinder path with a stub at each end and one in the middle
+    PATH3_STUBBED = {
+        "op": "build",
+        "seed": 0,
+        "skeleton": {
+            "vertices": [
+                {"id": 0, "ports": [0, 1]},
+                {"id": 1, "ports": [2, 3, 4]},
+                {"id": 2, "ports": [5, 6]},
+            ],
+            "pairs": [[1, 2], [4, 5]],
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "step, key",
+        [
+            (
+                {
+                    "op": "quotient",
+                    "cylinder_classes": [[0.4], [1.9], [2.5]],
+                    "saddle_classes": [[0.2], [1], [3], [4], [6.7]],
+                },
+                "cylinder_classes",
+            ),
+            (
+                {"op": "quotient", "cylinder_classes": [[0], [1], [2]], "saddle_classes": [[0], [True], [3], [4], [6]]},
+                "saddle_classes",
+            ),
+            ({"op": "shear", "cylinders": [True], "amount": "1"}, "cylinders"),
+            ({"op": "dilate", "cylinders": [1.0], "factor": "2"}, "cylinders"),
+            ({"op": "dilate-saddle", "saddles": ["x"], "factor": "2"}, "saddles"),
+            ({"op": "collapse", "kind": "horizontal", "delete": [1.5]}, "delete"),
+            ({"op": "collapse", "kind": "horizontal", "delete": [False]}, "delete"),
+            (
+                {"op": "collapse", "kind": "vertical", "classes": [[0], [None], [3], [4], [6]], "proportions": ["0"] * 5},
+                "classes",
+            ),
+        ],
+    )
+    def test_non_integer_labels_are_refused(self, tmp_path, capsys, step, key):
+        src = write(tmp_path, "script.json", {"steps": [self.PATH3_STUBBED, step]})
+        rc = main(["pipeline", src, "--outdir", str(tmp_path / "a")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1
+        assert err.startswith(f"step 1 ({step['op']}): key '{key}': label ")
+        assert err.endswith(" is not an integer\n")
+
+    def test_numeric_string_labels_are_read_as_integers(self, tmp_path):
+        steps = [self.PATH3_STUBBED, {"op": "shear", "cylinders": ["1"], "amount": "1"}]
+        rc, _ = run("pipeline", write(tmp_path, "a.json", {"steps": steps}), "--outdir", str(tmp_path / "a"))
+        steps[1]["cylinders"] = [1]
+        rc_int, _ = run("pipeline", write(tmp_path, "b.json", {"steps": steps}), "--outdir", str(tmp_path / "b"))
+        assert rc == rc_int == 0
+        assert (tmp_path / "a" / "step_01_shear.json").read_text() == (tmp_path / "b" / "step_01_shear.json").read_text()
+
     def test_empty_script_is_a_noop(self, tmp_path, capsys):
         src = write(tmp_path, "script.json", {"steps": []})
         rc, out = run("pipeline", src, "--outdir", str(tmp_path / "a"), capsys=capsys)
@@ -675,3 +732,8 @@ def test_malformed_inputs_never_escape_as_tracebacks(tmp_path, capsys, monkeypat
                     escapes.append((seed, i, argv, rc, err[-300:], json.dumps(mutated)))
     assert escapes == []
     assert time.perf_counter() - start < 10
+
+
+def test_parser_is_built_once():
+    # argparse construction is most of a small call's cost; main shares one parser
+    assert cli._build_parser() is cli._build_parser()

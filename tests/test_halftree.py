@@ -1,3 +1,5 @@
+import gc
+import random
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from flattree import (
     stratum_of,
     validate,
 )
+from flattree import halftree
 
 
 def single(n: int) -> HalfTree:
@@ -102,6 +105,18 @@ class TestValidate:
         for t in (single(1), single(3), path3(), stub_pair()):
             assert validate(t).ok
 
+    def test_verdict_is_kept_on_the_tree(self, monkeypatch):
+        walks = []
+        diagnose = halftree._diagnose
+        monkeypatch.setattr(halftree, "_diagnose", lambda t: walks.append(t) or diagnose(t))
+        for t in (path3(), HalfTree({0: [0], 1: [1]})):
+            first = validate(t)
+            assert validate(t) is first
+            assert walks == [t]
+            walks.clear()
+        # every valid tree shares one verdict
+        assert validate(path3()) is validate(single(2))
+
 
 class TestStratum:
     @pytest.mark.parametrize(
@@ -123,6 +138,85 @@ class TestStratum:
     def test_rejects_invalid(self):
         with pytest.raises(SkeletonError):
             stratum_of(HalfTree({0: [0], 1: [1]}))
+
+
+def path(n: int) -> HalfTree:
+    """The path on ``n >= 2`` vertices, ports numbered along it."""
+    ports_of = {0: [0], n - 1: [2 * n - 3]}
+    ports_of.update({v: [2 * v - 1, 2 * v] for v in range(1, n - 1)})
+    return HalfTree(ports_of, [(2 * v, 2 * v + 1) for v in range(n - 1)])
+
+
+def relabel(t: HalfTree, rng: random.Random) -> HalfTree:
+    """The same tree under fresh vertex and port ids, every port list rotated."""
+    vids = dict(zip(t.vertices, rng.sample(range(3 * len(t.vertices)), len(t.vertices))))
+    pids = dict(zip(t.all_ports, rng.sample(range(3 * t.n_ports), t.n_ports)))
+    ports_of = {}
+    for v in t.vertices:
+        plist = [pids[p] for p in t.ports(v)]
+        r = rng.randrange(len(plist))
+        ports_of[vids[v]] = plist[r:] + plist[:r]
+    return HalfTree(ports_of, [(pids[p], pids[q]) for p, q in t.edges()])
+
+
+def random_halftree(rng: random.Random, n_vertices: int, n_stubs: int) -> HalfTree:
+    """A seeded random tree: each vertex hangs off one of its recent predecessors."""
+    ports_of: dict[int, list[int]] = {v: [] for v in range(n_vertices)}
+    pairs = []
+    for v in range(1, n_vertices):
+        u = rng.randrange(max(0, v - rng.choice((1, 3, v))), v)
+        p = 2 * len(pairs)
+        ports_of[u].append(p)
+        ports_of[v].append(p + 1)
+        pairs.append((p, p + 1))
+    for p in range(2 * len(pairs), 2 * len(pairs) + n_stubs):
+        ports_of[rng.randrange(n_vertices)].append(p)
+    for plist in ports_of.values():
+        rng.shuffle(plist)
+    return HalfTree(ports_of, pairs)
+
+
+def star(arms: list[list[int]]) -> HalfTree:
+    """A center whose ports run over ``arms``: 0 is a stub, k > 0 a leaf with k - 1 stubs."""
+    ports_of: dict[int, list[int]] = {0: []}
+    pairs = []
+    port = iter(range(10**6))
+    for arm in arms:
+        for k in arm:
+            p = next(port)
+            ports_of[0].append(p)
+            if k:
+                leaf = [next(port) for _ in range(k)]
+                ports_of[len(ports_of)] = leaf
+                pairs.append((p, leaf[0]))
+    return HalfTree(ports_of, pairs)
+
+
+def double_star(arm: list[int]) -> HalfTree:
+    """Two copies of ``star([arm])`` joined center to center."""
+    one = star([arm])
+    shift = one.n_ports + 1
+    ports_of = {0: [*one.ports(0), shift - 1]}
+    ports_of.update({v: list(one.ports(v)) for v in one.vertices[1:]})
+    n = len(one.vertices)
+    ports_of[n] = [p + shift for p in one.ports(0)] + [2 * shift - 1]
+    ports_of.update({n + v: [p + shift for p in one.ports(v)] for v in one.vertices[1:]})
+    pairs = [*one.edges(), *((p + shift, q + shift) for p, q in one.edges()), (shift - 1, 2 * shift - 1)]
+    return HalfTree(ports_of, pairs)
+
+
+def stubbed_path(n: int) -> HalfTree:
+    """A path of ``n`` vertices, each with one self-glued stub."""
+    ports_of, pairs = {}, []
+    for v in range(n):
+        ports_of[v] = [3 * v] + ([3 * v + 1] if v + 1 < n else []) + ([3 * v + 2] if v else [])
+        if v:
+            pairs.append((3 * v - 2, 3 * v + 2))
+    return HalfTree(ports_of, pairs)
+
+
+def agrees_with_reference(t: HalfTree) -> bool:
+    return repr(canonical_form(t)) == repr(oracles.canonical_form_reference(t))
 
 
 class TestCanonicalForm:
@@ -178,6 +272,86 @@ class TestCanonicalForm:
         with pytest.raises(SkeletonError, match="cannot canonicalize"):
             canonical_form(HalfTree({0: [0], 1: [1]}))
 
+    def test_least_rotation_matches_brute_force(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            seq = [rng.randrange(3) for _ in range(rng.randint(1, 12))]
+            k = halftree._least_rotation(seq)
+            assert seq[k:] + seq[:k] == min(seq[i:] + seq[:i] for i in range(len(seq)))
+            # Booth returns the first index of the least rotation
+            assert all(seq[i:] + seq[:i] != seq[k:] + seq[:k] for i in range(k))
+
+    def test_leaves_no_reference_cycles(self):
+        trees = [enumerate_halftrees(8)[17], random_halftree(random.Random(64), 20, 26)]
+        assert trees[1].n_ports == 64
+        gc.collect()
+        gc.disable()
+        try:
+            for t in trees:
+                canonical_form(t)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestCanonicalFormAgainstReference:
+    """``repr`` of the whole result (encoding, automorphisms, relabeled tree and
+    every labeling in order) equals the recursive all-flags definition."""
+
+    def test_every_class_up_to_12_ports_relabeled(self):
+        rng = random.Random(12)
+        for n in range(1, 13):
+            for t in enumerate_halftrees(n):
+                for _ in range(2):
+                    assert agrees_with_reference(relabel(t, rng)), t
+
+    def test_seeded_random_trees(self):
+        rng = random.Random(300)
+        for i in range(300):
+            # every 50th tree has up to 300 vertices; the reference is quadratic
+            n_vertices = rng.randint(1, 300 if i % 50 == 0 else 30)
+            t = random_halftree(rng, n_vertices, rng.randint(n_vertices == 1, n_vertices))
+            assert agrees_with_reference(t), t
+
+    @pytest.mark.parametrize("bits", [8, 12, 96])
+    def test_order_labels_follow_encodings(self, monkeypatch, bits):
+        # small label universes force every relabelling path, the whole-range one too
+        monkeypatch.setattr(halftree, "_LABEL_BITS", bits)
+        monkeypatch.setattr(halftree, "_END", 1 << bits)
+        monkeypatch.setattr(halftree, "_STUB", (1 << bits) + 1)
+        monkeypatch.setattr(halftree, "_ROOM", tuple(6**j // 5**j for j in range(bits + 1)))
+        rng = random.Random(bits)
+        trees = [path(120), stubbed_path(60), *(random_halftree(rng, 60, 20) for _ in range(8))]
+        for t in trees:
+            index = {p: i for v in t.vertices for i, p in enumerate(t.ports(v))}
+            _, kids = halftree._planted_classes(t, index)
+            label = halftree._order_labels(kids)
+            code = ["-"]
+            for c in range(1, len(kids)):
+                code.append("(" + "".join(code[x] for x in kids[c]) + ")")
+            classes = range(1, len(kids))
+            assert sorted(classes, key=label.__getitem__) == sorted(classes, key=code.__getitem__)
+            assert max(label[1:]) < halftree._END
+            assert agrees_with_reference(t)
+
+    @pytest.mark.parametrize(
+        "t, automorphisms",
+        [
+            (single(6), 6),
+            (star([[1]] * 5), 5),
+            (star([[2, 0]] * 4), 4),
+            (star([[3, 1, 0]] * 3), 3),
+            (star([[1, 0, 0], [1, 0]] * 2), 2),
+            (double_star([1, 0, 2]), 2),
+            (double_star([2] * 3), 2),
+            (path(2), 2),
+        ],
+    )
+    def test_symmetric_trees(self, t, automorphisms):
+        assert canonical_form(t).automorphisms == automorphisms
+        assert agrees_with_reference(t)
+        assert agrees_with_reference(relabel(t, random.Random(automorphisms)))
+
 
 class TestEnumeration:
     # n = 3 and n = 4 are the cylinder-diagram counts for genus two; the rest
@@ -202,19 +376,18 @@ class TestEnumeration:
                 assert validate(t).ok
                 assert t.n_ports == n
 
+    def test_presentation_of_a_deep_entry_sequence(self):
+        entries: tuple = ()
+        for _ in range(4999):
+            entries = (entries,)
+        assert halftree._tree_from_rooted(entries) == path(5000)
+
     def test_guard(self):
         with pytest.raises(SkeletonError):
             enumerate_halftrees(0)
         with pytest.raises(SkeletonError):
             enumerate_halftrees(13)
         assert len(enumerate_halftrees(13, limit=13)) > 0
-
-
-def path(n: int) -> HalfTree:
-    """The path on ``n >= 2`` vertices, ports numbered along it."""
-    ports_of = {0: [0], n - 1: [2 * n - 3]}
-    ports_of.update({v: [2 * v - 1, 2 * v] for v in range(1, n - 1)})
-    return HalfTree(ports_of, [(2 * v, 2 * v + 1) for v in range(n - 1)])
 
 
 class TestTreeMetrics:

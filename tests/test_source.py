@@ -40,3 +40,16 @@ def test_no_surface_certifies_through_a_seam_table():
         and any(_called_name(arg) == "lower" for arg in (*node.args, *(k.value for k in node.keywords)))
     ]
     assert found == []
+
+
+def test_halftree_does_not_recurse():
+    # trees of 10**4 cylinders run under the default recursion limit
+    tree = ast.parse((SOURCE / "halftree.py").read_text())
+    recursive = sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_called_name(node) == fn.name for node in ast.walk(fn))
+    )
+    # _entry_seqs recurses on the port count, which the enumeration guard bounds
+    assert recursive == ["_entry_seqs"]

@@ -3,11 +3,14 @@
 import json
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
 import oracles
 import pytest
+from test_halftree import path as plain_path_skeleton
+from test_halftree import stubbed_path as stubbed_path_skeleton
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from flattree import (
     SkeletonError,
     area,
     build,
+    canonical_form,
     canonical_metric,
     certify_glued,
     enumerate_halftrees,
@@ -29,6 +33,7 @@ from flattree import (
     involution_orbit,
     lower,
     random_metric,
+    relative_deformation,
     singularity_profile,
     stratum_of,
     surface_from_json,
@@ -328,14 +333,9 @@ class TestInvolution:
 
 def stubbed_path(n: int) -> HyperellipticSurface:
     """A path of ``n`` cylinders, each with one self-glued stub."""
-    ports_of, pairs = {}, []
-    for v in range(n):
-        ports_of[v] = [3 * v] + ([3 * v + 1] if v + 1 < n else []) + ([3 * v + 2] if v else [])
-        if v:
-            pairs.append((3 * v - 2, 3 * v + 2))
-    t = HalfTree(ports_of, pairs)
+    t = stubbed_path_skeleton(n)
     lengths = {p: F(1 + p % 3, 1 + p % 2) for p in t.all_ports}
-    for p, q in pairs:
+    for p, q in t.edges():
         lengths[q] = lengths[p]
     heights = {v: F(1, 1 + v % 3) for v in t.vertices}
     return build(t, lengths, heights, {v: F(v % 5, 2) for v in t.vertices})
@@ -352,6 +352,36 @@ def test_certification_of_a_deep_path():
     assert weierstrass_points(s).ok
     assert involution_check(s).ok
     assert time.perf_counter() - start < 15
+
+
+@pytest.mark.parametrize("kind", ["stubbed", "plain"])
+def test_canonicalization_of_a_deep_path(kind):
+    # ten times the default recursion limit, which stays as it is
+    n = 10**4
+    start = time.perf_counter()
+    if kind == "stubbed":
+        t = stubbed_path_skeleton(n)
+        tracemalloc.start()
+        try:
+            cf = canonical_form(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert (cf.automorphisms, len(cf.encoding), cf.encoding.count("-")) == (1, 3 * n - 2, n)
+        s = random_metric(t, 1)
+    else:
+        t = plain_path_skeleton(n)
+        cf = canonical_form(t)
+        assert cf.automorphisms == 2
+        assert cf.encoding == "(" * (n - 1) + ")" * (n - 1)
+        assert canonical_form(cf.relabeled).relabeled == cf.relabeled
+        s = random_metric(t, 1)
+        coefficients = dict(relative_deformation(s).coefficients)
+        assert all(coefficients[v] == (-1) ** v * coefficients[0] for v in t.vertices)
+    # canonical_metric on both sides
+    assert surfaces_isomorphic(s, s)
+    assert time.perf_counter() - start < 20
 
 
 def broken_tables(gs: GluedSurface, rng: random.Random):
