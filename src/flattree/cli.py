@@ -82,6 +82,7 @@ from .surface import (
     surface_from_json,
     surface_to_dot,
     surface_to_json,
+    surfaces_isomorphic,
     weierstrass_points,
 )
 
@@ -540,8 +541,6 @@ def _suite_cover(args: argparse.Namespace) -> list[dict]:
         try:
             s = pullback(b)
             r = quotient(s, *fiber_partitions(b))
-            from .surface import surfaces_isomorphic
-
             if not surfaces_isomorphic(r.base, b.base):
                 fails.append("quotient does not invert pullback")
             if r.residual != 0:

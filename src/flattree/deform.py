@@ -14,6 +14,7 @@ before the quotient construction will touch it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -111,19 +112,24 @@ class FormalCochain:
 
     Evaluation takes signed crossings: a walk through cylinder ``v`` with
     orientation ``sign`` contributes ``sign * coefficient(v)``.
+    ``coefficients`` is kept sorted by cylinder, so a coefficient is found by
+    bisection.
     """
 
     coefficients: tuple[tuple[int, Fraction], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficients", tuple(sorted(self.coefficients)))
+
     @staticmethod
     def from_map(coeffs: Mapping[int, Fraction]) -> "FormalCochain":
-        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return FormalCochain(items)
+        return FormalCochain(tuple((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
 
     def coefficient(self, v: int) -> Fraction:
-        for u, c in self.coefficients:
-            if u == v:
-                return c
+        coeffs = self.coefficients
+        i = bisect_left(coeffs, (v,))
+        if i < len(coeffs) and coeffs[i][0] == v:
+            return coeffs[i][1]
         return Fraction(0)
 
     @property

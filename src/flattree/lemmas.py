@@ -20,16 +20,17 @@ The three facts, stated over plain integers:
 It suffices to test edge-maximal graphs in the first fact: the forest
 property is closed under taking subgraphs.
 
-The interval and balls sweeps run on small integer kernels.  Both
-enumerators walk their search trees depth-first with an explicit stack (no
-recursion) and yield in lexicographic order.  The forest check reads each
-interval ``I_i`` off a per-``n`` table of cyclic intervals as bitmasks and
-visits only the labels of ``I_i`` above ``i``; the intervals of a system hold
-about ``2n`` points in all, so this replaces a scan of all ``n^2`` pairs.
-The gap check first asks that every repeated color be evenly spaced, which
-equal gap multisets force and which rejects most colorings at once.  Every
-case is still checked, in the same order, so reports (case counts, details,
-first counterexamples) do not depend on these shortcuts.
+Every sweep is one depth-first walk with an explicit stack (no recursion)
+that decides on prefixes.  The interval walk carries the components of the
+labels whose intervals a prefix has fixed, so a leaf only adds the edges of
+its last two labels.  The balls walk cuts off a coloring prefix as soon as a
+repeated color is unevenly spaced, and the tree walk as soon as two
+same-colored vertices with all neighbors colored see different neighbor
+colors; both add the cut prefix's exact number of completions to the case
+count.  Every case is decided, at its leaf or by a prefix that already fails
+a necessary condition of the hypothesis, and leaves come in the same order as
+in a plain sweep, so reports (case counts, details, first counterexamples)
+do not depend on these shortcuts.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,30 @@ class LemmaReport:
         }
 
 
+def _completion_counts(rows: int, top: int, blocked: int) -> list[list[int]]:
+    """``table[r][u]``: the ways to color ``r`` more positions once ``u`` colors are in use.
+
+    Each position takes one of the ``u`` colors in use except ``blocked`` of
+    them, or opens color ``u`` while ``u < top``:
+    ``table[r][u] = max(u - blocked, 0) * table[r-1][u] + [u < top] * table[r-1][u+1]``.
+    With ``blocked = 0`` this counts restricted-growth completions; with
+    ``blocked = 1`` it counts proper colorings of the rest of a tree in BFS
+    order, where each vertex has one earlier neighbor and it holds a color in
+    use (at ``u = 0`` the next vertex is a root and has no earlier neighbor).
+    """
+    top = max(top, 0)
+    table = [[1] * (top + 1)]
+    for _ in range(rows):
+        prev = table[-1]
+        table.append(
+            [
+                max(u - blocked, 0) * prev[u] + (prev[u + 1] if u < top else 0)
+                for u in range(top + 1)
+            ]
+        )
+    return table
+
+
 # -- interval systems ------------------------------------------------------
 
 
@@ -93,15 +118,36 @@ def _interval_systems(n: int) -> Iterator[tuple[int, ...]]:
     For ``n <= 2`` both requirements are dropped, matching the statement
     being tested (a graph on two vertices is always a forest).
 
-    Vectors come in lexicographic order.  The search is a depth-first walk
-    over anchor positions with an explicit stack of candidate iterators.  A
-    position only offers the anchors whose interval length keeps the winding
-    at most ``n`` and the consecutive pair at most ``n - 1``; the last
-    position also closes the circle (pairs ``(n-1, 0)`` and ``(0, 1)``).
+    Vectors come in lexicographic order: these are the systems of
+    :func:`_interval_walk` without its forest verdicts.
+    """
+    for k, _ in _interval_walk(n):
+        yield k
+
+
+def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Each system of :func:`_interval_systems`, and whether its maximal graph is a forest.
+
+    The search is a depth-first walk over anchor positions with an explicit
+    stack of candidate iterators.  A position only offers the anchors whose
+    interval length keeps the winding at most ``n`` and the consecutive pair
+    at most ``n - 1``; the last position also closes the circle (pairs
+    ``(n-1, 0)`` and ``(0, 1)``).
+
+    The forest check rides along.  Placing ``k[j]`` fixes ``I_j``, so a
+    prefix fixes the mutual edges among labels ``1 .. j``.  Their components
+    are kept per depth as the root bit of each label, and the list is copied
+    only when an edge arrives; once a prefix closes a cycle, so does every
+    system below it.  A leaf only adds the edges of labels ``n - 1`` and
+    ``0``.  Forest-ness does not depend on the order edges are added in, so
+    the verdict is that of :func:`_max_graph_is_forest`, which also names the
+    first cycle-closing edge.  Intervals come from :func:`_interval_masks`.
     """
     if n <= 2:
-        yield from itertools.product(range(n), repeat=n)
+        for k in itertools.product(range(n), repeat=n):
+            yield k, True
         return
+    masks = _interval_masks(n)
     # reach[a][limit]: the anchors v, increasing, with (a - v) % n <= limit
     reach = [
         [sorted((a - c) % n for c in range(limit + 1)) for limit in range(n)] for a in range(n)
@@ -111,18 +157,61 @@ def _interval_systems(n: int) -> Iterator[tuple[int, ...]]:
     todo: list[Iterator[int]] = [iter(())] * n  # todo[j]: anchors left to try at j
     todo[0] = iter(range(n))
     last = n - 1
+    interval = [0] * n  # interval[j]: I_j, fixed by k[:j+1]
+    # root[j][i] for 1 <= i <= j: bit of the root of i's component among labels
+    # 1..j; entries past j are stale, and lists are shared until an edge arrives
+    root = [[0] * n] * n
+    cyclic = [False] * n  # cyclic[j]: labels 1..j already carry a cycle
+    near_last = [0] * n  # near_last[j]: labels 1..j whose interval holds n - 1
+    near_zero = [0] * n  # near_zero[j]: labels 1..j whose interval holds 0
     j = 0
     while j >= 0:
         if j == last:
             w = winding[last]
-            prev = (k[last - 2] - k[last - 1]) % n
-            len1 = (k[0] - k[1]) % n
-            for val in reach[k[last - 1]][min(n - w, n - 1 - prev)]:
-                cur = (k[last - 1] - val) % n
-                len0 = (val - k[0]) % n
-                if w + cur + len0 <= n and cur + len0 <= n - 1 and len0 + len1 <= n - 1:
-                    k[last] = val
-                    yield tuple(k)
+            a, k0 = k[last - 1], k[0]
+            prev = (k[last - 2] - a) % n
+            len1 = (k0 - k[1]) % n
+            comp, dead = root[last - 1], cyclic[last - 1]
+            hold_last, hold_zero = near_last[last - 1], near_zero[last - 1]
+            for val in reach[a][min(n - w, n - 1 - prev)]:
+                cur = (a - val) % n
+                len0 = (val - k0) % n
+                if w + cur + len0 > n or cur + len0 > n - 1 or len0 + len1 > n - 1:
+                    continue
+                k[last] = val
+                forest = not dead
+                if forest:
+                    i_last, i_zero = masks[a][val], masks[val][k0]
+                    # label n - 1 joins: its neighbors must sit in distinct components
+                    met = 0
+                    nb = i_last & hold_last
+                    while nb:
+                        low = nb & -nb
+                        nb ^= low
+                        r = comp[low.bit_length() - 1]
+                        if met & r:
+                            forest = False
+                            break
+                        met |= r
+                    # then label 0, which may also meet n - 1's merged component
+                    joined = i_zero >> last & i_last & 1
+                    other = 0
+                    nb = i_zero & hold_zero if forest else 0
+                    while nb:
+                        low = nb & -nb
+                        nb ^= low
+                        r = comp[low.bit_length() - 1]
+                        if r & met:
+                            if joined:
+                                forest = False
+                                break
+                            joined = 1
+                        elif other & r:
+                            forest = False
+                            break
+                        else:
+                            other |= r
+                yield tuple(k), forest
             j -= 1
             continue
         val = next(todo[j], None)
@@ -130,7 +219,31 @@ def _interval_systems(n: int) -> Iterator[tuple[int, ...]]:
             j -= 1
             continue
         k[j] = val
-        cur = (k[j - 1] - val) % n if j else 0
+        cur = 0
+        if j:
+            cur = (k[j - 1] - val) % n
+            i_j = interval[j] = masks[k[j - 1]][val]
+            comp, dead = root[j - 1], cyclic[j - 1]
+            met = 0
+            nb = 0 if dead else i_j & ((1 << j) - 2)  # labels 1..j-1 inside I_j
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                i = low.bit_length() - 1
+                if not interval[i] >> j & 1:
+                    continue
+                r = comp[i]
+                if met & r:
+                    dead = True
+                    break
+                met |= r
+            bit = 1 << j
+            if met and not dead:
+                comp = [bit if r & met else r for r in comp]
+            comp[j] = bit
+            root[j], cyclic[j] = comp, dead
+            near_last[j] = near_last[j - 1] | (i_j >> last & 1) << j
+            near_zero[j] = near_zero[j - 1] | (i_j & 1) << j
         j += 1
         winding[j] = winding[j - 1] + cur
         if j < last:
@@ -189,10 +302,11 @@ def verify_interval_lemma(max_n: int = 8) -> LemmaReport:
     """Sweep every interval system with up to ``max_n`` labels.
 
     Only the maximal graph of each system is tested; subgraphs of forests are
-    forests, so this covers every admissible graph.  Systems are enumerated
-    in lexicographic order and each maximal graph is built from bitmask
-    intervals and grown edge by edge in lexicographic order, so the first
-    counterexample and its ``cycle_edge`` are those of a plain all-pairs scan.
+    forests, so this covers every admissible graph.  Every system is decided
+    at its leaf of :func:`_interval_walk`, from components its prefix already
+    fixed.  Systems come in lexicographic order, and a system with a cycle
+    gets its ``cycle_edge`` from :func:`_max_graph_is_forest`, so the first
+    counterexample is that of a plain all-pairs scan.
     """
     t0 = time.perf_counter()
     cases = 0
@@ -200,11 +314,10 @@ def verify_interval_lemma(max_n: int = 8) -> LemmaReport:
     counterexample = None
     for n in range(1, max_n + 1):
         count = 0
-        masks = _interval_masks(n)
-        for k in _interval_systems(n):
+        for k, forest in _interval_walk(n):
             count += 1
-            ok, bad_edge = _max_graph_is_forest(k, masks)
-            if not ok and counterexample is None:
+            if not forest and counterexample is None:
+                _, bad_edge = _max_graph_is_forest(k, _interval_masks(n))
                 counterexample = {"n": n, "anchors": list(k), "cycle_edge": list(bad_edge)}
         cases += count
         systems_by_n[str(n)] = count
@@ -222,37 +335,79 @@ def verify_interval_lemma(max_n: int = 8) -> LemmaReport:
 # -- circular balls --------------------------------------------------------
 
 
-def _restricted_growth_strings(n: int, max_classes: int) -> Iterator[tuple[int, ...]]:
-    """Surjective colorings up to renaming colors: first occurrences increase.
+def _spaced_colorings(n: int, max_classes: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Restricted-growth colorings of ``n`` balls, cut where a repeated color is unevenly spaced.
 
-    Strings come in lexicographic order, from a depth-first walk with an
-    explicit index stack.
+    Colorings have increasing first occurrences and at most ``max_classes``
+    colors.  Yields ``(colors, True)`` for each coloring whose repeated colors
+    all sit evenly spaced, and ``(prefix, False)`` for each shortest prefix
+    that already spaces one unevenly, in lexicographic order, from a
+    depth-first walk with an explicit index stack.
+
+    A color first seen at ``p`` and next at ``p + d`` is evenly spaced only if
+    ``p < d``, ``d`` divides ``n``, and it sits at ``p + 2d, p + 3d, ..`` and
+    nowhere else.  So a prefix is cut when its first gap breaks ``p < d`` or
+    ``d | n``, when the color shows up off its due positions, when another
+    color takes a due position, or when two colors fall due at one position.
+    Each is a necessary condition of the spacing test that
+    :func:`_gaps_agree` makes first, so no completion of a cut prefix
+    satisfies the gap hypothesis.
     """
     if n == 0:
-        yield ()
+        yield (), True
         return
     coloring = [0] * n
     used = [0] * n  # used[i]: number of colors among coloring[:i]
     nxt = [0] * n  # nxt[i]: next color to try at position i
+    first = [-1] * max(max_classes, 0)  # first[c]: position of c's first occurrence
+    gap = [0] * max(max_classes, 0)  # gap[c]: c's spacing, once it occurs twice
+    due = [-1] * n  # due[i]: the color whose spacing puts it at position i
+    undo: list[tuple[int, int] | None] = [None] * n  # undo[i]: (c, gap or 0) set at i
     last = n - 1
     i = 0
     while i >= 0:
-        top = min(used[i] + 1, max_classes)
-        if i == last:
-            for c in range(top):
-                coloring[last] = c
-                yield tuple(coloring)
-            i -= 1
-            continue
+        back = undo[i]
+        if back is not None:
+            undo[i] = None
+            c, d = back
+            if d:
+                gap[c] = 0
+                for p in range(i + d, n, d):
+                    due[p] = -1
+            else:
+                first[c] = -1
         c = nxt[i]
-        if c >= top:
+        if c >= min(used[i] + 1, max_classes):
             i -= 1
             continue
         nxt[i] = c + 1
         coloring[i] = c
-        i += 1
-        used[i] = max(used[i - 1], c + 1)
-        nxt[i] = 0
+        owed = due[i]
+        if owed >= 0:
+            spaced = c == owed
+        elif first[c] < 0:
+            first[c] = i
+            undo[i] = (c, 0)
+            spaced = True
+        elif gap[c]:
+            spaced = False
+        else:
+            d = i - first[c]
+            ahead = range(i + d, n, d)
+            spaced = d > first[c] and n % d == 0 and all(due[p] < 0 for p in ahead)
+            if spaced:
+                gap[c] = d
+                for p in ahead:
+                    due[p] = c
+                undo[i] = (c, d)
+        if not spaced:
+            yield tuple(coloring[: i + 1]), False
+        elif i == last:
+            yield tuple(coloring), True
+        else:
+            i += 1
+            used[i] = max(used[i - 1], c + 1)
+            nxt[i] = 0
 
 
 def _gaps_agree(colors: tuple[int, ...], m: int) -> bool:
@@ -296,16 +451,22 @@ def verify_balls_lemma(max_n: int = 10, max_m: int = 4) -> LemmaReport:
     Colorings are enumerated up to renaming colors (restricted growth), which
     both the gap hypothesis and the periodicity conclusion are invariant
     under.  Rotations are not quotiented; the sweep just covers them all.
-    The gap hypothesis is tested with a spacing prefilter before per-gap color
-    counts; it returns exactly what comparing gap multisets directly would, so
-    ``cases_checked`` and ``hypothesis_held`` count every coloring.
+    Every coloring is decided, at its leaf or by a prefix that already fails
+    a necessary condition of the hypothesis: :func:`_spaced_colorings` cuts a
+    prefix once a repeated color is unevenly spaced, and the prefix's exact
+    number of completions goes into ``cases_checked``.  Leaves that survive
+    run the full gap test and the periodicity test, in lexicographic order.
     """
     t0 = time.perf_counter()
+    completions = _completion_counts(max(max_n, 0), max_m, 0)
     cases = 0
     hypothesis_held = 0
     counterexample = None
     for n in range(1, max_n + 1):
-        for colors in _restricted_growth_strings(n, max_m):
+        for colors, spaced in _spaced_colorings(n, max_m):
+            if not spaced:
+                cases += completions[n - len(colors)][max(colors) + 1]
+                continue
             cases += 1
             m = max(colors) + 1
             if not _gaps_agree(colors, m):
@@ -386,24 +547,57 @@ def _all_trees(n: int) -> list[dict[int, list[int]]]:
     return level
 
 
-def neighbor_sets_homogeneous(adj: dict[int, list[int]], coloring: dict[int, int]) -> bool:
-    """True when every color class sees a single set of neighbor colors."""
+def neighbor_sets_homogeneous(
+    adj: dict[int, list[int]], coloring: Mapping[int, int] | Sequence[int]
+) -> bool:
+    """True when every color class among ``adj``'s vertices sees a single set of neighbor colors.
+
+    ``coloring[v]`` is the color of vertex ``v``.  Only the vertices keyed
+    in ``adj`` are compared, so the adjacency of the vertices whose neighbors
+    are all colored tests a partial coloring.
+    """
+    color = coloring.__getitem__
     seen: dict[int, frozenset[int]] = {}
-    for v, c in coloring.items():
-        s = frozenset(coloring[w] for w in adj[v])
-        if c in seen and seen[c] != s:
+    for v, ws in adj.items():
+        s = frozenset(map(color, ws))
+        if seen.setdefault(color(v), s) != s:
             return False
-        seen.setdefault(c, s)
     return True
+
+
+def _closed_neighborhoods(adj: dict[int, list[int]], bfs: list[int]) -> list[dict | None]:
+    """Per BFS position ``i``: the adjacency of the vertices closed by ``bfs[:i+1]``.
+
+    A vertex is closed once it and all its neighbors are colored.  The entry
+    is ``None`` where no vertex closes at ``i``; at the last position every
+    vertex has closed.
+    """
+    pos = {v: i for i, v in enumerate(bfs)}
+    closing: list[list[int]] = [[] for _ in bfs]
+    for v in bfs:
+        closing[max([pos[v]] + [pos[w] for w in adj[v]])].append(v)
+    closed: dict[int, list[int]] = {}
+    out: list[dict | None] = []
+    for group in closing:
+        closed.update((v, adj[v]) for v in group)
+        out.append(dict(closed) if group else None)
+    return out
 
 
 def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> LemmaReport:
     """Sweep proper colorings of all trees with up to ``max_vertices`` vertices.
 
     For colorings in which every color class sees one fixed set of neighbor
-    colors, same-colored vertices must sit at even distance.
+    colors, same-colored vertices must sit at even distance.  Colorings are
+    restricted-growth in BFS order, from a depth-first walk with an explicit
+    stack.  Every coloring is decided, at its leaf or by a prefix that already
+    fails a necessary condition of the hypothesis: once two same-colored
+    vertices whose neighbors are all colored see different neighbor colors
+    (:func:`neighbor_sets_homogeneous` on the closed neighborhoods), the
+    prefix's exact number of completions goes into ``cases_checked``.
     """
     t0 = time.perf_counter()
+    completions = _completion_counts(max(max_vertices, 0), max_colors, 1)
     cases = 0
     hypothesis_held = 0
     trees_seen = 0
@@ -411,47 +605,46 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
     for n in range(1, max_vertices + 1):
         for adj in _all_trees(n):
             trees_seen += 1
-            order = sorted(adj)
-            # BFS order guarantees each non-root has a previously colored neighbor;
-            # two vertices sit at odd distance exactly when their sides differ
-            bfs = [order[0]]
-            side = {order[0]: 0}
+            # BFS order gives each non-root exactly one earlier neighbor, its
+            # parent; two vertices sit at odd distance exactly when their sides differ
+            bfs = [min(adj)]
+            side = {bfs[0]: 0}
+            up = [-1]  # up[i]: the parent of bfs[i]
             for v in bfs:
                 for w in adj[v]:
                     if w not in side:
                         side[w] = 1 - side[v]
                         bfs.append(w)
-            coloring: dict[int, int] = {}
-
-            def sweep(idx: int, used: int) -> None:
-                nonlocal cases, hypothesis_held, counterexample
-                if idx == len(bfs):
+                        up.append(v)
+            closed = _closed_neighborhoods(adj, bfs)
+            coloring = [0] * n  # coloring[v] for v in bfs[:idx+1]
+            used = [0] * n  # used[idx]: number of colors among bfs[:idx]
+            nxt = [0] * n  # nxt[idx]: next color to try at bfs[idx]
+            last = n - 1
+            idx = 0
+            while idx >= 0:
+                c = nxt[idx]
+                if idx and c == coloring[up[idx]]:
+                    c += 1
+                if c >= min(used[idx] + 1, max_colors):
+                    idx -= 1
+                    continue
+                nxt[idx] = c + 1
+                coloring[bfs[idx]] = c
+                if idx == last:
                     cases += 1
-                    if not neighbor_sets_homogeneous(adj, coloring):
-                        return
-                    hypothesis_held += 1
-                    for v in adj:
-                        for w in adj:
-                            if v < w and coloring[v] == coloring[w] and side[v] != side[w]:
-                                if counterexample is None:
-                                    counterexample = {
-                                        "n": n,
-                                        "adjacency": {str(a): bs for a, bs in adj.items()},
-                                        "coloring": {str(a): coloring[a] for a in sorted(adj)},
-                                        "odd_pair": [v, w],
-                                    }
-                                return
-                    return
-                v = bfs[idx]
-                top = min(used + 1, max_colors)
-                for c in range(top):
-                    if any(coloring.get(w) == c for w in adj[v]):
-                        continue
-                    coloring[v] = c
-                    sweep(idx + 1, max(used, c + 1))
-                    del coloring[v]
-
-            sweep(0, 0)
+                    if neighbor_sets_homogeneous(closed[last], coloring):
+                        hypothesis_held += 1
+                        if counterexample is None:
+                            counterexample = _odd_pair_counterexample(adj, coloring, side)
+                    continue
+                u = max(used[idx], c + 1)
+                if closed[idx] is not None and not neighbor_sets_homogeneous(closed[idx], coloring):
+                    cases += completions[last - idx][u]
+                    continue
+                idx += 1
+                used[idx] = u
+                nxt[idx] = 0
     return LemmaReport(
         lemma="colored-tree-even-distance",
         bounds={"max_vertices": max_vertices, "max_colors": max_colors},
@@ -461,3 +654,19 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
         details={"trees": trees_seen, "hypothesis_held": hypothesis_held},
         elapsed_seconds=time.perf_counter() - t0,
     )
+
+
+def _odd_pair_counterexample(
+    adj: dict[int, list[int]], coloring: list[int], side: dict[int, int]
+) -> dict | None:
+    """The first same-colored pair ``v < w`` at odd distance, as a counterexample, or ``None``."""
+    for v in adj:
+        for w in adj:
+            if v < w and coloring[v] == coloring[w] and side[v] != side[w]:
+                return {
+                    "n": len(adj),
+                    "adjacency": {str(a): bs for a, bs in adj.items()},
+                    "coloring": {str(a): coloring[a] for a in sorted(adj)},
+                    "odd_pair": [v, w],
+                }
+    return None

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
+from flattree import lemmas
 from flattree.flow import FlowError, Trajectory, VerticalCylinder
 from flattree.halftree import (
     CanonicalForm,
@@ -1081,3 +1082,154 @@ def gaps_agree_counter(colors: tuple[int, ...], m: int) -> bool:
         if len(set(gaps)) > 1:
             return False
     return True
+
+
+def restricted_growth_strings(n: int, max_classes: int):
+    """Surjective colorings up to renaming colors: first occurrences increase.
+
+    Strings come in lexicographic order, from a depth-first walk with an
+    explicit index stack.  Every string, with no pruning: the leaves the
+    library's balls walk decides at leaf or by prefix.
+    """
+    if n == 0:
+        yield ()
+        return
+    coloring = [0] * n
+    used = [0] * n  # used[i]: number of colors among coloring[:i]
+    nxt = [0] * n  # nxt[i]: next color to try at position i
+    last = n - 1
+    i = 0
+    while i >= 0:
+        top = min(used[i] + 1, max_classes)
+        if i == last:
+            for c in range(top):
+                coloring[last] = c
+                yield tuple(coloring)
+            i -= 1
+            continue
+        c = nxt[i]
+        if c >= top:
+            i -= 1
+            continue
+        nxt[i] = c + 1
+        coloring[i] = c
+        i += 1
+        used[i] = max(used[i - 1], c + 1)
+        nxt[i] = 0
+
+
+# -- leaf-by-leaf reference sweeps ----------------------------------------------
+# The three lemma sweeps as they were before they decided on prefixes: every
+# case checked at its leaf from scratch.  Kernels are looked up on
+# ``flattree.lemmas`` at call time, so a test that monkeypatches one there
+# patches the reference and the library alike.
+
+
+def verify_interval_lemma_reference(max_n: int = 8) -> lemmas.LemmaReport:
+    cases = 0
+    systems_by_n: dict[str, int] = {}
+    counterexample = None
+    for n in range(1, max_n + 1):
+        count = 0
+        masks = lemmas._interval_masks(n)
+        for k in interval_systems_recursive(n):
+            count += 1
+            ok, bad_edge = lemmas._max_graph_is_forest(k, masks)
+            if not ok and counterexample is None:
+                counterexample = {"n": n, "anchors": list(k), "cycle_edge": list(bad_edge)}
+        cases += count
+        systems_by_n[str(n)] = count
+    return lemmas.LemmaReport(
+        lemma="interval-forest",
+        bounds={"max_n": max_n},
+        cases_checked=cases,
+        holds=counterexample is None,
+        counterexample=counterexample,
+        details=systems_by_n,
+        elapsed_seconds=0.0,
+    )
+
+
+def verify_balls_lemma_reference(max_n: int = 10, max_m: int = 4) -> lemmas.LemmaReport:
+    cases = 0
+    hypothesis_held = 0
+    counterexample = None
+    for n in range(1, max_n + 1):
+        for colors in restricted_growth_strings(n, max_m):
+            cases += 1
+            m = max(colors) + 1
+            if not lemmas._gaps_agree(colors, m):
+                continue
+            hypothesis_held += 1
+            periodic = n % m == 0 and all(colors[i] == colors[(i + m) % n] for i in range(n))
+            if not periodic and counterexample is None:
+                counterexample = {"n": n, "colors": list(colors), "period": m}
+    return lemmas.LemmaReport(
+        lemma="circular-balls-periodicity",
+        bounds={"max_n": max_n, "max_m": max_m},
+        cases_checked=cases,
+        holds=counterexample is None,
+        counterexample=counterexample,
+        details={"hypothesis_held": hypothesis_held},
+        elapsed_seconds=0.0,
+    )
+
+
+def verify_colored_tree_lemma_reference(
+    max_vertices: int = 8, max_colors: int = 4
+) -> lemmas.LemmaReport:
+    cases = 0
+    hypothesis_held = 0
+    trees_seen = 0
+    counterexample = None
+    for n in range(1, max_vertices + 1):
+        for adj in lemmas._all_trees(n):
+            trees_seen += 1
+            order = sorted(adj)
+            bfs = [order[0]]
+            side = {order[0]: 0}
+            for v in bfs:
+                for w in adj[v]:
+                    if w not in side:
+                        side[w] = 1 - side[v]
+                        bfs.append(w)
+            coloring: dict[int, int] = {}
+
+            def sweep(idx: int, used: int) -> None:
+                nonlocal cases, hypothesis_held, counterexample
+                if idx == len(bfs):
+                    cases += 1
+                    if not lemmas.neighbor_sets_homogeneous(adj, coloring):
+                        return
+                    hypothesis_held += 1
+                    for v in adj:
+                        for w in adj:
+                            if v < w and coloring[v] == coloring[w] and side[v] != side[w]:
+                                if counterexample is None:
+                                    counterexample = {
+                                        "n": n,
+                                        "adjacency": {str(a): bs for a, bs in adj.items()},
+                                        "coloring": {str(a): coloring[a] for a in sorted(adj)},
+                                        "odd_pair": [v, w],
+                                    }
+                                return
+                    return
+                v = bfs[idx]
+                top = min(used + 1, max_colors)
+                for c in range(top):
+                    if any(coloring.get(w) == c for w in adj[v]):
+                        continue
+                    coloring[v] = c
+                    sweep(idx + 1, max(used, c + 1))
+                    del coloring[v]
+
+            sweep(0, 0)
+    return lemmas.LemmaReport(
+        lemma="colored-tree-even-distance",
+        bounds={"max_vertices": max_vertices, "max_colors": max_colors},
+        cases_checked=cases,
+        holds=counterexample is None,
+        counterexample=counterexample,
+        details={"trees": trees_seen, "hypothesis_held": hypothesis_held},
+        elapsed_seconds=0.0,
+    )

@@ -1,8 +1,10 @@
 """Shears, dilations, formal cochains, candidate partition checking."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
+from test_halftree import path as plain_path_skeleton
 
 from flattree import (
     CandidateReport,
@@ -234,6 +236,27 @@ class TestCochain:
     def test_json_shape(self):
         c = FormalCochain.from_map({0: F(1, 3), 2: F(-1)})
         assert cochain_to_json(c) == {"coefficients": {"0": "1/3", "2": "-1"}}
+
+    def test_coefficient_lookup_on_a_sparse_support(self):
+        c = FormalCochain.from_map({v: F(v, 7) for v in range(99, -10, -3)})
+        coefficients = dict(c.coefficients)
+        assert all(c.coefficient(v) == coefficients.get(v, 0) for v in range(-12, 103))
+        # built directly from an unsorted tuple, the lookup still finds every entry
+        direct = FormalCochain(((2, F(1)), (0, F(3)), (1, F(-1))))
+        assert direct.coefficients == ((0, F(3)), (1, F(-1)), (2, F(1)))
+        assert [direct.coefficient(v) for v in range(4)] == [3, -1, 1, 0]
+
+    def test_coefficient_lookup_on_a_deep_path(self):
+        # every coefficient of a 10**4-cylinder cochain, one lookup at a time;
+        # a scan of the whole tuple per lookup took about 2 s here
+        s = random_metric(plain_path_skeleton(10**4), 1)
+        eta = relative_deformation(s)
+        start = time.perf_counter()
+        coefficients = dict(eta.coefficients)
+        assert all(eta.coefficient(v) == coefficients.get(v, 0) for v in range(-1, 10**4 + 1))
+        crossings = [(v, 1 - 2 * (v % 2)) for v in s.skeleton.vertices]
+        assert eta.evaluate(crossings) == sum(sign * coefficients[v] for v, sign in crossings)
+        assert time.perf_counter() - start < 1
 
 
 def four_stub_surface(lengths):

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import json
 import os
@@ -15,17 +17,21 @@ from flattree import (
     verify_colored_tree_lemma,
     verify_interval_lemma,
 )
+from flattree import lemmas
 from flattree.cli import main
 from flattree.lemmas import (
     _all_trees,
+    _completion_counts,
     _gaps_agree,
     _interval_masks,
     _interval_systems,
+    _interval_walk,
     _max_graph_is_forest,
-    _restricted_growth_strings,
+    _spaced_colorings,
     _tree_code,
     neighbor_sets_homogeneous,
 )
+from oracles import restricted_growth_strings as _restricted_growth_strings
 
 
 class TestIntervalLemma:
@@ -309,3 +315,245 @@ class TestReports:
             verify_colored_tree_lemma(5, 3),
         ):
             json.dumps(rep.to_json())
+
+
+# -- prefix decisions ------------------------------------------------------------
+
+
+def _widened_masks(n: int) -> list[list[int]]:
+    """Every cyclic interval of :func:`_interval_masks` plus the point past its end."""
+    masks = _interval_masks(n)  # the module's own binding, which monkeypatching leaves alone
+    return [[masks[end][start] | 1 << (end + 1) % n for start in range(n)] for end in range(n)]
+
+
+def _spacing_only(colors: tuple[int, ...], m: int) -> bool:
+    """The spacing half of :func:`_gaps_agree`: necessary, and weaker than the gap test."""
+    n = len(colors)
+    for c in range(m):
+        q = colors.count(c)
+        if q < 2:
+            continue
+        if n % q:
+            return False
+        d = n // q
+        if colors[colors.index(c) :: d].count(c) != q:
+            return False
+    return True
+
+
+def _bfs_colorings(adj: dict[int, list[int]], bfs: list[int], max_colors: int):
+    """Proper restricted-growth colorings in BFS order, by plain recursion."""
+    coloring: dict[int, int] = {}
+
+    def extend(idx: int, used: int):
+        if idx == len(bfs):
+            yield dict(coloring)
+            return
+        v = bfs[idx]
+        for c in range(min(used + 1, max_colors)):
+            if all(coloring.get(w) != c for w in adj[v]):
+                coloring[v] = c
+                yield from extend(idx + 1, max(used, c + 1))
+                del coloring[v]
+
+    yield from extend(0, 0)
+
+
+def _path(n: int) -> dict[int, list[int]]:
+    return {v: [w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)}
+
+
+def _bfs(adj: dict[int, list[int]]) -> list[int]:
+    order = [min(adj)]
+    for v in order:
+        order.extend(w for w in adj[v] if w not in order)
+    return order
+
+
+class TestCompletionCounts:
+    @pytest.mark.parametrize("m", range(0, 6))
+    def test_restricted_growth_table_counts_completions(self, m):
+        table = _completion_counts(10, m, 0)
+        for n in range(0, 11):
+            strings = list(_restricted_growth_strings(n, m))
+            assert table[n][0] == len(strings)
+            for p in range(n + 1):
+                groups = collections.Counter(s[:p] for s in strings)
+                for prefix, count in groups.items():
+                    assert table[n - p][max(prefix, default=-1) + 1] == count, (n, prefix)
+
+    @pytest.mark.parametrize("max_colors", range(0, 6))
+    def test_tree_table_counts_proper_completions(self, max_colors):
+        table = _completion_counts(10, max_colors, 1)
+        assert table[0][0] == 1  # the empty tree has one (empty) coloring
+        for n in range(1, 11):
+            # the count depends on n only: try the path, the star and one more shape
+            trees = _all_trees(n)
+            star = {0: list(range(1, n)), **{v: [0] for v in range(1, n)}}
+            shapes = [_path(n), star, trees[len(trees) // 2]]
+            for adj in shapes:
+                bfs = _bfs(adj)
+                colorings = list(_bfs_colorings(adj, bfs, max_colors))
+                assert table[n][0] == len(colorings)
+                for p in range(1, n + 1):
+                    groups = collections.Counter(tuple(c[v] for v in bfs[:p]) for c in colorings)
+                    for prefix, count in groups.items():
+                        assert table[n - p][max(prefix) + 1] == count, (n, prefix)
+
+
+class TestPrefixPruning:
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_balls_walk_expands_to_every_coloring(self, n):
+        # surviving leaves plus the completions of each cut prefix, in order, are
+        # exactly the restricted-growth strings; no completion of a cut prefix
+        # passes the gap test, and every surviving leaf is evenly spaced
+        for m in range(0, 6):
+            table = _completion_counts(n, m, 0)
+            everything = list(_restricted_growth_strings(n, m))
+            expanded = []
+            for colors, spaced in _spaced_colorings(n, m):
+                if spaced:
+                    assert len(colors) == n and _spacing_only(colors, m)
+                    expanded.append(colors)
+                    continue
+                below = [s for s in everything if s[: len(colors)] == colors]
+                assert len(below) == table[n - len(colors)][max(colors) + 1]
+                for s in below:
+                    assert not _spacing_only(s, max(s) + 1)
+                    assert not oracles.gaps_agree_counter(s, max(s) + 1), s
+                expanded.extend(below)
+            assert expanded == everything, m
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tree_prefixes_cut_only_failing_colorings(self, n, monkeypatch):
+        # each cut is a False from the homogeneity test on the closed
+        # neighborhoods of a prefix; every full coloring that agrees with the
+        # prefix there must fail the hypothesis
+        original = lemmas.neighbor_sets_homogeneous
+        total = 0
+        for adj in _all_trees(n):
+            cuts = []
+
+            def recording(sub, coloring, adj=adj, cuts=cuts):
+                verdict = original(sub, coloring)
+                if not verdict and len(sub) < len(adj):
+                    seen = {w for v in sub for w in (v, *sub[v])}
+                    cuts.append({v: coloring[v] for v in seen})
+                return verdict
+
+            def only_this_tree(k, adj=adj):
+                return [adj] if k == len(adj) else []
+
+            monkeypatch.setattr(lemmas, "_all_trees", only_this_tree)
+            monkeypatch.setattr(lemmas, "neighbor_sets_homogeneous", recording)
+            got = lemmas.verify_colored_tree_lemma(n, 4)
+            monkeypatch.setattr(lemmas, "neighbor_sets_homogeneous", original)
+            ref = oracles.verify_colored_tree_lemma_reference(n, 4)
+            assert got.to_json() == ref.to_json()
+            colorings = list(_bfs_colorings(adj, _bfs(adj), 4))
+            total += len(cuts)
+            for cut in cuts:
+                below = [c for c in colorings if all(c[v] == x for v, x in cut.items())]
+                assert below
+                assert not any(original(adj, c) for c in below), cut
+        assert n < 5 or total
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_interval_walk_verdicts(self, n, monkeypatch):
+        for widen in (False, True):
+            if widen:
+                monkeypatch.setattr(lemmas, "_interval_masks", _widened_masks)
+            masks = lemmas._interval_masks(n)
+            for k, forest in _interval_walk(n):
+                assert forest == _max_graph_is_forest(k, masks)[0], k
+
+
+class TestFaultInjection:
+    """Kernels broken on purpose, so the counterexample paths run."""
+
+    def test_widened_intervals_close_cycles(self, monkeypatch):
+        monkeypatch.setattr(lemmas, "_interval_masks", _widened_masks)
+        # cycles already among labels 1..n-2, which a prefix fixes, exist
+        cyclic_prefixes = 0
+        masks = _widened_masks(7)
+        for k in _interval_systems(7):
+            inside = [masks[k[i - 1]][k[i]] for i in range(7)]
+            edges = [
+                (i, j)
+                for i in range(1, 6)
+                for j in range(i + 1, 6)
+                if inside[i] >> j & 1 and inside[j] >> i & 1
+            ]
+            cyclic_prefixes += not oracles.is_forest(7, edges)
+        assert cyclic_prefixes > 0
+        for max_n in (3, 6, 8):
+            got = verify_interval_lemma(max_n)
+            assert not got.holds
+            assert got.to_json() == oracles.verify_interval_lemma_reference(max_n).to_json()
+        assert got.counterexample == {"n": 3, "anchors": [0, 2, 1], "cycle_edge": [1, 2]}
+
+    def test_spacing_only_gap_test_admits_a_non_periodic_coloring(self, monkeypatch):
+        assert _spacing_only((0, 1, 0, 2), 3) and not _gaps_agree((0, 1, 0, 2), 3)
+        monkeypatch.setattr(lemmas, "_gaps_agree", _spacing_only)
+        for max_n, max_m in ((4, 3), (9, 5), (10, 4)):
+            got = verify_balls_lemma(max_n, max_m)
+            assert not got.holds
+            assert got.to_json() == oracles.verify_balls_lemma_reference(max_n, max_m).to_json()
+        assert got.counterexample == {"n": 4, "colors": [0, 1, 0, 2], "period": 3}
+
+
+class TestAgainstReferenceSweeps:
+    @pytest.mark.parametrize("max_n", range(-1, 9))
+    def test_interval(self, max_n):
+        got = verify_interval_lemma(max_n).to_json()
+        assert got == oracles.verify_interval_lemma_reference(max_n).to_json()
+
+    @pytest.mark.parametrize("max_n", range(-1, 11))
+    def test_balls(self, max_n):
+        for max_m in range(-1, 6):
+            got = verify_balls_lemma(max_n, max_m).to_json()
+            assert got == oracles.verify_balls_lemma_reference(max_n, max_m).to_json()
+
+    @pytest.mark.parametrize("max_vertices", range(-1, 9))
+    def test_trees(self, max_vertices):
+        for max_colors in range(-1, 6):
+            got = verify_colored_tree_lemma(max_vertices, max_colors).to_json()
+            ref = oracles.verify_colored_tree_lemma_reference(max_vertices, max_colors)
+            assert got == ref.to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_report(lemma: str, bounds: tuple[tuple[str, int], ...]) -> dict:
+    sweep = {
+        "circular-balls-periodicity": oracles.verify_balls_lemma_reference,
+        "colored-tree-even-distance": oracles.verify_colored_tree_lemma_reference,
+        "interval-forest": oracles.verify_interval_lemma_reference,
+    }[lemma]
+    return sweep(**dict(bounds)).to_json()
+
+
+class TestEdgeBounds:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--balls-m", "0"),
+            ("--balls-m", "-1"),
+            ("--balls-n", "0"),
+            ("--tree-vertices", "0"),
+            ("--tree-colors", "0"),
+            ("--tree-colors", "-1"),
+            ("--interval-n", "0"),
+            ("--interval-n", "-1"),
+        ],
+    )
+    def test_cli_reports_match_reference(self, flag, value, capsys):
+        assert main(["verify", "lemmas", flag, value]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] and payload["failures"] == 0
+        for check in payload["checks"]:
+            report = check["report"]
+            bounds = tuple(sorted(report["bounds"].items()))
+            assert report == _reference_report(report["lemma"], bounds)
+        reports = [c["report"] for c in payload["checks"]]
+        changed = [r for r in reports if int(value) in r["bounds"].values()]
+        assert changed and all(r["cases_checked"] == 0 for r in changed)

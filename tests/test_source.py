@@ -42,14 +42,23 @@ def test_no_surface_certifies_through_a_seam_table():
     assert found == []
 
 
-def test_halftree_does_not_recurse():
-    # trees of 10**4 cylinders run under the default recursion limit
-    tree = ast.parse((SOURCE / "halftree.py").read_text())
-    recursive = sorted(
+def _self_recursive(name: str) -> list[str]:
+    """Functions of ``src/flattree/<name>`` that call themselves by name."""
+    tree = ast.parse((SOURCE / name).read_text())
+    return sorted(
         fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(_called_name(node) == fn.name for node in ast.walk(fn))
     )
+
+
+def test_halftree_does_not_recurse():
+    # trees of 10**4 cylinders run under the default recursion limit
     # _entry_seqs recurses on the port count, which the enumeration guard bounds
-    assert recursive == ["_entry_seqs"]
+    assert _self_recursive("halftree.py") == ["_entry_seqs"]
+
+
+def test_lemmas_do_not_recurse():
+    # every lemma sweep is one depth-first walk on an explicit stack
+    assert _self_recursive("lemmas.py") == []
