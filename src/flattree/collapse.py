@@ -161,11 +161,12 @@ def vertical_collapse(
     cert = _certify(_layout(forest), forest.heights)
     if not cert.ok:
         raise CollapseError(f"collapsed surface failed certification: {cert.failures[0]}")
+    before = area(s)
     after = sum((area(c) for c in cert.components), Fraction(0))
     return VerticalCollapseResult(
         surfaces=DisjointSurface(cert.components, tuple(notices)),
-        collapsed_area=area(s) - after,
-        area_before=area(s),
+        collapsed_area=before - after,
+        area_before=before,
         area_after=after,
         deleted_edges=tuple(deleted_edges),
         dropped_cylinders=tuple(dropped),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .halftree import HalfTree, bipartition, canonical_form
+from .halftree import HalfTree, _least_rotation, bipartition, canonical_form
 from .surface import HyperellipticSurface, build, fraction_from_string, fraction_to_string
 
 
@@ -306,10 +306,8 @@ class CandidateReport:
 
 
 def _min_rotation(seq: tuple) -> tuple:
-    n = len(seq)
-    if n == 0:
-        return seq
-    return min(tuple(seq[i:] + seq[:i]) for i in range(n))
+    k = _least_rotation(list(seq))
+    return seq[k:] + seq[:k]
 
 
 def check_candidate(

@@ -99,6 +99,25 @@ class _Lattice:
         above_vertex, a = self.seams[seam][0]
         return ("cross", above_vertex, a + offset)
 
+    def strip_up(self, v: int, x: int, w: int) -> tuple[int, int] | None:
+        """Carry the strip [x, x + w) of ``v``'s bottom circle across ``v``.
+
+        Returns the strip's bottom position on the cylinder above, or None when
+        its top image [y, y + w) is not inside one seam or has a mark strictly
+        inside.
+        """
+        L = self.L[v]
+        y = (x + self.twist[v]) % L
+        starts = self.top_starts[v]
+        idx = bisect_right(starts, y) - 1
+        if y + w > (starts[idx + 1] if idx + 1 < len(starts) else L):
+            return None
+        seam, offset = self.top_ports[v][idx], y - starts[idx]
+        if any(offset < u < offset + w for u in self.mark_offsets.get(seam, ())):
+            return None
+        above_vertex, a = self.seams[seam][0]
+        return above_vertex, a + offset
+
     def step_down(self, v: int, x: int) -> tuple[int, int] | None:
         """Pull a non-corner bottom position down through the cylinder below."""
         starts = self.bottom_starts[v]
@@ -316,17 +335,47 @@ def _saddle_alignment_data(s: HyperellipticSurface, saddle: int):
 def _locate_witness(
     surface: HyperellipticSurface, C: int, D: int, a_p: Fraction, ell: Fraction
 ) -> VerticalCylinder:
-    core = surface.heights[C] + surface.heights[D]
-    for vc in vertical_decomposition(surface):
-        if (C, a_p) in vc.crossings and vc.width == ell:
-            if vc.core != core or {v for v, _ in vc.crossings} != {C, D}:
+    """Walk the strip over the saddle copy ``[a_p, a_p + ell)`` on ``C``'s bottom.
+
+    ``a_p`` and ``ell`` are the saddle's start and length, so they lie on the
+    layout's lattice.
+
+    The strip is a vertical cylinder exactly when, at every crossing, its top
+    image lies inside one seam with no mark strictly inside.  Its bottom
+    intervals need no check of their own: each is the image of the top
+    interval checked one crossing earlier (the first, of the last, once the
+    walk closes), and the two sides of a seam carry the same marks.  The
+    images are then disjoint, flow-invariant and free of split points, so the
+    walk closes within sum(L) / w crossings.  A failed check means a split
+    point inside the strip ("no vertical witness"); a strip that closes
+    anywhere but after one crossing of ``C`` and one of ``D`` "crosses others".
+    """
+    lat = _Lattice(surface)
+    x = a_p.numerator * (lat.D // a_p.denominator)
+    w = ell.numerator * (lat.D // ell.denominator)
+    crossings = [(C, x)]
+    for _ in range(sum(lat.L.values()) // w):
+        nxt = lat.strip_up(*crossings[-1], w)
+        if nxt is None:
+            break
+        if nxt == (C, x):
+            if [v for v, _ in crossings] != [C, D]:
                 raise FlowError(f"vertical witness over cylinders {C}, {D} crosses others")
-            return vc
+            core = surface.heights[C] + surface.heights[D]
+            # of two crossings, the rotation starting at the least is the sorted one
+            return VerticalCylinder(ell, core, _fractions(lat.D, sorted(crossings)))
+        crossings.append(nxt)
     raise FlowError("aligned saddle produced no vertical witness")
 
 
 def standard_position(s: HyperellipticSurface, saddle: int) -> StandardPosition:
-    """Shear both adjacent cylinders so the shared saddle sits over itself."""
+    """Shear both adjacent cylinders so the shared saddle sits over itself.
+
+    After the shear the strip over the saddle is a closed vertical cylinder:
+    its width is the saddle length, its core is the sum of the two heights,
+    and it crosses only the two cylinders.  The witness is read off one walk
+    of that strip on the integer layout.
+    """
     q, C, D, ell, targets = _saddle_alignment_data(s, saddle)
     deltas = {v: (targets[v] - s.twists[v]) % s.circumference(v) for v in (C, D)}
     twists = {**s.twists, C: targets[C], D: targets[D]}

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from flattree import lemmas
-from flattree.flow import FlowError, Trajectory, VerticalCylinder
+from flattree.flow import FlowError, Trajectory, VerticalCylinder, vertical_decomposition
 from flattree.halftree import (
     CanonicalForm,
     CanonicalLabeling,
@@ -526,6 +526,19 @@ def vertical_decomposition_fraction(s: HyperellipticSurface) -> tuple[VerticalCy
         core = sum((s.heights[v] for v, _ in crossings), Fraction(0))
         cylinders.append(VerticalCylinder(widths.pop(), core, tuple(crossings)))
     return tuple(sorted(cylinders, key=lambda c: c.crossings))
+
+
+def locate_witness_by_decomposition(
+    surface: HyperellipticSurface, C: int, D: int, a_p: Fraction, ell: Fraction
+) -> VerticalCylinder:
+    """The aligned saddle's witness, searched for in the whole vertical decomposition."""
+    core = surface.heights[C] + surface.heights[D]
+    for vc in vertical_decomposition(surface):
+        if (C, a_p) in vc.crossings and vc.width == ell:
+            if vc.core != core or {v for v, _ in vc.crossings} != {C, D}:
+                raise FlowError(f"vertical witness over cylinders {C}, {D} crosses others")
+            return vc
+    raise FlowError("aligned saddle produced no vertical witness")
 
 
 def corner_classes_fraction(s: HyperellipticSurface) -> list[tuple]:

@@ -1,5 +1,6 @@
 """Shears, dilations, formal cochains, candidate partition checking."""
 
+import random
 import time
 from fractions import Fraction as F
 
@@ -16,14 +17,17 @@ from flattree import (
     area,
     bipartition,
     build,
+    builtin_blueprints,
     check_candidate,
     cochain_to_json,
     dilate_class,
     dilate_saddle_class,
     enumerate_halftrees,
     extract_skeleton,
+    fiber_partitions,
     partitions_from_json,
     partitions_to_json,
+    pullback,
     random_metric,
     relative_deformation,
     relative_flow,
@@ -33,6 +37,7 @@ from flattree import (
     standard_position,
     standard_shear,
 )
+from flattree import deform
 
 
 @pytest.fixture
@@ -262,6 +267,30 @@ class TestCochain:
 def four_stub_surface(lengths):
     t = HalfTree({0: [0, 1, 2, 3]}, [])
     return build(t, {p: F(x) for p, x in enumerate(lengths)}, {0: F(1)}, {0: F(0)})
+
+
+def every_rotation_min(seq):
+    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=seq)
+
+
+class TestMinRotation:
+    def test_agrees_with_every_rotation(self):
+        rng = random.Random(0)
+        seqs = [(), (0,), (1, 1, 1), (2, 1, 2, 1), (0, 1, 0, 0, 1, 0), (1, 0, 0, 1, 0, 0, 0)]
+        for _ in range(400):
+            # small alphabets give ties; repeating a base gives periodic sequences
+            base = tuple(rng.randrange(rng.randint(1, 3)) for _ in range(rng.randint(1, 6)))
+            seqs.append(base * rng.randint(1, 3))
+        # the (class, length) pairs condition (f) rotates
+        seqs += [tuple((c, F(rng.randint(1, 3), 2)) for c in seq) for seq in seqs[-100:]]
+        for seq in seqs:
+            assert deform._min_rotation(seq) == every_rotation_min(seq), seq
+
+    def test_candidate_reports_on_the_stock_blueprints(self, monkeypatch):
+        cases = [(pullback(b), *fiber_partitions(b)) for b in builtin_blueprints().values()]
+        booth = [repr(check_candidate(*case)) for case in cases]
+        monkeypatch.setattr(deform, "_min_rotation", every_rotation_min)
+        assert [repr(check_candidate(*case)) for case in cases] == booth
 
 
 class TestCheckCandidate:

@@ -2,14 +2,17 @@
 
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import oracles
 import pytest
+from test_halftree import stubbed_path as stubbed_path_skeleton
 
 from flattree import (
     FlowError,
     HalfTree,
+    HyperellipticSurface,
     Mark,
     VerticalCylinder,
     area,
@@ -267,10 +270,93 @@ class TestStandardPosition:
         with pytest.raises(FlowError, match="no saddle"):
             standard_position(path3_surface, 42)
 
-    def test_missing_witness_is_a_flow_error(self, path3_surface, monkeypatch):
-        monkeypatch.setattr(flow, "vertical_decomposition", lambda s: ())
-        with pytest.raises(FlowError, match="no vertical witness"):
-            standard_position(path3_surface, 0)
+    def test_missing_witness_is_a_flow_error(self, path3_surface):
+        # the fixture keeps its own twists, so saddle 0 is not aligned
+        s = path3_surface
+        unaligned = (s, 0, 1, s.port_start(0), s.lengths[0])
+        # the aligned surface with one raw mark strictly inside the strip
+        aligned = standard_position(s, 0).surface
+        raw = HyperellipticSurface(
+            aligned.skeleton, aligned.lengths, aligned.heights, aligned.twists, (Mark(0, F(1)),)
+        )
+        # two cylinders sheared by half a saddle: the strip's top straddles a corner
+        t = HalfTree({0: [0], 1: [1]}, [(0, 1)])
+        half = build(t, {0: F(2), 1: F(2)}, {0: F(1), 1: F(1)}, {0: F(1), 1: F(1)})
+        straddling = (half, 0, 1, F(0), F(2))
+        for args in (unaligned, (raw, 0, 1, F(0), s.lengths[0]), straddling):
+            with pytest.raises(FlowError, match="aligned saddle produced no vertical witness"):
+                oracles.locate_witness_by_decomposition(*args)
+            with pytest.raises(FlowError, match="aligned saddle produced no vertical witness"):
+                flow._locate_witness(*args)
+
+    def test_strip_through_a_third_cylinder_crosses_others(self):
+        t = HalfTree({0: [0], 1: [1, 2], 2: [3]}, [(0, 1), (2, 3)])
+        s = build(t, {p: F(1) for p in range(4)}, {v: F(1) for v in range(3)}, {})
+        for locate in (oracles.locate_witness_by_decomposition, flow._locate_witness):
+            with pytest.raises(FlowError, match="witness over cylinders 0, 1 crosses others"):
+                locate(s, 0, 1, F(0), F(1))
+
+    def test_no_decomposition_and_one_lattice_per_witness(self, path3_surface, monkeypatch):
+        calls = {"decomposition": 0, "lattice": 0}
+
+        def decomposition(s):
+            calls["decomposition"] += 1
+            return vertical_decomposition(s)
+
+        class Lattice(flow._Lattice):
+            def __init__(self, *args):
+                calls["lattice"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(flow, "vertical_decomposition", decomposition)
+        monkeypatch.setattr(flow, "_Lattice", Lattice)
+        for align in (standard_position, transverse_standard_position):
+            before = dict(calls)
+            align(path3_surface, 0)
+            assert calls["decomposition"] == before["decomposition"] == 0
+            assert calls["lattice"] == before["lattice"] + 1
+
+    def test_deep_path_under_the_default_recursion_limit(self):
+        t = stubbed_path_skeleton(10**4)
+        metric = random_metric(t, 1)
+        s = build(t, metric.lengths, metric.heights, {v: F(0) for v in t.vertices})
+        start = time.perf_counter()
+        for p, q in (t.edges()[0], t.edges()[-1]):
+            for align in (standard_position, transverse_standard_position):
+                pos = align(s, p)
+                assert pos.vertical.width == s.lengths[p]
+                assert pos.vertical.core == s.heights[t.vertex_of(p)] + s.heights[t.vertex_of(q)]
+        assert time.perf_counter() - start < 5
+
+
+def witness_cases(n):
+    """Every port of every full edge of the ``n``-port classes, seeds 0 and 1, then marked."""
+    for i, t in enumerate(enumerate_halftrees(n)):
+        for seed in (0, 1):
+            s = random_metric(t, seed)
+            for edge in t.edges():
+                for p in edge:
+                    yield f"class-{n}.{i}-{seed}-{p}", s, p
+                # involution-closed marks on every saddle but the aligned one
+                others = [r for r in t.all_ports if r not in edge]
+                marks = {m for r in others for m in involution_orbit(s, Mark(r, s.lengths[r] / 3))}
+                if marks and n <= 6:
+                    for p in edge:
+                        yield f"marked-{n}.{i}-{seed}-{p}", with_marks(s, marks), p
+
+
+class TestWitnessReference:
+    """The strip walk finds the witness the whole decomposition found, by ``repr``."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_both_alignments_match_the_decomposition(self, n):
+        for name, s, p in witness_cases(n):
+            a_p, ell = s.port_start(p), s.lengths[p]
+            std = standard_position(s, p)
+            tv = transverse_standard_position(s, p)
+            for pos, surface in ((std, std.surface), (tv, tv.sheared)):
+                want = oracles.locate_witness_by_decomposition(surface, *pos.cylinders, a_p, ell)
+                assert repr(pos.vertical) == repr(want), name
 
 
 class TestTransverse:
