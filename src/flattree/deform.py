@@ -333,20 +333,12 @@ def check_candidate(
     checks = {k: True for k in "abcdef"}
 
     # parity of class boundaries crossed on the unique path from a fixed root
-    adjacency: dict[int, list[int]] = {v: [] for v in t.vertices}
-    for p, q in t.edges():
-        a, b = t.vertex_of(p), t.vertex_of(q)
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    root = min(t.vertices)
-    boundary_parity = {root: 0}
-    queue = [root]
-    while queue:
-        v = queue.pop()
-        for w in adjacency[v]:
+    boundary_parity = {t.vertices[0]: 0}
+    queue = [t.vertices[0]]
+    for v in queue:
+        for w in t.neighbors(v):
             if w not in boundary_parity:
-                crossed = cyl_class[v] != cyl_class[w]
-                boundary_parity[w] = (boundary_parity[v] + crossed) % 2
+                boundary_parity[w] = boundary_parity[v] ^ (cyl_class[v] != cyl_class[w])
                 queue.append(w)
 
     for group in cp.classes:
@@ -354,13 +346,14 @@ def check_candidate(
         if len(hs) > 1:
             checks["a"] = False
             failures.append(f"(a) cylinder class {group} has heights {sorted(hs)}")
-        for i, v in enumerate(group):
-            for w in group[i + 1 :]:
-                if boundary_parity[v] != boundary_parity[w]:
-                    checks["b"] = False
-                    failures.append(
-                        f"(b) cylinders {v} and {w} separated by an odd number of class boundaries"
-                    )
+        if len({boundary_parity[v] for v in group}) > 1:
+            checks["b"] = False
+            failures.extend(
+                f"(b) cylinders {v} and {w} separated by an odd number of class boundaries"
+                for i, v in enumerate(group)
+                for w in group[i + 1 :]
+                if boundary_parity[v] != boundary_parity[w]
+            )
 
     for group in sp.classes:
         ls = {s.lengths[e] for e in group}

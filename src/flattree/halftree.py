@@ -13,12 +13,14 @@ surface of genus ``g`` with ``(n+1)//2 + 1`` or ``n//2 + 1`` singular points
 collapsed into one or two zeros according to the parity of ``n``; see
 :func:`stratum_of`.
 
-A half-tree is immutable, so :func:`validate` keeps its verdict on it.
-:func:`canonical_form` ranks the planted subtrees behind all ports bottom-up
-and walks the tree only from its minimizing flags, in near-linear time.  No
-function here recurses per vertex or port, so paths of 10**4 cylinders need
-no raised recursion limit; the one recursive helper, ``_entry_seqs``, is as
-deep as the port count that :func:`enumerate_halftrees` is asked for.
+A half-tree is immutable, so :func:`validate` keeps its verdict on it and
+:func:`canonical_form` its form; the kept form is shared by every caller and
+must not be mutated.  :func:`canonical_form` ranks the planted subtrees behind
+all ports bottom-up and walks the tree only from its minimizing flags, in
+near-linear time.  No function here recurses per vertex or port, so paths of
+10**4 cylinders need no raised recursion limit; the one recursive helper,
+``_entry_seqs``, is as deep as the port count that :func:`enumerate_halftrees`
+is asked for.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class HalfTree:
     in :func:`validate` so that diagnostics can name them.
     """
 
-    __slots__ = ("_vertices", "_ports", "_pair", "_vertex_of", "_verdict")
+    __slots__ = ("_vertices", "_ports", "_pair", "_vertex_of", "_verdict", "_canonical")
 
     def __init__(self, ports_of: Mapping[int, Sequence[int]], pairs: Iterable[Sequence[int]] = ()):
         ports: dict[int, tuple[int, ...]] = {}
@@ -78,6 +80,7 @@ class HalfTree:
         self._pair = pair
         self._vertex_of = vertex_of
         self._verdict: SkeletonDiagnostics | None = None
+        self._canonical: CanonicalForm | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -507,7 +510,13 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
     (Booth 1980), and only the minimizing flags are walked.  Cost: near-linear
     in the port count for bounded degree (a vertex of degree d costs O(d^2)),
     plus one O(n) walk per automorphism, and no recursion.
+
+    The form is worked out once and kept on the tree (a failure is never
+    kept), so every later call returns the same object: callers share it and
+    must not mutate its labelings' dicts.
     """
+    if t._canonical is not None:
+        return t._canonical
     diag = validate(t)
     if not diag.ok:
         raise SkeletonError(f"cannot canonicalize an invalid skeleton: {diag.first}")
@@ -532,12 +541,13 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
         ports_of[lab.vertex_map[ov]] = [lab.port_map[p] for p in rotated]
     relabeled = HalfTree(ports_of, [(lab.port_map[p], lab.port_map[q]) for p, q in t.edges()])
     relabeled._verdict = _VALID  # isomorphic to t
-    return CanonicalForm(
+    t._canonical = CanonicalForm(
         encoding="".join(walks[0][0]),
         automorphisms=len(walks),
         relabeled=relabeled,
         labelings=labelings,
     )
+    return t._canonical
 
 
 # -- enumeration -----------------------------------------------------------
@@ -587,7 +597,9 @@ def _tree_from_rooted(entries: tuple) -> HalfTree:
                 break
         else:
             stack.pop()
-    return HalfTree(ports_of, pairs)
+    t = HalfTree(ports_of, pairs)
+    t._verdict = _VALID if entries else None  # a tree, and no bare vertex once non-empty
+    return t
 
 
 def enumerate_halftrees(n: int, *, limit: int = ENUMERATION_GUARD) -> tuple[HalfTree, ...]:

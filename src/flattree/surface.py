@@ -143,6 +143,7 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     """Integer layout of ``s``, on a scale that also makes each ``extra`` value integral.
 
     Built per call, never stored: on a large surface it outweighs the surface.
+    Read by the corner walk, certification, the flow and :func:`canonical_metric`.
     """
     t = s.skeleton
     values = [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks), *extra]
@@ -171,6 +172,11 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     return _Layout(D, circumference, twist, length, seams, marks)
 
 
+def _exact(x: object) -> Fraction:
+    """``x`` itself when it is exactly a ``Fraction``, else ``Fraction(x)``."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def build(
     skeleton: HalfTree,
     lengths: Mapping[int, Fraction],
@@ -192,7 +198,7 @@ def build(
     for p in skeleton.all_ports:
         if p not in lengths:
             raise MetricError(f"no length for port {p}")
-        val = Fraction(lengths[p])
+        val = _exact(lengths[p])
         if val <= 0:
             raise MetricError(f"length of port {p} must be positive, got {val}")
         lens[p] = val
@@ -209,7 +215,7 @@ def build(
     for v in skeleton.vertices:
         if v not in heights:
             raise MetricError(f"no height for vertex {v}")
-        h = Fraction(heights[v])
+        h = _exact(heights[v])
         if h <= 0:
             raise MetricError(f"height of vertex {v} must be positive, got {h}")
         hts[v] = h
@@ -219,8 +225,9 @@ def build(
             raise MetricError(f"metric given for unknown vertex {v}")
     for v in skeleton.vertices:
         L = sum((lens[p] for p in skeleton.ports(v)), Fraction(0))
-        tws[v] = Fraction(twists.get(v, 0)) % L
-    mark_list = tuple(sorted(Mark(m.port, Fraction(m.offset)) for m in marks))
+        tw = _exact(twists.get(v, 0))
+        tws[v] = tw if 0 <= tw < L else tw % L
+    mark_list = tuple(sorted(Mark(m.port, _exact(m.offset)) for m in marks))
     mark_set = set(mark_list)
     if len(mark_set) != len(mark_list):
         raise MetricError("duplicate marks")
@@ -796,18 +803,20 @@ def canonical_metric(s: HyperellipticSurface):
     conjugates a bottom rotation into the opposite top rotation, so twists
     shift by twice the length moved past the origin.
     """
-    cf = canonical_form(s.skeleton)
+    t = s.skeleton
+    cf = canonical_form(t)
+    lay = _layout(s)  # shifts, twists and circumferences in ints over lay.scale
     outcomes = []
     for lab in cf.labelings:
-        lengths = [None] * s.skeleton.n_ports
+        lengths = [None] * t.n_ports
         for p, np in lab.port_map.items():
             lengths[np] = s.lengths[p]
-        heights = [None] * len(s.skeleton.vertices)
-        twists = [None] * len(s.skeleton.vertices)
+        heights = [None] * len(t.vertices)
+        twists = [None] * len(t.vertices)
         for v, nv in lab.vertex_map.items():
-            shift = s.port_start(s.skeleton.ports(v)[lab.rotation[v]])
+            shift = lay.seams[t.ports(v)[lab.rotation[v]]][0][1]
             heights[nv] = s.heights[v]
-            twists[nv] = (s.twists[v] + 2 * shift) % s.circumference(v)
+            twists[nv] = Fraction((lay.twist[v] + 2 * shift) % lay.circumference[v], lay.scale)
         marks = tuple(sorted((lab.port_map[m.port], m.offset) for m in s.marks))
         outcomes.append((cf.encoding, tuple(lengths), tuple(heights), tuple(twists), marks))
     return min(outcomes)

@@ -194,6 +194,59 @@ def canonical_form_reference(t: HalfTree) -> CanonicalForm:
     )
 
 
+def canonical_metric_fraction(s: HyperellipticSurface):
+    """``surface.canonical_metric`` in ``Fraction`` arithmetic, one labeling at a time.
+
+    Each rotation shift is the port's start summed along its bottom circle and
+    each twist is reduced mod the circumference summed afresh; the library
+    reads both off one integer layout instead.
+    """
+    cf = canonical_form(s.skeleton)
+    outcomes = []
+    for lab in cf.labelings:
+        lengths = [None] * s.skeleton.n_ports
+        for p, np in lab.port_map.items():
+            lengths[np] = s.lengths[p]
+        heights = [None] * len(s.skeleton.vertices)
+        twists = [None] * len(s.skeleton.vertices)
+        for v, nv in lab.vertex_map.items():
+            shift = s.port_start(s.skeleton.ports(v)[lab.rotation[v]])
+            heights[nv] = s.heights[v]
+            twists[nv] = (s.twists[v] + 2 * shift) % s.circumference(v)
+        marks = tuple(sorted((lab.port_map[m.port], m.offset) for m in s.marks))
+        outcomes.append((cf.encoding, tuple(lengths), tuple(heights), tuple(twists), marks))
+    return min(outcomes)
+
+
+def odd_boundary_messages(t: HalfTree, classes) -> list[str]:
+    """Condition (b) of ``check_candidate`` by its definition, in its message order.
+
+    For every pair of cylinders in one class, walk the tree path between them
+    and count the edges whose two ends lie in different classes.
+    """
+    cls = {v: i for i, g in enumerate(classes) for v in g}
+    messages = []
+    for g in classes:
+        for i, v in enumerate(g):
+            parent = {v: v}
+            queue = [v]
+            for x in queue:
+                for y in t.neighbors(x):
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+            for w in g[i + 1 :]:
+                crossed, x = 0, w
+                while x != v:
+                    crossed += cls[x] != cls[parent[x]]
+                    x = parent[x]
+                if crossed % 2:
+                    messages.append(
+                        f"(b) cylinders {v} and {w} separated by an odd number of class boundaries"
+                    )
+    return messages
+
+
 # -- naive lemma checkers ----------------------------------------------------
 
 

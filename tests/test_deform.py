@@ -4,8 +4,10 @@ import random
 import time
 from fractions import Fraction as F
 
+import oracles
 import pytest
 from test_halftree import path as plain_path_skeleton
+from test_halftree import random_halftree
 
 from flattree import (
     CandidateReport,
@@ -324,6 +326,28 @@ class TestCheckCandidate:
         )
         assert not report.checks["b"]
         assert any("odd number of class boundaries" in f for f in report.failures)
+
+    def test_boundary_parity_messages_follow_the_tree_paths(self):
+        rng = random.Random(5)
+        trees = [t for n in range(1, 9) for t in enumerate_halftrees(n)]
+        trees += [random_halftree(rng, rng.randint(6, 14), 3) for _ in range(60)]
+        failing = 0
+        for t in trees:
+            s = random_metric(t, seed=0)
+            sp = singleton_partitions(t)[1]
+            for _ in range(4):
+                k = rng.randint(1, len(t.vertices))
+                groups: dict[int, list[int]] = {}
+                for v in t.vertices:
+                    groups.setdefault(rng.randrange(k), []).append(v)
+                cp = CylinderPartition.of(groups.values())
+                report = check_candidate(s, cp, sp)
+                got = [f for f in report.failures if f.startswith("(b)")]
+                assert got == oracles.odd_boundary_messages(t, cp.classes), (t, cp)
+                assert report.checks["b"] == (not got)
+                failing += bool(got)
+        # the sweep must reach the failing branch often
+        assert failing > 50
 
     def test_adjacent_same_class_pair_passes_b(self, path3_surface):
         # no boundary is crossed between equivalent neighbors

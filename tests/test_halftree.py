@@ -353,6 +353,57 @@ class TestCanonicalFormAgainstReference:
         assert agrees_with_reference(relabel(t, random.Random(automorphisms)))
 
 
+class TestKeptCanonicalForm:
+    """``canonical_form`` keeps its form on the tree and never keeps a failure."""
+
+    def test_repeated_call_returns_the_kept_form(self, monkeypatch):
+        t = path3()
+        kept = canonical_form(t)
+        assert t._canonical is kept
+        # a second call does no walk at all
+        monkeypatch.setattr(halftree, "_walk", None)
+        monkeypatch.setattr(halftree, "_planted_classes", None)
+        assert canonical_form(t) is kept
+
+    def test_kept_form_equals_reference_and_a_fresh_copy(self):
+        rng = random.Random(10)
+        for n in range(1, 11):
+            for t in enumerate_halftrees(n):
+                last = t.vertices[-1]
+                for u in (t, relabel(t, rng), t.rotated(last, rng.randrange(t.degree(last)))):
+                    kept = canonical_form(u)
+                    assert canonical_form(u) is kept
+                    copy = HalfTree({v: u.ports(v) for v in u.vertices}, u.edges())
+                    assert copy._canonical is None
+                    assert repr(canonical_form(copy)) == repr(kept)
+                    assert repr(kept) == repr(oracles.canonical_form_reference(u)), u
+
+    def test_invalid_tree_raises_every_time_and_keeps_nothing(self):
+        invalid = (
+            HalfTree({0: [0], 1: [1]}),
+            HalfTree({0: [0, 1], 1: [2, 3]}, [(0, 2), (1, 3)]),
+            HalfTree({0: [0], 1: []}),
+            HalfTree({}),
+        )
+        for t in invalid:
+            for _ in range(3):
+                with pytest.raises(SkeletonError, match="cannot canonicalize"):
+                    canonical_form(t)
+                assert t._canonical is None
+
+    def test_rooted_presentations_are_valid_by_construction(self):
+        memo: dict = {}
+        for n in range(1, 11):
+            for entries in halftree._entry_seqs(n, memo):
+                t = halftree._tree_from_rooted(entries)
+                assert t._verdict is halftree._VALID
+                assert halftree._diagnose(t) is halftree._VALID, entries
+        # the empty sequence is a bare vertex, and is left to validate()
+        t = halftree._tree_from_rooted(())
+        assert t._verdict is None
+        assert not validate(t).ok
+
+
 class TestEnumeration:
     # n = 3 and n = 4 are the cylinder-diagram counts for genus two; the rest
     # are frozen after the labeled brute-force oracle agreed at n <= 6.

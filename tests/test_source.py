@@ -62,3 +62,64 @@ def test_halftree_does_not_recurse():
 def test_lemmas_do_not_recurse():
     # every lemma sweep is one depth-first walk on an explicit stack
     assert _self_recursive("lemmas.py") == []
+
+
+# dicts of a CanonicalLabeling; canonical_form keeps one form per tree and
+# hands the same object to every caller, so no caller may write into them
+_SHARED_MAPS = {"port_map", "vertex_map", "rotation"}
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _shared_form_writes(tree: ast.AST, may_keep: bool) -> list[int]:
+    """Lines of ``tree`` that write into a kept canonical form.
+
+    That is a store or ``del`` on ``x.port_map[...]``, ``x.vertex_map[...]`` or
+    ``x.rotation[...]``, a mutating method called on one of those dicts, and,
+    unless ``may_keep``, a store to a ``_canonical`` attribute.
+    """
+
+    def shared(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in _SHARED_MAPS
+
+    lines = set()
+    for node in ast.walk(tree):
+        writes = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if isinstance(node, ast.Subscript) and writes and shared(node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in _MUTATORS and shared(node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_canonical" and writes and not may_keep:
+            lines.add(node.lineno)
+        elif (
+            _called_name(node) == "setattr"
+            and not may_keep
+            and any(isinstance(a, ast.Constant) and a.value == "_canonical" for a in node.args)
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_writes_into_a_kept_canonical_form():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _shared_form_writes(ast.parse(path.read_text()), path.name == "halftree.py")
+    ]
+    assert found == []
+
+
+def test_kept_form_guard_sees_every_kind_of_write():
+    snippet = "\n".join(
+        [
+            "lab.port_map[p] = 1",
+            "cf.labelings[0].rotation[v] += 1",
+            "del lab.vertex_map[v]",
+            "lab.rotation.update({})",
+            "t._canonical = None",
+            "setattr(t, '_canonical', cf)",
+            "rotation[v] = 0",
+            "x = lab.port_map[p] + lab.vertex_map.get(v) + t._canonical",
+        ]
+    )
+    assert _shared_form_writes(ast.parse(snippet), may_keep=False) == [1, 2, 3, 4, 5, 6]
+    assert _shared_form_writes(ast.parse(snippet), may_keep=True) == [1, 2, 3, 4]

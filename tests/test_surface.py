@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import oracles
 import pytest
 from test_halftree import path as plain_path_skeleton
+from test_halftree import relabel
 from test_halftree import stubbed_path as stubbed_path_skeleton
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,39 @@ class TestBuild:
     def test_midpoint_mark_is_self_closed(self):
         s = build(one_vertex(1), {0: F(2)}, {0: F(1)}, {}, [Mark(0, F(1))])
         assert s.marks == (Mark(0, F(1)),)
+
+    def test_values_are_stored_as_exact_fractions(self):
+        class Sub(F):
+            pass
+
+        t = HalfTree({0: [0, 1], 1: [2]}, [(0, 2)])
+        for kind in (int, F, Sub):
+            s = build(
+                t,
+                {0: kind(3), 1: kind(2), 2: kind(3)},
+                {0: kind(1), 1: kind(2)},
+                {0: kind(4), 1: kind(1)},
+                [Mark(1, kind(1))],
+            )
+            values = [*s.lengths.values(), *s.heights.values(), *s.twists.values(), s.marks[0].offset]
+            assert all(type(x) is F for x in values), kind
+            assert s.lengths == {0: 3, 1: 2, 2: 3}
+            assert s.heights == {0: 1, 1: 2}
+            assert s.twists == {0: 4, 1: 1}
+
+    def test_exact_fractions_in_range_are_kept_as_given(self):
+        ell, h, tw = F(5, 2), F(1, 3), F(7, 4)
+        s = build(one_vertex(1), {0: ell}, {0: h}, {0: tw})
+        assert s.lengths[0] is ell and s.heights[0] is h and s.twists[0] is tw
+
+    @pytest.mark.parametrize(
+        "twist",
+        [F(-13, 4), F(-5, 2), -3, F(-1, 9), 0, F(0), F(1, 3), F(17, 7), F(5, 2), 5, F(13, 2), 9],
+    )
+    def test_stored_twist_is_twist_mod_circumference(self, twist):
+        s = build(one_vertex(2), {0: F(1), 1: F(3, 2)}, {0: F(1)}, {0: twist})
+        assert type(s.twists[0]) is F
+        assert s.twists[0] == F(twist) % F(5, 2)
 
 
 class TestGeometry:
@@ -611,6 +645,29 @@ class TestIsomorphism:
         s = build(one_vertex(1), {0: F(num, den)}, {0: F(1)}, {0: F(twist_num, den)})
         assert 0 <= s.twists[0] < F(num, den)
         assert (s.twists[0] - F(twist_num, den)) % F(num, den) == 0
+
+
+class TestCanonicalMetricAgainstReference:
+    """The integer ``canonical_metric`` equals the ``Fraction`` one, by ``repr``."""
+
+    @staticmethod
+    def presentations(t: HalfTree, seed: int):
+        rng = random.Random(f"{seed}:{t!r}")
+        s = random_metric(t, seed)
+        marks = []
+        for p in rng.sample(t.all_ports, min(2, t.n_ports)):
+            marks.extend(involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
+        # a raw presentation may carry twists outside [0, L), negative or whole turns on
+        turns = {v: rng.choice((-2, -1, 1, 3)) for v in t.vertices}
+        wound = replace(s, twists={v: x + turns[v] * s.circumference(v) for v, x in s.twists.items()})
+        return s, with_marks(s, set(marks)), wound, random_metric(relabel(t, rng), seed)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_class_plain_marked_and_wound(self, n):
+        for t in enumerate_halftrees(n):
+            for seed in (0, 1):
+                for s in self.presentations(t, seed):
+                    assert repr(canonical_metric(s)) == repr(oracles.canonical_metric_fraction(s)), s
 
 
 class TestSurfaceSerialization:
