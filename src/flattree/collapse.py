@@ -4,9 +4,9 @@ Vertical collapse rescales saddle classes by (1 - p) and removes the fully
 collapsed edges; the rescaled forest is certified once, as one surface, and
 certification hands back its pieces, one rebuilt surface per subtree.
 Horizontal collapse removes cylinders and reglues their two boundary circles
-to each other along vertical lines; the regluing is done on the explicit
-seam table, strip by strip, and the result is pushed through the same
-certification as everything else.
+to each other along vertical lines; the regluing is done strip by strip on
+the surface's integer layout, and the reglued layout is pushed through the
+same certification as everything else.
 
 Cylinders that lose their whole boundary collapse to points and are dropped
 with a notice rather than an error; only a collapse that leaves nothing at
@@ -15,25 +15,28 @@ all is rejected.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .deform import DeformError, SaddlePartition
-from .halftree import HalfTree
+from .halftree import HalfTree, _find
 from .surface import (
     CertifyResult,
     DisjointSurface,
     GluedSurface,
     HyperellipticSurface,
     Mark,
-    Seam,
     _certify,
+    _circles,
+    _glued,
+    _Layout,
     _layout,
     area,
     certify_glued,
     fraction_to_string,
-    lower,
     surface_to_json,
 )
 
@@ -260,83 +263,62 @@ def horizontal_collapse(
     boundary, so the caller is told to shear first.
     """
     chosen = _deleted_set_preconditions(s, delete)
-    gs = lower(s)
+    lay = _layout(s)
+    D, L, drift, length, seams = lay.scale, lay.circumference, lay.twist, lay.length, lay.seams
+    bottoms, tops = _circles(lay)
 
-    seam_marks: dict[int, list[Fraction]] = {}
-    for m in s.marks:
-        seam_marks.setdefault(m.port, []).append(m.offset)
+    seam_marks: dict[int, list[int]] = {}
+    for p, u in lay.marks:
+        seam_marks.setdefault(p, []).append(u)
 
-    new_seams: dict[int, Seam] = {}
-    new_marks: set[tuple[int, Fraction]] = set()
+    new_seams = {
+        sid: sides
+        for sid, sides in seams.items()
+        if sides[0][0] not in chosen and sides[1][0] not in chosen
+    }
+    new_length = {sid: length[sid] for sid in new_seams}
+    new_marks = {(sid, u) for sid, u in lay.marks if sid in new_seams}
     notices: list[str] = []
-    for seam in gs.seams.values():
-        if seam.above[0] in chosen or seam.below[0] in chosen:
-            continue
-        new_seams[seam.seam_id] = seam
-        for off in seam_marks.get(seam.seam_id, ()):
-            new_marks.add((seam.seam_id, off))
 
-    next_id = max(gs.seams) + 1
+    next_id = max(seams) + 1
     gluings: list[StripGluing] = []
     junctions: list[tuple[int, Fraction, str]] = []
     forests: list[ForestReport] = []
 
     for c in sorted(chosen):
-        L, _, drift = gs.cylinders[c]
-        bottom = sorted(
-            (sm for sm in gs.seams.values() if sm.above[0] == c), key=lambda sm: sm.above[1]
-        )
-        top = sorted(
-            (sm for sm in gs.seams.values() if sm.below[0] == c), key=lambda sm: sm.below[1]
-        )
-        corners_b = [sm.above[1] for sm in bottom]
-        corners_t = {sm.below[1] for sm in top}
-        splits = sorted(set(corners_b) | {(y - drift) % L for y in corners_t})
+        Lc, dc = L[c], drift[c]
+        bottom, top = bottoms[c], tops[c]
+        bottom_starts = [x for x, _ in bottom]
+        top_starts = [y for y, _ in top]
+        corners_b, corners_t = set(bottom_starts), set(top_starts)
+        splits = sorted(corners_b | {(y - dc) % Lc for y in top_starts})
         for x in splits:
             on_bottom = x in corners_b
-            on_top = (x + drift) % L in corners_t
+            on_top = (x + dc) % Lc in corners_t
             kind = "both" if on_bottom and on_top else ("bottom" if on_bottom else "top")
-            junctions.append((c, x, kind))
+            junctions.append((c, Fraction(x, D), kind))
 
-        def seg_at(table, key_side, pos):
-            lo, hi = 0, len(table) - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if getattr(table[mid], key_side)[1] <= pos:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return table[lo]
-
-        strip_ids: dict[Fraction, int] = {}
-        strip_width: dict[Fraction, Fraction] = {}
-        strip_ends: dict[Fraction, tuple[int, int]] = {}
+        # alpha -> (strip seam, width, (cylinder above, cylinder below))
+        strips: dict[int, tuple[int, int, tuple[int, int]]] = {}
         for i, alpha in enumerate(splits):
-            beta = splits[i + 1] if i + 1 < len(splits) else splits[0] + L
+            beta = splits[i + 1] if i + 1 < len(splits) else splits[0] + Lc
             width = beta - alpha
-            sigma = seg_at(bottom, "above", alpha)
-            off_lo = alpha - sigma.above[1]
-            y = (alpha + drift) % L
-            tau = seg_at(top, "below", y)
-            off_hi = y - tau.below[1]
+            x0, sigma = bottom[bisect_right(bottom_starts, alpha) - 1]
+            y = (alpha + dc) % Lc
+            y0, tau = top[bisect_right(top_starts, y) - 1]
+            (above, a), (below, b) = seams[tau][0], seams[sigma][1]
             sid = next_id
             next_id += 1
-            new_seams[sid] = Seam(
-                seam_id=sid,
-                above=(tau.above[0], tau.above[1] + off_hi),
-                below=(sigma.below[0], sigma.below[1] + off_lo),
-                length=width,
-            )
-            gluings.append(StripGluing(c, sid, sigma.seam_id, tau.seam_id, alpha, width))
-            strip_ids[alpha] = sid
-            strip_width[alpha] = width
-            strip_ends[alpha] = (tau.above[0], sigma.below[0])
+            new_seams[sid] = ((above, a + y - y0), (below, b + alpha - x0))
+            new_length[sid] = width
+            gluings.append(StripGluing(c, sid, sigma, tau, Fraction(alpha, D), Fraction(width, D)))
+            strips[alpha] = (sid, width, (above, below))
             for origin, raw in (
-                (sigma.seam_id, [sigma.above[1] + off for off in seam_marks.get(sigma.seam_id, ())]),
-                (tau.seam_id, [(tau.below[1] + off - drift) % L for off in seam_marks.get(tau.seam_id, ())]),
+                (sigma, [x0 + u for u in seam_marks.get(sigma, ())]),
+                (tau, [(y0 + u - dc) % Lc for u in seam_marks.get(tau, ())]),
             ):
                 for pos in raw:
-                    adj = pos if pos >= alpha else pos + L
+                    adj = pos if pos >= alpha else pos + Lc
                     if alpha < adj < beta:
                         new_marks.add((sid, adj - alpha))
                     elif adj == alpha:
@@ -345,36 +327,27 @@ def horizontal_collapse(
                         )
 
         # strips pair under the involution by alpha -> (-alpha - width - drift)
-        parent = {}
-        neighbors = sorted({u for pair in strip_ends.values() for u in pair})
-        for u in neighbors:
-            parent[u] = u
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        neighbors = sorted({u for _, _, ends in strips.values() for u in ends})
+        parent = {u: u for u in neighbors}
         edges: list[tuple[int, int]] = []
         half_strips: list[int] = []
         is_forest = True
         for alpha in splits:
-            mate = (-alpha - strip_width[alpha] - drift) % L
-            if mate not in strip_ids:
+            sid, width, (u, w) = strips[alpha]
+            mate = (-alpha - width - dc) % Lc
+            if mate not in strips:
                 raise CollapseError(
-                    f"strip pairing broke at cylinder {c}: no strip at {mate}"
+                    f"strip pairing broke at cylinder {c}: no strip at {Fraction(mate, D)}"
                 )
-            if strip_width[mate] != strip_width[alpha]:
+            if strips[mate][1] != width:
                 raise CollapseError(f"strip pairing widths differ at cylinder {c}")
             if mate == alpha:
-                half_strips.append(strip_ids[alpha])
+                half_strips.append(sid)
                 continue
             if mate < alpha:
                 continue
-            u, w = strip_ends[alpha]
             edges.append((u, w))
-            a, b = find(u), find(w)
+            a, b = _find(parent, u), _find(parent, w)
             if a == b:
                 is_forest = False
             else:
@@ -394,27 +367,31 @@ def horizontal_collapse(
             f"regluing at cylinder {bad[0].deleted} closes a cycle; not a forest"
         )
 
-    reglued = GluedSurface(
-        cylinders={v: gs.cylinders[v] for v in gs.cylinders if v not in chosen},
-        seams=new_seams,
-        marks=tuple(sorted(new_marks)),
+    kept = [v for v in L if v not in chosen]
+    reglued = _Layout(
+        D,
+        {v: L[v] for v in kept},
+        {v: drift[v] for v in kept},
+        new_length,
+        new_seams,
+        tuple(sorted(new_marks)),
     )
-    cert = certify_glued(reglued)
+    cert = _certify(reglued, s.heights)
     if not cert.ok:
         raise CollapseError(f"reglued surface failed certification: {cert.failures[0]}")
-    out = DisjointSurface(cert.components, tuple(notices))
-    after = sum((area(comp) for comp in cert.components), Fraction(0))
-    deleted_area = sum((gs.cylinders[c][0] * gs.cylinders[c][1] for c in chosen), Fraction(0))
+    # cylinder areas L * h as ints over D and the lcm H of the heights' denominators
+    H = math.lcm(*(h.denominator for h in s.heights.values()))
+    areas = {v: h.numerator * (H // h.denominator) * L[v] for v, h in s.heights.items()}
     return HorizontalCollapseResult(
-        surfaces=out,
-        glued=reglued,
+        surfaces=DisjointSurface(cert.components, tuple(notices)),
+        glued=_glued(reglued, s.heights),
         certification=cert,
         gluings=tuple(gluings),
         junctions=tuple(junctions),
         forests=tuple(forests),
-        area_before=area(s),
-        area_after=after,
-        deleted_area=deleted_area,
+        area_before=Fraction(sum(areas.values()), H * D),
+        area_after=sum((area(comp) for comp in cert.components), Fraction(0)),
+        deleted_area=Fraction(sum(areas[c] for c in chosen), H * D),
     )
 
 

@@ -35,6 +35,7 @@ from .surface import (
     MetricError,
     area,
     _fixed_classes,
+    _json_label,
     _Layout,
     _layout,
     _profile_classes,
@@ -718,15 +719,15 @@ def blueprint_from_json(data: object) -> CoverBlueprint:
         base = surface_from_json(data["base"])
         fibers = tuple(
             FiberCylinder(
-                cylinder=int(f["cylinder"]),
-                base=int(f["base"]),
-                wrap=int(f["wrap"]),
+                cylinder=_json_label(f["cylinder"], "fiber 'cylinder'"),
+                base=_json_label(f["base"], "fiber 'base'"),
+                wrap=_json_label(f["wrap"], "fiber 'wrap'"),
                 twist=fraction_from_string(f["twist"]),
-                ports=tuple(int(x) for x in f["ports"]),
+                ports=tuple(_json_label(x, "fiber 'ports'") for x in f["ports"]),
             )
             for f in data["fibers"]
         )
-        pairs = tuple((int(p), int(q)) for p, q in data["pairs"])
+        pairs = tuple((_json_label(p, "pairs"), _json_label(q, "pairs")) for p, q in data["pairs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CoverError(f"malformed blueprint JSON: {exc}") from exc
     b = CoverBlueprint(base=base, fibers=fibers, pairs=pairs)

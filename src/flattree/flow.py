@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .surface import HyperellipticSurface, _layout, build
+from .surface import HyperellipticSurface, _circles, _layout, build
 
 
 class FlowError(ValueError):
@@ -63,16 +63,12 @@ class _Lattice:
     def __init__(self, s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
         lay = _layout(s, extra)
         self.D, self.L, self.twist, self.seams = lay.scale, lay.circumference, lay.twist, lay.seams
-        bottoms: dict[int, list[tuple[int, int]]] = {v: [] for v in self.L}
-        tops: dict[int, list[tuple[int, int]]] = {v: [] for v in self.L}
-        for p, ((v, a), (w, b)) in self.seams.items():
-            bottoms[v].append((a, p))
-            tops[w].append((b, p))
+        bottoms, tops = _circles(lay)
         self.bottom_starts, self.bottom_ports = {}, {}
         self.top_starts, self.top_ports = {}, {}
         for v in self.L:
-            self.bottom_starts[v], self.bottom_ports[v] = zip(*sorted(bottoms[v]))
-            self.top_starts[v], self.top_ports[v] = zip(*sorted(tops[v]))
+            self.bottom_starts[v], self.bottom_ports[v] = zip(*bottoms[v])
+            self.top_starts[v], self.top_ports[v] = zip(*tops[v])
         self.mark_offsets: dict[int, set[int]] = {}
         self.bottom_mark_positions: dict[int, set[int]] = {v: set() for v in self.L}
         for port, u in lay.marks:

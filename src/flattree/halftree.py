@@ -30,6 +30,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
+def _find(parent, x):
+    """Union-find root of ``x`` in ``parent``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class SkeletonError(ValueError):
     """Raised when half-tree data is structurally unusable."""
 
@@ -217,25 +225,19 @@ def _diagnose(t: HalfTree) -> SkeletonDiagnostics:
             failures.append(f"edge ({p}, {q}) joins vertex {vertex_of[p]} to itself")
     parent = {v: v for v in t.vertices}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     comp_edges = {v: 0 for v in t.vertices}
     for p, q in edges:
-        a, b = find(vertex_of[p]), find(vertex_of[q])
+        a, b = _find(parent, vertex_of[p]), _find(parent, vertex_of[q])
         if a == b:
             comp_edges[a] += 1
         else:
             parent[a] = b
             comp_edges[b] += comp_edges.pop(a) + 1
-    roots = {find(v) for v in t.vertices}
+    roots = {_find(parent, v) for v in t.vertices}
     if len(roots) > 1:
         failures.append("full-edge graph is disconnected")
     for r in roots:
-        size = sum(1 for v in t.vertices if find(v) == r)
+        size = sum(1 for v in t.vertices if _find(parent, v) == r)
         if comp_edges[r] != size - 1:
             failures.append("full-edge graph contains a cycle")
             break

@@ -40,6 +40,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+from .halftree import _find
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -289,13 +291,6 @@ def _max_graph_is_forest(
                 return False, (i, j)
             parent[a] = b
     return True, None
-
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def verify_interval_lemma(max_n: int = 8) -> LemmaReport:

@@ -16,15 +16,15 @@ With this marking, bottom ``x`` maps to top ``(-x) mod L`` under the
 involution for every twist, which is what makes rotation by pi an involution
 of the glued surface and the whole hyperelliptic bookkeeping twist-free.
 
-Walks over many positions (the corner walk, :func:`lower`, the vertical flow)
-evaluate this convention in integers: :func:`_layout` scales every position
-by ``D``, the lcm of the denominators of all lengths, twists and mark offsets,
-and results become ``Fraction`` again, as ``x / D``, only at the API edge.
-Every surface certifies on that layout: the integer kernel :func:`_certify`
-searches alignments with an explicit stack, and :func:`involution_check`,
-:func:`extract_skeleton` and the collapses hand it a layout directly.
-:func:`certify_glued` is the entry for foreign seam tables only; it scales
-the table once into the same layout shape.
+Walks over many positions (the corner walk, the vertical flow, horizontal
+collapse) evaluate this convention in integers: :func:`_layout` scales every
+position by ``D``, the lcm of the denominators of all lengths, twists and mark
+offsets, and results become ``Fraction`` again, as ``x / D``, only at the API
+edge.  Every surface certifies on that layout: the integer kernel
+:func:`_certify` searches alignments with an explicit stack, and
+:func:`involution_check`, :func:`extract_skeleton` and both collapses hand it a
+layout directly.  :func:`certify_glued` is the entry for foreign seam tables
+only; it scales the table once into the same layout shape.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .halftree import (
     HalfTree,
     SkeletonError,
     Stratum,
+    _find,
     canonical_form,
     halftree_from_json,
     halftree_to_json,
@@ -128,7 +129,8 @@ class _Layout:
 
     ``seams[p]`` is ``seam_sides(p)`` in ints, in ``all_ports`` order, and
     ``marks`` are sorted.  For a seam table scaled by :func:`certify_glued`,
-    keys are cylinder and seam ids and ``twist`` holds each cylinder's drift.
+    or reglued by a horizontal collapse, keys are cylinder and seam ids and
+    ``twist`` holds each cylinder's drift.
     """
 
     scale: int
@@ -143,7 +145,8 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     """Integer layout of ``s``, on a scale that also makes each ``extra`` value integral.
 
     Built per call, never stored: on a large surface it outweighs the surface.
-    Read by the corner walk, certification, the flow and :func:`canonical_metric`.
+    Read by the corner walk, certification, the flow, horizontal collapse and
+    :func:`canonical_metric`.
     """
     t = s.skeleton
     values = [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks), *extra]
@@ -170,6 +173,19 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     twist = {v: scaled(x) for v, x in s.twists.items()}
     marks = tuple(sorted((m.port, scaled(m.offset)) for m in s.marks))
     return _Layout(D, circumference, twist, length, seams, marks)
+
+
+def _circles(lay: _Layout) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
+    """Per cylinder, the ``(start, seam)`` lists of its bottom and top circles, sorted by start."""
+    bottoms = {v: [] for v in lay.circumference}
+    tops = {v: [] for v in lay.circumference}
+    for p, ((v, a), (w, b)) in lay.seams.items():
+        bottoms[v].append((a, p))
+        tops[w].append((b, p))
+    for table in (bottoms, tops):
+        for segs in table.values():
+            segs.sort()
+    return bottoms, tops
 
 
 def _exact(x: object) -> Fraction:
@@ -317,16 +333,10 @@ def _corner_walk(lay: _Layout) -> list[list[tuple[int, str, int]]]:
     """Identification classes of boundary-circle corner points under regluing, in layout units."""
     parent: dict[tuple[int, str, int], tuple[int, str, int]] = {}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(x, y) -> None:
         for z in (x, y):
             parent.setdefault(z, z)
-        rx, ry = find(x), find(y)
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx != ry:
             parent[rx] = ry
 
@@ -337,7 +347,7 @@ def _corner_walk(lay: _Layout) -> list[list[tuple[int, str, int]]]:
         union((v, "b", (a + ell) % L[v]), (w, "t", (ts + ell) % L[w]))
     groups: dict[tuple[int, str, int], list[tuple[int, str, int]]] = {}
     for x in parent:
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(_find(parent, x), []).append(x)
     return list(groups.values())
 
 
@@ -507,7 +517,7 @@ class Seam:
 
 @dataclass(frozen=True)
 class GluedSurface:
-    """Explicit cylinder-and-seam table; the target of :func:`lower`.
+    """Explicit cylinder-and-seam table, as :func:`certify_glued` reads one.
 
     ``cylinders`` maps id -> (circumference, height, flow drift); the drift
     plays the twist's role: vertical flow sends bottom ``x`` to top
@@ -519,23 +529,25 @@ class GluedSurface:
     marks: tuple[tuple[int, Fraction], ...] = ()
 
 
-def lower(s: HyperellipticSurface) -> GluedSurface:
-    """Expand a surface into its explicit seam table (seam ids = port ids).
-
-    The table is for code that edits seams, as horizontal collapse does; a
-    built surface certifies on its own layout and needs no table.
-    """
-    lay = _layout(s)
+def _glued(lay: _Layout, heights: Mapping[int, Fraction]) -> GluedSurface:
+    """The seam table of an integer layout: every position over ``lay.scale``."""
     D = lay.scale
-    cylinders = {
-        v: (Fraction(L, D), s.heights[v], s.twists[v]) for v, L in lay.circumference.items()
-    }
-    seams = {
-        p: Seam(p, (v, Fraction(a, D)), (w, Fraction(b, D)), s.lengths[p])
-        for p, ((v, a), (w, b)) in lay.seams.items()
-    }
-    marks = tuple(sorted((m.port, m.offset) for m in s.marks))
-    return GluedSurface(cylinders=cylinders, seams=seams, marks=marks)
+    return GluedSurface(
+        cylinders={
+            v: (Fraction(L, D), heights[v], Fraction(lay.twist[v], D))
+            for v, L in lay.circumference.items()
+        },
+        seams={
+            p: Seam(p, (v, Fraction(a, D)), (w, Fraction(b, D)), Fraction(lay.length[p], D))
+            for p, ((v, a), (w, b)) in lay.seams.items()
+        },
+        marks=tuple((p, Fraction(u, D)) for p, u in lay.marks),
+    )
+
+
+def lower(s: HyperellipticSurface) -> GluedSurface:
+    """Expand a surface into its explicit seam table (seam ids = port ids)."""
+    return _glued(_layout(s), s.heights)
 
 
 @dataclass(frozen=True)
@@ -565,8 +577,8 @@ def certify_glued(gs: GluedSurface) -> CertifyResult:
     consistent assignment in ascending ``kappa`` order wins, which makes
     certification of a lowered surface reproduce its twists exactly.
 
-    This entry point is for foreign tables, such as the reglued table of a
-    horizontal collapse.  It only scales the table once to integers, like
+    This entry point is for foreign tables, such as a hand-written or edited
+    :class:`GluedSurface`.  It only scales the table once to integers, like
     :func:`_layout`: ``D`` is the lcm of the denominators of all
     circumferences, drifts, seam starts, lengths and mark offsets.  The
     search itself is the integer kernel :func:`_certify`, which a built
@@ -681,23 +693,17 @@ def _certify(lay: _Layout, heights: Mapping[int, Fraction]) -> CertifyResult:
 
     parent = {c: c for c in L}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     touching: dict[int, list[int]] = {c: [] for c in L}
     for sid, ((a, _), (b, _)) in seams.items():
         touching[a].append(sid)
         if b != a:
             touching[b].append(sid)
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
     groups: dict[int, list[int]] = {}
     for c in L:
-        groups.setdefault(find(c), []).append(c)
+        groups.setdefault(_find(parent, c), []).append(c)
     components = [sorted(g) for g in sorted(groups.values())]
 
     kappas: dict[int, int] = {}
@@ -782,14 +788,17 @@ def extract_skeleton(s: HyperellipticSurface) -> HalfTree:
 
     Deliberately certifies the surface's integer layout and reads the
     skeleton off the reglued component instead of reading ``s.skeleton``
-    back, so the layout conventions are exercised end to end.
+    back, so the layout conventions are exercised end to end.  When the two
+    are equal, ``s.skeleton`` itself is returned, so a canonical form kept
+    on it is reused.
     """
     cert = _certify(_layout(s), s.heights)
     if not cert.ok:
         raise MetricError(f"surface failed certification: {cert.failures[0]}")
     if len(cert.components) != 1:
         raise MetricError(f"expected one component, found {len(cert.components)}")
-    return cert.components[0].skeleton
+    skeleton = cert.components[0].skeleton
+    return s.skeleton if skeleton == s.skeleton else skeleton
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -12,8 +12,9 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
-from flattree import lemmas
+from flattree import collapse, lemmas
 from flattree.flow import FlowError, Trajectory, VerticalCylinder, vertical_decomposition
 from flattree.halftree import (
     CanonicalForm,
@@ -25,12 +26,15 @@ from flattree.halftree import (
 )
 from flattree.surface import (
     CertifyResult,
+    DisjointSurface,
     GluedSurface,
     HyperellipticSurface,
     Mark,
     MetricError,
     Seam,
+    area,
     build,
+    certify_glued,
 )
 
 
@@ -1298,4 +1302,179 @@ def verify_colored_tree_lemma_reference(
         counterexample=counterexample,
         details={"trees": trees_seen, "hypothesis_held": hypothesis_held},
         elapsed_seconds=0.0,
+    )
+
+
+# -- Fraction reference for horizontal collapse ---------------------------------
+# ``horizontal_collapse`` as first written: expand the surface into its
+# ``Fraction`` seam table (here from ``seam_sides``), scan every seam per
+# deleted cylinder, and certify the reglued table through ``certify_glued``.  The library runs on the
+# integer layout and must agree with this by ``repr``, refusals included.
+
+
+def horizontal_collapse_fraction(
+    s: HyperellipticSurface, delete: Iterable[int]
+) -> collapse.HorizontalCollapseResult:
+    """Reference horizontal collapse on the explicit ``Fraction`` seam table."""
+    chosen = collapse._deleted_set_preconditions(s, delete)
+    t = s.skeleton
+    gs = GluedSurface(
+        cylinders={v: (s.circumference(v), s.heights[v], s.twists[v]) for v in t.vertices},
+        seams={p: Seam(p, *s.seam_sides(p), s.lengths[p]) for p in t.all_ports},
+        marks=tuple(sorted((m.port, m.offset) for m in s.marks)),
+    )
+
+    seam_marks: dict[int, list[Fraction]] = {}
+    for m in s.marks:
+        seam_marks.setdefault(m.port, []).append(m.offset)
+
+    new_seams: dict[int, Seam] = {}
+    new_marks: set[tuple[int, Fraction]] = set()
+    notices: list[str] = []
+    for seam in gs.seams.values():
+        if seam.above[0] in chosen or seam.below[0] in chosen:
+            continue
+        new_seams[seam.seam_id] = seam
+        for off in seam_marks.get(seam.seam_id, ()):
+            new_marks.add((seam.seam_id, off))
+
+    next_id = max(gs.seams) + 1
+    gluings: list[collapse.StripGluing] = []
+    junctions: list[tuple[int, Fraction, str]] = []
+    forests: list[collapse.ForestReport] = []
+
+    for c in sorted(chosen):
+        L, _, drift = gs.cylinders[c]
+        bottom = sorted(
+            (sm for sm in gs.seams.values() if sm.above[0] == c), key=lambda sm: sm.above[1]
+        )
+        top = sorted(
+            (sm for sm in gs.seams.values() if sm.below[0] == c), key=lambda sm: sm.below[1]
+        )
+        corners_b = [sm.above[1] for sm in bottom]
+        corners_t = {sm.below[1] for sm in top}
+        splits = sorted(set(corners_b) | {(y - drift) % L for y in corners_t})
+        for x in splits:
+            on_bottom = x in corners_b
+            on_top = (x + drift) % L in corners_t
+            kind = "both" if on_bottom and on_top else ("bottom" if on_bottom else "top")
+            junctions.append((c, x, kind))
+
+        def seg_at(table, key_side, pos):
+            lo, hi = 0, len(table) - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if getattr(table[mid], key_side)[1] <= pos:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            return table[lo]
+
+        strip_ids: dict[Fraction, int] = {}
+        strip_width: dict[Fraction, Fraction] = {}
+        strip_ends: dict[Fraction, tuple[int, int]] = {}
+        for i, alpha in enumerate(splits):
+            beta = splits[i + 1] if i + 1 < len(splits) else splits[0] + L
+            width = beta - alpha
+            sigma = seg_at(bottom, "above", alpha)
+            off_lo = alpha - sigma.above[1]
+            y = (alpha + drift) % L
+            tau = seg_at(top, "below", y)
+            off_hi = y - tau.below[1]
+            sid = next_id
+            next_id += 1
+            new_seams[sid] = Seam(
+                seam_id=sid,
+                above=(tau.above[0], tau.above[1] + off_hi),
+                below=(sigma.below[0], sigma.below[1] + off_lo),
+                length=width,
+            )
+            gluings.append(collapse.StripGluing(c, sid, sigma.seam_id, tau.seam_id, alpha, width))
+            strip_ids[alpha] = sid
+            strip_width[alpha] = width
+            strip_ends[alpha] = (tau.above[0], sigma.below[0])
+            for origin, raw in (
+                (sigma.seam_id, [sigma.above[1] + off for off in seam_marks.get(sigma.seam_id, ())]),
+                (tau.seam_id, [(tau.below[1] + off - drift) % L for off in seam_marks.get(tau.seam_id, ())]),
+            ):
+                for pos in raw:
+                    adj = pos if pos >= alpha else pos + L
+                    if alpha < adj < beta:
+                        new_marks.add((sid, adj - alpha))
+                    elif adj == alpha:
+                        notices.append(
+                            f"mark on saddle {origin} merged into a junction of cylinder {c}"
+                        )
+
+        # strips pair under the involution by alpha -> (-alpha - width - drift)
+        parent = {}
+        neighbors = sorted({u for pair in strip_ends.values() for u in pair})
+        for u in neighbors:
+            parent[u] = u
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        edges: list[tuple[int, int]] = []
+        half_strips: list[int] = []
+        is_forest = True
+        for alpha in splits:
+            mate = (-alpha - strip_width[alpha] - drift) % L
+            if mate not in strip_ids:
+                raise collapse.CollapseError(
+                    f"strip pairing broke at cylinder {c}: no strip at {mate}"
+                )
+            if strip_width[mate] != strip_width[alpha]:
+                raise collapse.CollapseError(f"strip pairing widths differ at cylinder {c}")
+            if mate == alpha:
+                half_strips.append(strip_ids[alpha])
+                continue
+            if mate < alpha:
+                continue
+            u, w = strip_ends[alpha]
+            edges.append((u, w))
+            a, b = find(u), find(w)
+            if a == b:
+                is_forest = False
+            else:
+                parent[a] = b
+        forests.append(
+            collapse.ForestReport(c, tuple(neighbors), tuple(edges), tuple(sorted(half_strips)), is_forest)
+        )
+
+    # a junction where a bottom and a top corner meet is a vertical saddle connection
+    if not any(kind == "both" for _, _, kind in junctions):
+        raise collapse.CollapseError(
+            "no vertical saddle connection inside the deleted set; shear first"
+        )
+    bad = [f for f in forests if not f.is_forest]
+    if bad:
+        raise collapse.CollapseError(
+            f"regluing at cylinder {bad[0].deleted} closes a cycle; not a forest"
+        )
+
+    reglued = GluedSurface(
+        cylinders={v: gs.cylinders[v] for v in gs.cylinders if v not in chosen},
+        seams=new_seams,
+        marks=tuple(sorted(new_marks)),
+    )
+    cert = certify_glued(reglued)
+    if not cert.ok:
+        raise collapse.CollapseError(f"reglued surface failed certification: {cert.failures[0]}")
+    out = DisjointSurface(cert.components, tuple(notices))
+    after = sum((area(comp) for comp in cert.components), Fraction(0))
+    deleted_area = sum((gs.cylinders[c][0] * gs.cylinders[c][1] for c in chosen), Fraction(0))
+    return collapse.HorizontalCollapseResult(
+        surfaces=out,
+        glued=reglued,
+        certification=cert,
+        gluings=tuple(gluings),
+        junctions=tuple(junctions),
+        forests=tuple(forests),
+        area_before=area(s),
+        area_after=after,
+        deleted_area=deleted_area,
     )

@@ -1,10 +1,14 @@
 """Degeneration procedures: saddle shrinking and cylinder deletion."""
 
+import functools
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import oracles
 import pytest
+from test_halftree import path as path_skeleton
 
 import flattree.collapse
 import flattree.surface
@@ -12,6 +16,7 @@ import flattree.surface
 from flattree import (
     CollapseError,
     DisjointSurface,
+    FlowError,
     GluedSurface,
     HalfTree,
     Mark,
@@ -26,6 +31,7 @@ from flattree import (
     random_metric,
     singleton_partitions,
     singularity_profile,
+    standard_position,
     involution_orbit,
     vertical_collapse,
     with_marks,
@@ -371,6 +377,26 @@ class TestHorizontalCollapse:
         assert sum(g.length for g in res.gluings) == path3.circumference(1)
         assert all(g.deleted == 1 for g in res.gluings)
 
+    def test_one_layout_and_no_seam_table(self, monkeypatch, path3):
+        layouts = []
+        layout = flattree.collapse._layout
+
+        def counted(*args):
+            layouts.append(args)
+            return layout(*args)
+
+        def refuse(*args):
+            raise AssertionError("horizontal collapse went through a Fraction seam table")
+
+        monkeypatch.setattr(flattree.collapse, "_layout", counted)
+        monkeypatch.setattr(flattree.collapse, "certify_glued", refuse)
+        monkeypatch.setattr(flattree.surface, "lower", refuse)
+        s = with_marks(path3, involution_orbit(path3, Mark(0, F(1, 4))))
+        res = horizontal_collapse(s, {1})
+        assert res.certification.ok
+        assert len(layouts) == 1
+        assert repr(res.glued) == repr(oracles.horizontal_collapse_fraction(s, {1}).glued)
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_single_deletions_always_certify(self, n):
         for t in enumerate_halftrees(n):
@@ -395,6 +421,85 @@ class TestHorizontalCollapse:
                 assert res.certification.ok
                 assert all(f.is_forest for f in res.forests)
                 assert res.area_before == res.area_after + res.deleted_area
+
+
+def reference_sweep_surfaces(n):
+    """Every ``n``-port class x seeds 0-1, plain and marked, as is and in standard position.
+
+    Each surface comes once as drawn and once per full edge aligned by
+    :func:`standard_position`, where that edge carries no mark.
+    """
+    for t in enumerate_halftrees(n):
+        for seed in (0, 1):
+            s = random_metric(t, seed)
+            rng = random.Random(seed)
+            marks = set()
+            for p in rng.sample(t.all_ports, min(2, n)):
+                marks.update(involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
+            for plain_or_marked in (s, with_marks(s, marks)):
+                yield plain_or_marked
+                for p, _ in t.edges():
+                    try:
+                        yield standard_position(plain_or_marked, p).surface
+                    except FlowError:
+                        pass
+
+
+def collapse_outcome(collapse, s, delete) -> tuple:
+    """("result", repr, result) of an accepted collapse, ("refused", message, None) of a refused one."""
+    try:
+        res = collapse(s, delete)
+    except CollapseError as exc:
+        return "refused", str(exc), None
+    return "result", repr(res), res
+
+
+@functools.cache
+def reference_sweep(n):
+    """Per sweep surface and every single and pair deletion: the collapse and its reference."""
+    cases = []
+    for s in reference_sweep_surfaces(n):
+        vertices = s.skeleton.vertices
+        for delete in [(c,) for c in vertices] + list(itertools.combinations(vertices, 2)):
+            got = collapse_outcome(horizontal_collapse, s, delete)
+            want = collapse_outcome(oracles.horizontal_collapse_fraction, s, delete)
+            cases.append((f"{s!r} - {delete}", got, want))
+    return cases
+
+
+class TestHorizontalCollapseReference:
+    """The integer collapse agrees with the ``Fraction`` seam-table reference."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_results_match_by_repr(self, n):
+        accepted = [case for case in reference_sweep(n) if case[2][0] == "result"]
+        assert accepted or n == 1
+        for name, got, want in accepted:
+            assert got[:2] == want[:2], name
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_refusal_messages_match(self, n):
+        refused = [case for case in reference_sweep(n) if case[2][0] == "refused"]
+        assert refused
+        for name, got, want in refused:
+            assert got[:2] == want[:2], name
+
+    def test_sweep_reaches_marked_and_split_results(self):
+        results = [got[2] for n in (6, 7) for _, got, _ in reference_sweep(n) if got[2]]
+        assert any(r.glued.marks for r in results)
+        assert any(len(r.surfaces.components) > 1 for r in results)
+
+    def test_deep_path_every_other_cylinder(self):
+        # ten times the default recursion limit; a seam scan per deleted cylinder is quadratic
+        n = 10**4
+        s = standard_position(random_metric(path_skeleton(n), 1), 0).surface
+        start = time.perf_counter()
+        res = horizontal_collapse(s, range(1, n, 2))
+        elapsed = time.perf_counter() - start
+        assert res.certification.ok
+        assert len(res.forests) == n // 2 and all(f.is_forest for f in res.forests)
+        assert res.area_before == res.area_after + res.deleted_area
+        assert elapsed < 4
 
 
 class TestReports:

@@ -601,6 +601,32 @@ class TestSerialization:
         with pytest.raises(CoverError, match="malformed"):
             blueprint_from_json({"base": {}, "fibers": [{}], "pairs": []})
 
+    @pytest.mark.parametrize("key", ["cylinder", "base", "wrap", "ports", "pairs"])
+    @pytest.mark.parametrize("spoil", [lambda x: x + 0.9, lambda x: True], ids=["float", "bool"])
+    def test_non_integer_labels_are_refused(self, stock, key, spoil):
+        # int() would read 3.9 as 3 and True as 1
+        if key == "pairs":
+            data = blueprint_to_json(stock["ramified-star"])
+            data["pairs"][0][0] = spoil(data["pairs"][0][0])
+        else:
+            data = blueprint_to_json(stock["triple-wrap"])
+            fiber = data["fibers"][0]
+            if key == "ports":
+                fiber["ports"][0] = spoil(fiber["ports"][0])
+            else:
+                fiber[key] = spoil(fiber[key])
+        with pytest.raises(CoverError, match="is not an integer"):
+            blueprint_from_json(data)
+
+    def test_numeric_string_labels_are_read_as_integers(self, stock):
+        b = stock["triple-wrap"]
+        data = blueprint_to_json(b)
+        fiber = data["fibers"][0]
+        for key in ("cylinder", "base", "wrap"):
+            fiber[key] = str(fiber[key])
+        fiber["ports"] = [str(x) for x in fiber["ports"]]
+        assert blueprint_from_json(data).fibers == b.fibers
+
     def test_quotient_json_embeds_verification(self, stock):
         import json
 

@@ -29,17 +29,60 @@ def _called_name(node: ast.AST) -> str | None:
     return None
 
 
+def _lowering_calls(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that call ``lower`` on a surface (``str.lower()`` takes no argument)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _called_name(node) == "lower" and (node.args or node.keywords)
+    )
+
+
+def _seam_certifications(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that call ``certify_glued`` outside ``certify_hyperelliptic``."""
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "certify_hyperelliptic"
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _called_name(node) == "certify_glued" and id(node) not in allowed
+    )
+
+
 def test_no_surface_certifies_through_a_seam_table():
-    # a built surface certifies on its integer layout (``_certify(_layout(s), ...)``);
-    # ``certify_glued`` is for foreign seam tables, never for ``lower(s)``
+    # every surface, and the reglued layout of a horizontal collapse, certifies
+    # on an integer layout (``_certify(lay, heights)``): no module lowers a
+    # surface to a ``Fraction`` seam table, and collapse.py hands ``certify_glued``
+    # only the foreign tables that reach ``certify_hyperelliptic``
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{line}"
         for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _called_name(node) == "certify_glued"
-        and any(_called_name(arg) == "lower" for arg in (*node.args, *(k.value for k in node.keywords)))
+        for line in _lowering_calls(ast.parse(path.read_text()))
     ]
+    collapse = ast.parse((SOURCE / "collapse.py").read_text())
+    found += [f"collapse.py:{line}" for line in _seam_certifications(collapse)]
     assert found == []
+
+
+def test_seam_table_guard_sees_each_call():
+    snippet = "\n".join(
+        [
+            "gs = lower(s)",
+            "cert = certify_glued(surface.lower(s))",
+            "name = name.lower()",
+            "def certify_hyperelliptic(obj):",
+            "    return certify_glued(obj)",
+            "def horizontal_collapse(s):",
+            "    return certify_glued(table)",
+        ]
+    )
+    tree = ast.parse(snippet)
+    assert _lowering_calls(tree) == [1, 2]
+    assert _seam_certifications(tree) == [2, 7]
 
 
 def _self_recursive(name: str) -> list[str]:

@@ -485,6 +485,7 @@ class TestGluedCertification:
                 marks.extend(involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
             s = with_marks(s, set(marks))
             gs = lower(s)
+            assert repr(gs.marks) == repr(tuple((m.port, m.offset) for m in s.marks))
             cert = certify_glued(gs)
             assert cert.ok, cert.failures
             assert cert.components == (s,)
@@ -589,6 +590,27 @@ class TestExtractSkeleton:
         t = path3_surface.skeleton
         for seed in range(4):
             assert extract_skeleton(random_metric(t, seed)) == t
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_returns_the_surface_skeleton_itself(self, n):
+        # the certified skeleton equals s.skeleton, so its kept canonical form is reused
+        for t in enumerate_halftrees(n):
+            for seed in (0, 1):
+                s = random_metric(t, seed)
+                assert extract_skeleton(s) is s.skeleton
+                assert canonical_form(extract_skeleton(s)) is canonical_form(s.skeleton)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            raw_path3(lengths=(2, 3, 3, 3)),
+            raw_path3(marks=(Mark(0, F(1, 3)),)),
+            raw_path3(heights=(1, -1, 1)),
+        ],
+    )
+    def test_tampered_raw_surface_still_raises(self, raw):
+        with pytest.raises(MetricError, match="surface failed certification"):
+            extract_skeleton(raw)
 
 
 class TestIsomorphism:
