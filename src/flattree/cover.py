@@ -712,6 +712,15 @@ def blueprint_to_json(b: CoverBlueprint) -> dict:
     }
 
 
+def _json_list(x: object, where: str, size: int | None = None) -> list:
+    """``x`` when it is a JSON array (of ``size`` items, if given); a string is refused."""
+    if not isinstance(x, list):
+        raise CoverError(f"{where} must be a list, not {type(x).__name__}")
+    if size is not None and len(x) != size:
+        raise CoverError(f"{where} must have {size} items, not {len(x)}")
+    return x
+
+
 def blueprint_from_json(data: object) -> CoverBlueprint:
     if not isinstance(data, dict):
         raise CoverError("blueprint JSON must be an object")
@@ -723,11 +732,14 @@ def blueprint_from_json(data: object) -> CoverBlueprint:
                 base=_json_label(f["base"], "fiber 'base'"),
                 wrap=_json_label(f["wrap"], "fiber 'wrap'"),
                 twist=fraction_from_string(f["twist"]),
-                ports=tuple(_json_label(x, "fiber 'ports'") for x in f["ports"]),
+                ports=tuple(_json_label(x, "fiber 'ports'") for x in _json_list(f["ports"], "fiber 'ports'")),
             )
-            for f in data["fibers"]
+            for f in _json_list(data["fibers"], "'fibers'")
         )
-        pairs = tuple((_json_label(p, "pairs"), _json_label(q, "pairs")) for p, q in data["pairs"])
+        pairs = tuple(
+            (_json_label(p, "pairs"), _json_label(q, "pairs"))
+            for p, q in (_json_list(pq, "pair", 2) for pq in _json_list(data["pairs"], "'pairs'"))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise CoverError(f"malformed blueprint JSON: {exc}") from exc
     b = CoverBlueprint(base=base, fibers=fibers, pairs=pairs)

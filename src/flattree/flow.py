@@ -7,15 +7,20 @@ make every orbit periodic, which is what lets the decomposition be exact.
 
 A trajectory stops when it meets a zero or a marked point; decoration marks
 therefore act as vertical barriers and may subdivide what would otherwise be
-a single vertical cylinder.  Widths and areas are unaffected.
+a single vertical cylinder.  Widths and areas are unaffected.  The
+decomposition walks the return map forward from each bottom corner and mark on
+the integer layout, and builds exact ``Fraction`` crossings only when read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
+import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Iterable
 
 from .surface import HyperellipticSurface, _circles, _layout, build
@@ -47,14 +52,55 @@ class Trajectory:
 class VerticalCylinder:
     width: Fraction
     core: Fraction
-    crossings: tuple[tuple[int, Fraction], ...]
+    crossings: Sequence[tuple[int, Fraction]]
 
     @property
     def area(self) -> Fraction:
         return self.width * self.core
 
     def crossing_count(self, vertex: int) -> int:
+        if isinstance(self.crossings, _Crossings):
+            return self.crossings.visits(vertex)
         return sum(1 for v, _ in self.crossings if v == vertex)
+
+
+class _Crossings(Sequence):
+    """Read-only view of a decomposed cylinder's crossings over its integer orbit.
+
+    ``circles`` is (sorted vertices, their offsets on the orbit's line, scale).  ``len``
+    and :meth:`visits` read ints; the exact tuple ``self[:]`` is built on first item
+    access, and ``==``, ``hash`` and ``repr`` are that tuple's.
+    """
+
+    __slots__ = ("_orbit", "_circles", "_exact")
+
+    def __init__(self, orbit: list[int], circles: tuple[list[int], list[int], int]):
+        self._orbit, self._circles, self._exact = orbit, circles, None
+
+    def visits(self, vertex: int) -> int:
+        verts, offs, _ = self._circles
+        i = bisect_left(verts, vertex)
+        lo, hi = offs[i : i + 2] if verts[i : i + 1] == [vertex] else (0, 0)
+        return sum(lo <= g < hi for g in self._orbit)
+
+    def __len__(self) -> int:
+        return len(self._orbit)
+
+    def __getitem__(self, i):
+        if self._exact is None:
+            verts, offs, D = self._circles
+            at = [bisect_right(offs, g) - 1 for g in self._orbit]
+            self._exact = _fractions(D, [(verts[k], g - offs[k]) for k, g in zip(at, self._orbit)])
+        return self._exact[i]
+
+    def __eq__(self, other: object) -> bool:
+        return self[:] == (other[:] if isinstance(other, _Crossings) else other)
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
 
 
 class _Lattice:
@@ -64,10 +110,9 @@ class _Lattice:
         lay = _layout(s, extra)
         self.D, self.L, self.twist, self.seams = lay.scale, lay.circumference, lay.twist, lay.seams
         bottoms, tops = _circles(lay)
-        self.bottom_starts, self.bottom_ports = {}, {}
-        self.top_starts, self.top_ports = {}, {}
+        self.bottom_starts, self.top_starts, self.top_ports = {}, {}, {}
         for v in self.L:
-            self.bottom_starts[v], self.bottom_ports[v] = zip(*bottoms[v])
+            self.bottom_starts[v] = [a for a, _ in bottoms[v]]
             self.top_starts[v], self.top_ports[v] = zip(*tops[v])
         self.mark_offsets: dict[int, set[int]] = {}
         self.bottom_mark_positions: dict[int, set[int]] = {v: set() for v in self.L}
@@ -114,15 +159,6 @@ class _Lattice:
         above_vertex, a = self.seams[seam][0]
         return above_vertex, a + offset
 
-    def step_down(self, v: int, x: int) -> tuple[int, int] | None:
-        """Pull a non-corner bottom position down through the cylinder below."""
-        starts = self.bottom_starts[v]
-        idx = bisect_right(starts, x) - 1
-        if x == starts[idx]:
-            return None
-        w, ts = self.seams[self.bottom_ports[v][idx]][1]
-        return (w, (ts + x - starts[idx] - self.twist[w]) % self.L[w])
-
 
 def trace_vertical(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Trajectory:
     """Follow the upward vertical from a core-circle point until it closes or dies.
@@ -166,83 +202,77 @@ def _fractions(D: int, crossings: list[tuple[int, int]]) -> tuple[tuple[int, Fra
     return tuple((v, Fraction(x, D)) for v, x in crossings)
 
 
-def _split_points(lat: _Lattice) -> dict[int, list[int]]:
-    """Positions where verticals split, closed under the return map both ways."""
-    L, twist = lat.L, lat.twist
-    split: dict[int, set[int]] = {}
-    for v in L:
-        split[v] = set(lat.bottom_starts[v]) | lat.bottom_mark_positions[v]
-        split[v] |= {(c - twist[v]) % L[v] for c in lat.top_starts[v]}
-    for p, offsets in lat.mark_offsets.items():
-        w, ts = lat.seams[p][1]
-        split[w] |= {(ts + u - twist[w]) % L[w] for u in offsets}
-    work = [(v, x) for v in split for x in split[v]]
-    while work:
-        v, x = work.pop()
-        outcome = lat.step_up(v, x)
-        if outcome[0] == "cross":
-            _, u, x2 = outcome
-            if x2 not in split[u]:
-                split[u].add(x2)
-                work.append((u, x2))
-        down = lat.step_down(v, x)
-        if down is not None:
-            w, x0 = down
-            if x0 not in split[w]:
-                split[w].add(x0)
-                work.append((w, x0))
-    return {v: sorted(pts) for v, pts in split.items()}
-
-
 def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, ...]:
     """Decompose the vertical direction into maximal cylinders, exactly.
 
-    Maximal open intervals between split points are permuted by the return
-    map; each orbit is one vertical cylinder whose core length is the summed
-    height of the cylinders it crosses.  Widths times cores add up to the
-    surface area with no tolerance.
+    The split points are the forward walks of the return map from each bottom
+    corner and mark to a top corner or mark.  The map is injective and never
+    lands on a walk's start, so the walks are disjoint; the interval after a
+    walk's last point goes to the one after the start of the walk it stops
+    at, so each vertical cylinder is one cycle of walks.  Its core sums the
+    heights crossed; ``crossings`` is a :class:`_Crossings` view.
     """
     lat = _Lattice(s)
-    split = _split_points(lat)
-    intervals: list[tuple[int, int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-    for v, pts in split.items():
-        L = lat.L[v]
-        for i, x in enumerate(pts):
-            nxt = pts[i + 1] if i + 1 < len(pts) else pts[0] + L
-            index[(v, x)] = len(intervals)
-            intervals.append((v, x, nxt - x))
-    succ: list[int] = []
-    for v, x, width in intervals:
-        y = (x + lat.twist[v]) % lat.L[v]
-        starts = lat.top_starts[v]
-        idx = bisect_right(starts, y) - 1
-        u, a = lat.seams[lat.top_ports[v][idx]][0]
-        succ.append(index[(u, a + (y - starts[idx]))])
+    H = math.lcm(*(h.denominator for h in s.heights.values()))
+    verts = sorted(lat.L)
+    offs = [0, *accumulate(lat.L[v] for v in verts)]
+    off = dict(zip(verts, offs))
+    # the return map on the line of bottom circles: g in the piece from starts[j] goes
+    # to g + shift, or meets a zero or mark if g is its stop (g + shift is then a source)
+    starts, pieces = [], []
+    for v, o in off.items():
+        L, tw, h = lat.L[v], lat.twist[v] % lat.L[v], s.heights[v].numerator * H // s.heights[v].denominator
+        ys, glued = [], []  # top corners and marks, and the bottom position of each
+        for ts, seam in zip(lat.top_starts[v], lat.top_ports[v]):
+            u, a = lat.seams[seam][0]
+            for y in (ts, *sorted(ts + m for m in lat.mark_offsets.get(seam, ()))):
+                ys.append(y)
+                glued.append(off[u] + a + y - ts)
+        for x in sorted({0, *((y - tw) % L for y in ys)}):
+            y = (x + tw) % L
+            k = bisect_right(ys, y) - 1
+            starts.append(o + x)
+            pieces.append((glued[k] + y - ys[k] - o - x, h, o + x if y == ys[k] else -1))
+    sources = sorted(off[v] + x for v in verts for x in (*lat.bottom_starts[v], *lat.bottom_mark_positions[v]))
+    index = {g: i for i, g in enumerate(sources)}
+    walks, cores, succ = [], [], []
+    for g in sources:
+        walk, core = [], 0
+        for _ in range(offs[-1]):
+            walk.append(g)
+            shift, h, stop = pieces[bisect_right(starts, g) - 1]
+            core += h
+            if g == stop:
+                break
+            g += shift
+        else:
+            raise FlowError("interval map failed to be a bijection")
+        walks.append(walk)
+        cores.append(core)
+        succ.append(index[g + shift])
     if len(set(succ)) != len(succ):
         raise FlowError("interval map failed to be a bijection")
-    seen = [False] * len(intervals)
-    cylinders: list[VerticalCylinder] = []
-    for i in range(len(intervals)):
-        if seen[i]:
-            continue
-        cycle = []
-        j = i
+    points = sorted(chain.from_iterable(walks))
+    ends = points[1:] + offs[-1:]
+    seen, found, shifted = [False] * len(walks), [], []
+    for i in range(len(walks)):
+        orbit, core, j = [], 0, i
         while not seen[j]:
             seen[j] = True
-            cycle.append(j)
+            orbit += walks[j]
+            core += cores[j]
             j = succ[j]
-        widths = {intervals[k][2] for k in cycle}
-        if len(widths) != 1:
-            raise FlowError("interval orbit changed width")
-        crossings = [(intervals[k][0], intervals[k][1]) for k in cycle]
-        pivot = crossings.index(min(crossings))
-        crossings = crossings[pivot:] + crossings[:pivot]
-        visits = Counter(v for v, _ in crossings)
-        core = sum((s.heights[v] * n for v, n in visits.items()), Fraction(0))
-        width = Fraction(widths.pop(), lat.D)
-        cylinders.append(VerticalCylinder(width, core, _fractions(lat.D, crossings)))
-    return tuple(sorted(cylinders, key=lambda c: c.crossings))
+        if orbit:
+            pivot = min(orbit)
+            width = ends[bisect_left(points, pivot)] - pivot
+            shifted += [g + width for g in orbit]
+            k = orbit.index(pivot)
+            crossings = _Crossings(orbit[k:] + orbit[:k], (verts, offs, lat.D))
+            found.append((pivot, VerticalCylinder(Fraction(width, lat.D), Fraction(core, H), crossings)))
+    # as every g + width > g, this holds only if each point's interval has its orbit's width
+    if sorted(shifted) != ends:
+        raise FlowError("interval orbit changed width")
+    return tuple(vc for _, vc in sorted(found, key=itemgetter(0)))
 
 
 def cylinder_proportion(

@@ -618,6 +618,28 @@ class TestSerialization:
         with pytest.raises(CoverError, match="is not an integer"):
             blueprint_from_json(data)
 
+    @pytest.mark.parametrize("key", ["fibers", "ports", "pairs", "pair"])
+    def test_strings_are_refused_where_lists_belong(self, stock, key):
+        # iterating a string would read "012345678" as the ports 0..8 and "34" as a pair
+        data = blueprint_to_json(stock["ramified-star"] if key.startswith("pair") else stock["triple-wrap"])
+        if key == "fibers":
+            data["fibers"] = str(data["fibers"])
+        elif key == "ports":
+            data["fibers"][0]["ports"] = "012345678"
+        elif key == "pairs":
+            data["pairs"] = "".join(f"{p}{q}" for p, q in data["pairs"])
+        else:
+            data["pairs"][0] = "34"
+        with pytest.raises(CoverError, match="must be a list, not str"):
+            blueprint_from_json(data)
+
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_pairs_need_exactly_two_labels(self, stock, size):
+        data = blueprint_to_json(stock["ramified-star"])
+        data["pairs"][0] = (data["pairs"][0] * 2)[:size]
+        with pytest.raises(CoverError, match=f"pair must have 2 items, not {size}"):
+            blueprint_from_json(data)
+
     def test_numeric_string_labels_are_read_as_integers(self, stock):
         b = stock["triple-wrap"]
         data = blueprint_to_json(b)

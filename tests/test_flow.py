@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import oracles
 import pytest
 from test_halftree import stubbed_path as stubbed_path_skeleton
+from test_surface import stubbed_path
 
 from flattree import (
     FlowError,
@@ -17,15 +18,22 @@ from flattree import (
     VerticalCylinder,
     area,
     build,
+    canonical_form,
+    certify_hyperelliptic,
     cylinder_proportion,
     enumerate_halftrees,
+    extract_skeleton,
+    involution_check,
     involution_orbit,
     random_metric,
+    singularity_profile,
     standard_position,
+    surfaces_isomorphic,
     trace_vertical,
     transverse_standard_position,
     validate,
     vertical_decomposition,
+    weierstrass_points,
     with_marks,
 )
 from flattree import flow
@@ -197,21 +205,82 @@ def reference_surfaces():
 REFERENCE = dict(reference_surfaces())
 
 
+def class_surfaces(n):
+    """Every ``n``-port class at seeds 0 and 1, plain and with involution-closed marks."""
+    for i, t in enumerate(enumerate_halftrees(n)):
+        for seed in (0, 1):
+            s = random_metric(t, seed)
+            yield f"class-{n}.{i}-{seed}", s
+            yield f"marked-{n}.{i}-{seed}", marked(s, seed)
+
+
+@pytest.fixture(scope="session")
+def fraction_decomposition():
+    """The Fraction reference decomposition, computed once per surface name in a session.
+
+    A name always stands for the same surface: ``class-<n>.<i>-<seed>`` is
+    ``random_metric`` of the i-th n-port class both in ``REFERENCE`` and in
+    :func:`class_surfaces`.
+    """
+    done = {}
+
+    def reference(name, s):
+        if name not in done:
+            done[name] = oracles.vertical_decomposition_fraction(s)
+        return done[name]
+
+    return reference
+
+
 class TestFractionReference:
     """The integer-layout walk equals the Fraction walk it replaced, value and type."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
-    def test_decomposition(self, name):
+    def test_decomposition(self, name, fraction_decomposition):
         s = REFERENCE[name]
-        want = oracles.vertical_decomposition_fraction(s)
+        want = fraction_decomposition(name, s)
         assert repr(vertical_decomposition(s)) == repr(want)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_class_plain_and_marked(self, n, fraction_decomposition):
+        for name, s in class_surfaces(n):
+            assert repr(vertical_decomposition(s)) == repr(fraction_decomposition(name, s)), name
+
+    def test_inconsistent_raw_surfaces_fail_both_checks_like_the_reference(self):
+        # paired ports of different lengths: the return map is no interval bijection
+        rng = random.Random(0)
+        messages = set()
+        for n in range(2, 6):
+            for t in enumerate_halftrees(n):
+                for seed in range(3):
+                    s = random_metric(t, seed)
+                    lengths = dict(s.lengths)
+                    p = rng.choice(t.all_ports)
+                    lengths[p] += F(rng.randint(1, 3), 2)
+                    raw = HyperellipticSurface(t, lengths, s.heights, s.twists, s.marks)
+                    try:
+                        want = repr(oracles.vertical_decomposition_fraction(raw))
+                    except AssertionError:
+                        with pytest.raises(FlowError) as exc:
+                            vertical_decomposition(raw)
+                        messages.add(str(exc.value))
+                    else:
+                        assert repr(vertical_decomposition(raw)) == want
+        assert messages == {"interval map failed to be a bijection", "interval orbit changed width"}
+        # one saddle whose two copies disagree (1 and 3/2): two intervals share an image
+        t = HalfTree({0: [0], 1: [1]}, [(0, 1)])
+        raw = HyperellipticSurface(t, {0: F(1), 1: F(3, 2)}, {0: F(1), 1: F(1)}, {0: F(1, 2), 1: F(1, 2)})
+        with pytest.raises(AssertionError, match="interval map failed to be a bijection"):
+            oracles.vertical_decomposition_fraction(raw)
+        with pytest.raises(FlowError, match="interval map failed to be a bijection"):
+            vertical_decomposition(raw)
+
     @pytest.mark.parametrize("name", sorted(REFERENCE))
-    def test_trace(self, name):
+    def test_trace(self, name, fraction_decomposition):
         s = REFERENCE[name]
         # on the marked and 64-port surfaces (denominators <= 4) 1/7 is off the lattice
         starts = [(v, F(1, 7)) for v in s.skeleton.vertices]
-        for vc in oracles.vertical_decomposition_fraction(s):
+        for vc in fraction_decomposition(name, s):
             starts.append((vc.crossings[0][0], vc.crossings[0][1] + vc.width / 2))
         # split points start on corners, on marks, or on verticals that hit one
         split = oracles.split_points_fraction(oracles.FractionGeometry(s))
@@ -224,6 +293,77 @@ class TestFractionReference:
                     trace_vertical(s, start)
             else:
                 assert repr(trace_vertical(s, start)) == repr(want)
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """Arguments of every ``Fraction`` built through the ``flow`` module's name."""
+    made = []
+
+    class Counting(F):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return F(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "Fraction", Counting)
+    return made
+
+
+class TestCrossingsView:
+    """Decomposed cylinders keep their crossings as ints until an item is read."""
+
+    def test_length_and_counts_leave_the_view_unmaterialised(self, fractions_made):
+        s = REFERENCE["ports-64-0"]
+        dec = vertical_decomposition(s)
+        fractions_made.clear()
+        for vc in dec:
+            counts = [vc.crossing_count(v) for v in s.skeleton.vertices]
+            assert sum(counts) == len(vc.crossings) > 0
+            assert vc.crossing_count(max(s.skeleton.vertices) + 1) == 0
+        assert fractions_made == []
+        assert [len(vc.crossings) for vc in dec] == [len(tuple(vc.crossings)) for vc in dec]
+        assert fractions_made
+
+    def test_counts_match_the_materialised_crossings(self):
+        s = REFERENCE["marked-12-1"]
+        for vc in vertical_decomposition(s):
+            exact = tuple(vc.crossings)
+            for v in s.skeleton.vertices:
+                assert vc.crossing_count(v) == sum(1 for u, _ in exact if u == v)
+
+    def test_view_and_tuple_compare_and_hash_alike(self):
+        dec = vertical_decomposition(REFERENCE["marked-12-0"])
+        assert len(dec) > 1
+        for vc, other in zip(dec, dec[1:] + dec[:1]):
+            exact = tuple(vc.crossings)
+            assert vc.crossings == exact and exact == vc.crossings
+            assert not vc.crossings != exact and not exact != vc.crossings
+            assert hash(vc.crossings) == hash(exact)
+            assert repr(vc.crossings) == repr(exact)
+            assert vc.crossings != other.crossings and exact != other.crossings
+            assert vc.crossings[0] == exact[0] and vc.crossings[-1:] == exact[-1:]
+            assert list(vc.crossings) == list(exact) and exact[0] in vc.crossings
+
+    def test_cylinder_from_a_tuple_equals_the_decomposed_one(self, path3_surface):
+        s = random_metric(path3_surface.skeleton, 1)
+        dec = vertical_decomposition(s)
+        plain = [VerticalCylinder(vc.width, vc.core, tuple(vc.crossings)) for vc in dec]
+        for vc, twin in zip(dec, plain):
+            assert vc == twin and twin == vc and hash(vc) == hash(twin)
+            assert type(twin.crossings) is tuple and type(vc.crossings) is not tuple
+        assert set(plain) == set(dec)
+        for v in s.skeleton.vertices:
+            for chosen in (dec[:1], plain[:1], dec, plain):
+                want = sum((vc.width * vc.crossing_count(v) for vc in chosen), F(0)) / s.circumference(v)
+                assert cylinder_proportion(s, chosen, v) == want
+            assert cylinder_proportion(s, plain, v) == cylinder_proportion(s, dec, v) == 1
+
+    def test_fractions_per_call_follow_the_cylinders_not_the_crossings(self, fractions_made):
+        # a flow-workload surface: 64 ports, denominators <= 4
+        s = random_metric(seeded_halftree(64, 5), 5, max_denominator=4)
+        dec = vertical_decomposition(s)
+        crossings = sum(len(vc.crossings) for vc in dec)
+        assert 0 < len(fractions_made) <= 2 * len(dec) < crossings // 10
 
 
 class TestStandardPosition:
@@ -327,6 +467,28 @@ class TestStandardPosition:
                 assert pos.vertical.width == s.lengths[p]
                 assert pos.vertical.core == s.heights[t.vertex_of(p)] + s.heights[t.vertex_of(q)]
         assert time.perf_counter() - start < 5
+
+
+def test_deep_path_through_nine_functions_under_the_default_recursion_limit():
+    # 10**4 cylinders, ten times the default recursion limit, which stays as it is;
+    # the flow runs on the small-denominator metric (denominators <= 2)
+    n = 10**4
+    start = time.perf_counter()
+    s = stubbed_path(n)
+    metric = random_metric(s.skeleton, 1)
+    assert metric.skeleton == s.skeleton
+    assert canonical_form(stubbed_path_skeleton(n)).automorphisms == 1
+    profile = singularity_profile(s)
+    assert sum(profile.orders) == 2 * profile.genus - 2
+    assert weierstrass_points(s).ok
+    assert certify_hyperelliptic(s).ok
+    assert extract_skeleton(s) == s.skeleton
+    assert involution_check(s).ok
+    dec = vertical_decomposition(s)
+    assert sum(vc.area for vc in dec) == area(s)
+    assert sum(vc.crossing_count(0) for vc in dec) > 0
+    assert surfaces_isomorphic(s, s)
+    assert time.perf_counter() - start < 30
 
 
 def witness_cases(n):

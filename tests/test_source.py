@@ -87,7 +87,11 @@ def test_seam_table_guard_sees_each_call():
 
 def _self_recursive(name: str) -> list[str]:
     """Functions of ``src/flattree/<name>`` that call themselves by name."""
-    tree = ast.parse((SOURCE / name).read_text())
+    return _recursive_functions(ast.parse((SOURCE / name).read_text()))
+
+
+def _recursive_functions(tree: ast.AST) -> list[str]:
+    """Functions of ``tree`` that call themselves by name."""
     return sorted(
         fn.name
         for fn in ast.walk(tree)
@@ -105,6 +109,38 @@ def test_halftree_does_not_recurse():
 def test_lemmas_do_not_recurse():
     # every lemma sweep is one depth-first walk on an explicit stack
     assert _self_recursive("lemmas.py") == []
+
+
+# the only functions that call themselves, each with what bounds its depth
+_RECURSION_BOUNDS = {
+    ("halftree.py", "_entry_seqs"): "the port count, which the enumeration guard bounds",
+    ("cli.py", "_jsonable"): "the nesting depth of library output",
+}
+
+
+def test_no_module_recurses_outside_the_bounded_exemptions():
+    # surfaces of 10**4 cylinders run under the default recursion limit
+    files = sorted(SOURCE.glob("*.py"))
+    assert {"flow.py", "surface.py", "collapse.py", "cover.py", "deform.py"} <= {f.name for f in files}
+    found = {(path.name, fn) for path in files for fn in _self_recursive(path.name)}
+    assert found == set(_RECURSION_BOUNDS)
+
+
+def test_recursion_guard_sees_nested_and_method_calls():
+    tree = ast.parse(
+        "\n".join(
+            [
+                "def walk(n):",
+                "    return [walk(k) for k in range(n)]",
+                "class A:",
+                "    def visit(self, x):",
+                "        return self.visit(x - 1) if x else 0",
+                "def flat(n):",
+                "    return n",
+            ]
+        )
+    )
+    assert _recursive_functions(tree) == ["visit", "walk"]
 
 
 # dicts of a CanonicalLabeling; canonical_form keeps one form per tree and
