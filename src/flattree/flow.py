@@ -69,7 +69,8 @@ class _Crossings(Sequence):
 
     ``circles`` is (sorted vertices, their offsets on the orbit's line, scale).  ``len``
     and :meth:`visits` read ints; the exact tuple ``self[:]`` is built on first item
-    access, and ``==``, ``hash`` and ``repr`` are that tuple's.
+    access, and ``==``, ``hash`` and ``repr`` are that tuple's.  Two views on equal
+    circle tables compare their int orbits instead, with the same result.
     """
 
     __slots__ = ("_orbit", "_circles", "_exact")
@@ -94,6 +95,8 @@ class _Crossings(Sequence):
         return self._exact[i]
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Crossings) and other._circles == self._circles:
+            return self._orbit == other._orbit  # the table maps orbits one to one
         return self[:] == (other[:] if isinstance(other, _Crossings) else other)
 
     def __hash__(self) -> int:
@@ -285,16 +288,26 @@ def cylinder_proportion(
     """
     if cylinder not in set(s.skeleton.vertices):
         raise FlowError(f"no cylinder {cylinder}")
-    current = set(vertical_decomposition(s))
-    chosen = set(vertical_set)
-    foreign = chosen - current
+    current = vertical_decomposition(s)
+    # hashing a cylinder builds all its exact crossings, so match on ints first
+    index: dict[tuple, list[int]] = {}
+    for i, vc in enumerate(current):
+        index.setdefault((vc.width, vc.core, len(vc.crossings)), []).append(i)
+    chosen, foreign = set(), []
+    for vc in vertical_set:
+        bucket = index.get((vc.width, vc.core, len(vc.crossings)), ())
+        match = next((i for i in bucket if current[i] == vc), None)
+        if match is None:
+            foreign.append(vc)
+        else:
+            chosen.add(match)
     if foreign:
         raise FlowError(
-            f"{len(foreign)} vertical cylinder(s) not from the current decomposition"
+            f"{len(set(foreign))} vertical cylinder(s) not from the current decomposition"
         )
     L = s.circumference(cylinder)
     covered = sum(
-        (vc.width * vc.crossing_count(cylinder) for vc in chosen), Fraction(0)
+        (current[i].width * current[i].crossing_count(cylinder) for i in chosen), Fraction(0)
     )
     return covered / L
 

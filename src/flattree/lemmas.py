@@ -21,16 +21,23 @@ It suffices to test edge-maximal graphs in the first fact: the forest
 property is closed under taking subgraphs.
 
 Every sweep is one depth-first walk with an explicit stack (no recursion)
-that decides on prefixes.  The interval walk carries the components of the
-labels whose intervals a prefix has fixed, so a leaf only adds the edges of
-its last two labels.  The balls walk cuts off a coloring prefix as soon as a
-repeated color is unevenly spaced, and the tree walk as soon as two
+that decides on prefixes.  The interval statement is invariant under
+rotating the labels, ``rot(k)[i] = (k[i-1] + 1) % n``, so the interval walk
+visits one representative per rotation class of length vectors (a necklace,
+with every first anchor) and counts it with its weight, the necklace's least
+period ``p``: its rotations by ``r < p`` are distinct systems with its
+verdict, and together they are every system once.  The walk carries the
+components of the labels whose intervals a prefix has fixed, so a leaf only
+adds the edges of its last two labels; the reported counterexample is the
+least rotation of a failing representative, which is the lexicographically
+first failing system.  The balls walk cuts off a coloring prefix as soon as
+a repeated color is unevenly spaced, and the tree walk as soon as two
 same-colored vertices with all neighbors colored see different neighbor
 colors; both add the cut prefix's exact number of completions to the case
-count.  Every case is decided, at its leaf or by a prefix that already fails
-a necessary condition of the hypothesis, and leaves come in the same order as
-in a plain sweep, so reports (case counts, details, first counterexamples)
-do not depend on these shortcuts.
+count, and their leaves come in the same order as in a plain sweep.  Every
+case is decided, at a leaf, through a representative, or by a prefix that
+already fails a necessary condition of the hypothesis, so reports (case
+counts, details, first counterexamples) do not depend on these shortcuts.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ def _completion_counts(rows: int, top: int, blocked: int) -> list[list[int]]:
 
 
 def _interval_systems(n: int) -> Iterator[tuple[int, ...]]:
-    """All anchor vectors ``k`` of a single-cylinder interval system.
+    """All anchor vectors ``k`` of a single-cylinder interval system, in lexicographic order.
 
     Interval ``I_i`` runs cyclically from ``k[i]`` to ``k[i-1]``.  Three
     requirements, the first two per cyclic index ``i`` with
@@ -120,21 +127,43 @@ def _interval_systems(n: int) -> Iterator[tuple[int, ...]]:
     For ``n <= 2`` both requirements are dropped, matching the statement
     being tested (a graph on two vertices is always a forest).
 
-    Vectors come in lexicographic order: these are the systems of
-    :func:`_interval_walk` without its forest verdicts.
+    This is the sorted expansion of the representatives of
+    :func:`_interval_walk`: each ``(k, forest, p)`` stands for
+    ``_rotated(k, r)`` with ``r < p``.
     """
-    for k, _ in _interval_walk(n):
-        yield k
+    yield from sorted(_rotated(k, r) for k, _, p in _interval_walk(n) for r in range(p))
 
 
-def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Each system of :func:`_interval_systems`, and whether its maximal graph is a forest.
+def _rotated(k: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """``rot^r(k)``, where ``rot(k)[i] = (k[i-1] + 1) % n``: the labels shifted ``r`` places."""
+    n = len(k)
+    return tuple((k[i - r] + r) % n for i in range(n))
 
-    The search is a depth-first walk over anchor positions with an explicit
-    stack of candidate iterators.  A position only offers the anchors whose
-    interval length keeps the winding at most ``n`` and the consecutive pair
-    at most ``n - 1``; the last position also closes the circle (pairs
-    ``(n-1, 0)`` and ``(0, 1)``).
+
+def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool, int]]:
+    """One representative per rotation class of :func:`_interval_systems`, its verdict and weight.
+
+    The statement has a cyclic symmetry: ``rot(k)[i] = (k[i-1] + 1) % n``
+    rotates the length vector ``N = (len_1, .., len_{n-1}, len_0)`` one place
+    to the right, keeps both requirements, and maps ``I_i`` to ``I_{i+1}``
+    shifted by one, so it relabels the maximal graph by ``i -> i+1`` and keeps
+    the forest verdict.  The walk yields the systems ``k`` whose ``N`` is a
+    necklace (its least rotation), once for each ``k[0]``, with the weight
+    ``p``, the least period of ``N``.  For each ``r < p``, ``rot^r`` maps the
+    systems with length vector ``N`` one to one onto those with ``N`` rotated
+    ``r`` places, so ``_rotated(k, r)`` over the representatives and ``r < p``
+    is every system exactly once.  For ``n <= 2`` every system is its own
+    representative, with weight 1.
+
+    The search is a depth-first walk with an explicit stack of candidate
+    iterators: first ``k[0]``, then the lengths ``len_1, len_2, ..`` in
+    increasing order, ``k[j] = k[j-1] - len_j``.  A position only offers the
+    lengths that keep the winding at most ``n``, the consecutive pair at most
+    ``n - 1``, and the Fredricksen-Kessler-Maiorana prenecklace rule
+    ``len_t >= len_{t-p}`` (``p`` becomes ``t`` on a strict increase).  The
+    last position closes the circle (pairs ``(n-1, 0)`` and ``(0, 1)``):
+    ``len_0`` is then fixed, both leaf lengths pass the same rule, and the
+    leaf is kept only when ``p`` divides ``n``.
 
     The forest check rides along.  Placing ``k[j]`` fixes ``I_j``, so a
     prefix fixes the mutual edges among labels ``1 .. j``.  Their components
@@ -147,16 +176,14 @@ def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool]]:
     """
     if n <= 2:
         for k in itertools.product(range(n), repeat=n):
-            yield k, True
+            yield k, True, 1
         return
     masks = _interval_masks(n)
-    # reach[a][limit]: the anchors v, increasing, with (a - v) % n <= limit
-    reach = [
-        [sorted((a - c) % n for c in range(limit + 1)) for limit in range(n)] for a in range(n)
-    ]
     k = [0] * n
+    lens = [0] * n  # lens[t]: len_t, fixed by k[:t+1]; lens[0] = 0 opens the FKM rule
+    period = [1] * n  # period[j]: the FKM period p of len_1 .. len_j
     winding = [0] * n  # winding[j]: len_1 + ... + len_{j-1}, fixed by k[:j]
-    todo: list[Iterator[int]] = [iter(())] * n  # todo[j]: anchors left to try at j
+    todo: list[Iterator[int]] = [iter(())] * n  # todo[0]: anchors k[0]; todo[j]: lengths len_j
     todo[0] = iter(range(n))
     last = n - 1
     interval = [0] * n  # interval[j]: I_j, fixed by k[:j+1]
@@ -171,16 +198,25 @@ def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool]]:
         if j == last:
             w = winding[last]
             a, k0 = k[last - 1], k[0]
-            prev = (k[last - 2] - a) % n
-            len1 = (k0 - k[1]) % n
+            prev, len1, p = lens[last - 1], lens[1], period[last - 1]
             comp, dead = root[last - 1], cyclic[last - 1]
             hold_last, hold_zero = near_last[last - 1], near_zero[last - 1]
-            for val in reach[a][min(n - w, n - 1 - prev)]:
-                cur = (a - val) % n
-                len0 = (val - k0) % n
-                if w + cur + len0 > n or cur + len0 > n - 1 or len0 + len1 > n - 1:
+            low_cur = lens[last - p]
+            for cur in range(low_cur, min(n - w, n - 1 - prev) + 1):
+                # the lengths sum to 0 or n, so the winding fixes len_0
+                len0 = -(w + cur) % n
+                if cur + len0 > n - 1 or len0 + len1 > n - 1:
                     continue
-                k[last] = val
+                q = p if cur == low_cur else last
+                lens[last] = cur
+                low_zero = lens[n - q]
+                if len0 < low_zero:
+                    continue
+                if len0 > low_zero:
+                    q = n
+                if n % q:
+                    continue
+                val = k[last] = (a - cur) % n
                 forest = not dead
                 if forest:
                     i_last, i_zero = masks[a][val], masks[val][k0]
@@ -213,17 +249,19 @@ def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool]]:
                             break
                         else:
                             other |= r
-                yield tuple(k), forest
+                yield tuple(k), forest, q
             j -= 1
             continue
-        val = next(todo[j], None)
-        if val is None:
+        got = next(todo[j], None)
+        if got is None:
             j -= 1
             continue
-        k[j] = val
         cur = 0
         if j:
-            cur = (k[j - 1] - val) % n
+            cur = lens[j] = got
+            p = period[j - 1]
+            period[j] = p if cur == lens[j - p] else j
+            val = k[j] = (k[j - 1] - cur) % n
             i_j = interval[j] = masks[k[j - 1]][val]
             comp, dead = root[j - 1], cyclic[j - 1]
             met = 0
@@ -246,11 +284,13 @@ def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool]]:
             root[j], cyclic[j] = comp, dead
             near_last[j] = near_last[j - 1] | (i_j >> last & 1) << j
             near_zero[j] = near_zero[j - 1] | (i_j & 1) << j
+        else:
+            k[0] = got
         j += 1
         winding[j] = winding[j - 1] + cur
         if j < last:
             limit = min(n - 1 - cur, n - winding[j])
-            todo[j] = iter(reach[val][limit])
+            todo[j] = iter(range(lens[j - period[j - 1]], limit + 1))
 
 
 def _interval_masks(n: int) -> list[list[int]]:
@@ -297,11 +337,15 @@ def verify_interval_lemma(max_n: int = 8) -> LemmaReport:
     """Sweep every interval system with up to ``max_n`` labels.
 
     Only the maximal graph of each system is tested; subgraphs of forests are
-    forests, so this covers every admissible graph.  Every system is decided
-    at its leaf of :func:`_interval_walk`, from components its prefix already
-    fixed.  Systems come in lexicographic order, and a system with a cycle
-    gets its ``cycle_edge`` from :func:`_max_graph_is_forest`, so the first
-    counterexample is that of a plain all-pairs scan.
+    forests, so this covers every admissible graph.  The sweep runs over the
+    rotation-class representatives of :func:`_interval_walk`, each decided at
+    its leaf from components its prefix already fixed, and adds each
+    representative's weight ``p`` to the counts: its ``p`` rotations are
+    distinct systems with its verdict.  The counterexample is the least
+    rotation ``_rotated(k, r)``, ``r < p``, over the failing representatives
+    of the first failing ``n``, which is the lexicographically first failing
+    system; its ``cycle_edge`` comes from :func:`_max_graph_is_forest`, so the
+    report is that of a plain all-pairs scan in lexicographic order.
     """
     t0 = time.perf_counter()
     cases = 0
@@ -309,11 +353,15 @@ def verify_interval_lemma(max_n: int = 8) -> LemmaReport:
     counterexample = None
     for n in range(1, max_n + 1):
         count = 0
-        for k, forest in _interval_walk(n):
-            count += 1
+        first = None
+        for k, forest, weight in _interval_walk(n):
+            count += weight
             if not forest and counterexample is None:
-                _, bad_edge = _max_graph_is_forest(k, _interval_masks(n))
-                counterexample = {"n": n, "anchors": list(k), "cycle_edge": list(bad_edge)}
+                least = min(_rotated(k, r) for r in range(weight))
+                first = least if first is None else min(first, least)
+        if first is not None:
+            _, bad_edge = _max_graph_is_forest(first, _interval_masks(n))
+            counterexample = {"n": n, "anchors": list(first), "cycle_edge": list(bad_edge)}
         cases += count
         systems_by_n[str(n)] = count
     return LemmaReport(

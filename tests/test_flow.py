@@ -365,6 +365,33 @@ class TestCrossingsView:
         crossings = sum(len(vc.crossings) for vc in dec)
         assert 0 < len(fractions_made) <= 2 * len(dec) < crossings // 10
 
+    def test_proportion_matches_cylinders_without_materialising_crossings(self, fractions_made):
+        # the caller's decomposition and the one the check recomputes are distinct objects
+        s = random_metric(seeded_halftree(64, 5), 5, max_denominator=4)
+        dec = vertical_decomposition(s)
+        crossings = sum(len(vc.crossings) for vc in dec)
+        v = max(s.skeleton.vertices)
+        # a repeated cylinder counts once
+        for chosen, distinct in ((dec[:1], dec[:1]), (dec, dec), (dec + dec[:1], dec)):
+            want = sum((vc.width * vc.crossing_count(v) for vc in distinct), F(0)) / s.circumference(v)
+            fractions_made.clear()
+            assert cylinder_proportion(s, chosen, v) == want
+            # the recomputed widths and cores, and the zero of the sum
+            assert len(fractions_made) <= 2 * len(dec) + 1 < crossings // 10
+
+    def test_proportion_refuses_foreign_cylinders(self):
+        s = REFERENCE["marked-12-0"]
+        dec = vertical_decomposition(s)
+        vc = dec[0]
+        assert len(vc.crossings) > 1
+        # same width, core and crossing count, so it shares vc's bucket
+        turned = VerticalCylinder(vc.width, vc.core, tuple(reversed(vc.crossings)))
+        with pytest.raises(FlowError, match="^1 vertical cylinder"):
+            cylinder_proportion(s, [vc, turned, turned], 0)
+        wider = VerticalCylinder(vc.width * 2, vc.core, vc.crossings)
+        with pytest.raises(FlowError, match="^2 vertical cylinder"):
+            cylinder_proportion(s, [wider, turned, *dec], 0)
+
 
 class TestStandardPosition:
     def test_witness_shape(self, path3_surface):

@@ -27,6 +27,7 @@ from flattree.lemmas import (
     _interval_systems,
     _interval_walk,
     _max_graph_is_forest,
+    _rotated,
     _spaced_colorings,
     _tree_code,
     neighbor_sets_homogeneous,
@@ -100,6 +101,49 @@ class TestIntervalKernels:
         assert masks[0][3] == 0b00001 | 0b01000 | 0b10000
         assert masks[4][0] == 0b11111
         assert masks[1][2] == 0b11111
+
+
+def _rotl(bits: int, n: int) -> int:
+    """Rotate an ``n``-bit label set one place up: label ``i`` becomes ``i + 1 mod n``."""
+    return (bits << 1 | bits >> (n - 1)) & ((1 << n) - 1)
+
+
+def _length_vector(k: tuple[int, ...]) -> tuple[int, ...]:
+    """``(len_1, .., len_{n-1}, len_0)`` with ``len_i = (k[i-1] - k[i]) % n``."""
+    n = len(k)
+    return tuple((k[i - 1] - k[i]) % n for i in (*range(1, n), 0))
+
+
+def _is_necklace(word: tuple[int, ...]) -> bool:
+    return word == min(word[r:] + word[:r] for r in range(len(word)))
+
+
+def _least_period(word: tuple[int, ...]) -> int:
+    return next(p for p in range(1, len(word) + 1) if word == word[p:] + word[:p])
+
+
+class TestIntervalSymmetry:
+    """The sweep walks one representative per rotation class and weights it by its period."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_masks_are_rotation_equivariant(self, n):
+        for masks in (_interval_masks(n), _widened_masks(n), _skipping_masks(n)):
+            for end in range(n):
+                for start in range(n):
+                    rotated = masks[(end + 1) % n][(start + 1) % n]
+                    assert rotated == _rotl(masks[end][start], n), (end, start)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_representatives_expand_to_every_system_once(self, n):
+        expanded = collections.Counter()
+        for k, _, weight in _interval_walk(n):
+            word = _length_vector(k)
+            assert _is_necklace(word), k
+            assert _least_period(word) == weight and n % weight == 0, k
+            expanded.update(_rotated(k, r) for r in range(weight))
+        reference = collections.Counter(oracles.interval_systems_recursive(n))
+        assert set(reference.values()) == {1}
+        assert expanded == reference
 
 
 class TestBallsKernels:
@@ -260,7 +304,18 @@ class TestTreeGenerator:
         assert done.stdout.strip() == "False"
 
 
+# interval systems per n at the default bound, max_n = 8
+_INTERVAL_SYSTEMS = {"1": 1, "2": 4, "3": 6, "4": 80, "5": 510, "6": 2562, "7": 11676, "8": 50976}
+
+
 class TestFrozenDefaultReports:
+    def test_interval_report_at_nine(self):
+        # the larger bounds the README quotes
+        rep = verify_interval_lemma(9)
+        assert rep.holds and rep.counterexample is None
+        assert rep.details == {**_INTERVAL_SYSTEMS, "9": 218070}
+        assert rep.cases_checked == 283885
+
     def test_cli_default_bounds_reports(self, capsys):
         # with test_criterion_5_lemma_exhaustion, guards against a sweep that
         # silently checks fewer cases
@@ -282,10 +337,7 @@ class TestFrozenDefaultReports:
                 "cases_checked": 65815,
                 "holds": True,
                 "counterexample": None,
-                "details": {
-                    "1": 1, "2": 4, "3": 6, "4": 80,
-                    "5": 510, "6": 2562, "7": 11676, "8": 50976,
-                },
+                "details": _INTERVAL_SYSTEMS,
             },
             "colored-tree-even-distance": {
                 "lemma": "colored-tree-even-distance",
@@ -324,6 +376,12 @@ def _widened_masks(n: int) -> list[list[int]]:
     """Every cyclic interval of :func:`_interval_masks` plus the point past its end."""
     masks = _interval_masks(n)  # the module's own binding, which monkeypatching leaves alone
     return [[masks[end][start] | 1 << (end + 1) % n for start in range(n)] for end in range(n)]
+
+
+def _skipping_masks(n: int) -> list[list[int]]:
+    """Every cyclic interval of :func:`_interval_masks` plus the point two past its end."""
+    masks = _interval_masks(n)
+    return [[masks[end][start] | 1 << (end + 2) % n for start in range(n)] for end in range(n)]
 
 
 def _spacing_only(colors: tuple[int, ...], m: int) -> bool:
@@ -464,8 +522,10 @@ class TestPrefixPruning:
             if widen:
                 monkeypatch.setattr(lemmas, "_interval_masks", _widened_masks)
             masks = lemmas._interval_masks(n)
-            for k, forest in _interval_walk(n):
-                assert forest == _max_graph_is_forest(k, masks)[0], k
+            for k, forest, _ in _interval_walk(n):
+                # every rotation of a representative shares its verdict
+                for r in range(n):
+                    assert forest == _max_graph_is_forest(_rotated(k, r), masks)[0], (k, r)
 
 
 class TestFaultInjection:
@@ -491,6 +551,19 @@ class TestFaultInjection:
             assert not got.holds
             assert got.to_json() == oracles.verify_interval_lemma_reference(max_n).to_json()
         assert got.counterexample == {"n": 3, "anchors": [0, 2, 1], "cycle_edge": [1, 2]}
+
+    def test_counterexample_off_the_representatives(self, monkeypatch):
+        # the fault keeps the rotation symmetry, but its first counterexample has a
+        # length vector that is not a necklace, so no representative is it
+        monkeypatch.setattr(lemmas, "_interval_masks", _skipping_masks)
+        for max_n in (4, 6, 8):
+            got = verify_interval_lemma(max_n)
+            assert not got.holds
+            assert got.to_json() == oracles.verify_interval_lemma_reference(max_n).to_json()
+        assert got.counterexample == {"n": 4, "anchors": [0, 2, 2, 1], "cycle_edge": [1, 3]}
+        assert not _is_necklace(_length_vector((0, 2, 2, 1)))
+        failing = [k for k, forest, _ in _interval_walk(4) if not forest]
+        assert failing and (0, 2, 2, 1) not in failing
 
     def test_spacing_only_gap_test_admits_a_non_periodic_coloring(self, monkeypatch):
         assert _spacing_only((0, 1, 0, 2), 3) and not _gaps_agree((0, 1, 0, 2), 3)
