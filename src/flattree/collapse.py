@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .deform import DeformError, SaddlePartition
 from .halftree import HalfTree, _find
@@ -29,6 +30,7 @@ from .surface import (
     GluedSurface,
     HyperellipticSurface,
     Mark,
+    _certified,
     _certify,
     _circles,
     _glued,
@@ -56,7 +58,7 @@ def certify_hyperelliptic(
     verdicts concatenated.
     """
     if isinstance(obj, HyperellipticSurface):
-        return _certify(_layout(obj), obj.heights)
+        return _certified(obj)
     if isinstance(obj, GluedSurface):
         return certify_glued(obj)
     if isinstance(obj, DisjointSurface):
@@ -66,7 +68,7 @@ def certify_hyperelliptic(
         alignments: dict[int, Fraction] = {}
         ok = True
         for comp in obj.components:
-            res = _certify(_layout(comp), comp.heights)
+            res = _certified(comp)
             ok = ok and res.ok
             components.extend(res.components)
             failures.extend(res.failures)
@@ -161,7 +163,7 @@ def vertical_collapse(
         {v: s.twists[v] for v in new_ports},
         tuple(marks),
     )
-    cert = _certify(_layout(forest), forest.heights)
+    cert = _certified(forest)
     if not cert.ok:
         raise CollapseError(f"collapsed surface failed certification: {cert.failures[0]}")
     before = area(s)
@@ -206,7 +208,6 @@ class ForestReport:
 @dataclass(frozen=True)
 class HorizontalCollapseResult:
     surfaces: DisjointSurface
-    glued: GluedSurface
     certification: CertifyResult
     gluings: tuple[StripGluing, ...]
     junctions: tuple[tuple[int, Fraction, str], ...]
@@ -214,10 +215,16 @@ class HorizontalCollapseResult:
     area_before: Fraction
     area_after: Fraction
     deleted_area: Fraction
+    _seam_table: Callable[[], GluedSurface] = field(repr=False, compare=False)
 
     @property
     def notices(self) -> tuple[str, ...]:
         return self.surfaces.notices
+
+    @cached_property
+    def glued(self) -> GluedSurface:
+        """The reglued seam table in ``Fraction``, built on first access."""
+        return self._seam_table()
 
 
 def _deleted_set_preconditions(s: HyperellipticSurface, delete: Iterable[int]) -> set[int]:
@@ -384,7 +391,6 @@ def horizontal_collapse(
     areas = {v: h.numerator * (H // h.denominator) * L[v] for v, h in s.heights.items()}
     return HorizontalCollapseResult(
         surfaces=DisjointSurface(cert.components, tuple(notices)),
-        glued=_glued(reglued, s.heights),
         certification=cert,
         gluings=tuple(gluings),
         junctions=tuple(junctions),
@@ -392,6 +398,7 @@ def horizontal_collapse(
         area_before=Fraction(sum(areas.values()), H * D),
         area_after=sum((area(comp) for comp in cert.components), Fraction(0)),
         deleted_area=Fraction(sum(areas[c] for c in chosen), H * D),
+        _seam_table=partial(_glued, reglued, s.heights),
     )
 
 

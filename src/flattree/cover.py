@@ -37,6 +37,7 @@ from .surface import (
     _fixed_classes,
     _json_label,
     _Layout,
+    _corner_walk,
     _layout,
     _profile_classes,
     build,
@@ -226,10 +227,8 @@ def _scaled(
     twists and marks and of the offsets, so half twists, half circumferences
     and half lengths are ints as well.
     """
-    values = [*offsets.values()]
-    for s in (source, base):
-        values += [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks)]
-    D = 2 * math.lcm(*(x.denominator for x in values))
+    scales = (_layout(source).scale, _layout(base).scale)  # each its own lcm of denominators
+    D = 2 * math.lcm(*scales, *(x.denominator for x in offsets.values()))
     unit = (Fraction(1, D),)
     off = {v: x.numerator * (D // x.denominator) for v, x in offsets.items()}
     return _layout(source, unit), _layout(base, unit), off
@@ -253,8 +252,8 @@ def _cover_failures(
     """
     lay_s, lay_b, off = scaled
     t, bt = source.skeleton, base.skeleton
-    src = _profile_classes(t, lay_s)[0]
-    dst = _profile_classes(bt, lay_b)[0]
+    src = _profile_classes(t, lay_s, _corner_walk(lay_s))[0]
+    dst = _profile_classes(bt, lay_b, _corner_walk(lay_b))[0]
     where = {c: j for j, g in enumerate(dst) for c in g}
     Ls, Lb = lay_s.circumference, lay_b.circumference
 

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .halftree import (
     HalfTree,
@@ -85,6 +85,10 @@ class HyperellipticSurface:
     heights: dict[int, Fraction]
     twists: dict[int, Fraction]
     marks: tuple[Mark, ...] = ()
+
+    def __getstate__(self) -> dict:
+        """The fields only: values kept by :func:`_kept` stay out of copies and pickles."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def circumference(self, v: int) -> Fraction:
         return sum((self.lengths[p] for p in self.skeleton.ports(v)), Fraction(0))
@@ -141,15 +145,36 @@ class _Layout:
     marks: tuple[tuple[int, int], ...]
 
 
+def _kept(s: HyperellipticSurface, name: str, make: Callable[[], object]):
+    """``make()`` on first use, kept in ``s.__dict__`` outside the fields (``==``, ``repr``, JSON)."""
+    if name not in s.__dict__:
+        s.__dict__[name] = make()
+    return s.__dict__[name]
+
+
 def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     """Integer layout of ``s``, on a scale that also makes each ``extra`` value integral.
 
-    Built per call, never stored: on a large surface it outweighs the surface.
-    Read by the corner walk, certification, the flow, horizontal collapse and
-    :func:`canonical_metric`.
+    The layout on ``D``, the lcm of all length, twist and mark offset
+    denominators, is built on first use and kept on ``s``; ``extra`` scales it
+    by ``lcm(D, extra denominators) // D`` into a fresh layout, not kept.  Read
+    by the corner walk, certification, flow, collapse, covers and canonical metrics.
     """
+    lay = _kept(s, "_lay", lambda: _new_layout(s))
+    k = math.lcm(lay.scale, *(x.denominator for x in extra)) // lay.scale
+    return lay if k == 1 else _Layout(
+        k * lay.scale,
+        {v: k * x for v, x in lay.circumference.items()},
+        {v: k * x for v, x in lay.twist.items()},
+        {p: k * x for p, x in lay.length.items()},
+        {p: ((v, k * a), (w, k * b)) for p, ((v, a), (w, b)) in lay.seams.items()},
+        tuple((p, k * u) for p, u in lay.marks),
+    )
+
+
+def _new_layout(s: HyperellipticSurface) -> _Layout:
     t = s.skeleton
-    values = [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks), *extra]
+    values = [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks)]
     D = math.lcm(*(x.denominator for x in values))
 
     def scaled(x: Fraction) -> int:
@@ -240,9 +265,11 @@ def build(
         if v not in known:
             raise MetricError(f"metric given for unknown vertex {v}")
     for v in skeleton.vertices:
-        L = sum((lens[p] for p in skeleton.ports(v)), Fraction(0))
         tw = _exact(twists.get(v, 0))
-        tws[v] = tw if 0 <= tw < L else tw % L
+        d = math.lcm(tw.denominator, *(lens[p].denominator for p in skeleton.ports(v)))
+        n = tw.numerator * (d // tw.denominator)
+        L = sum(lens[p].numerator * (d // lens[p].denominator) for p in skeleton.ports(v))
+        tws[v] = tw if 0 <= n < L else Fraction(n % L, d)
     mark_list = tuple(sorted(Mark(m.port, _exact(m.offset)) for m in marks))
     mark_set = set(mark_list)
     if len(mark_set) != len(mark_list):
@@ -351,14 +378,19 @@ def _corner_walk(lay: _Layout) -> list[list[tuple[int, str, int]]]:
     return list(groups.values())
 
 
-def _profile_classes(t: HalfTree, lay: _Layout) -> tuple[list[tuple], Stratum]:
-    """Sorted corner classes of ``lay``, in layout units and profile order, and the stratum.
+def _corners(s: HyperellipticSurface) -> list[list[tuple[int, str, int]]]:
+    """The corner walk of ``_layout(s)``, kept on ``s``."""
+    return _kept(s, "_walk", lambda: _corner_walk(_layout(s)))
+
+
+def _profile_classes(t: HalfTree, lay: _Layout, walk: Sequence) -> tuple[list[tuple], Stratum]:
+    """Sorted corner classes of ``walk``, the corner walk of ``lay``, in profile order, and the stratum.
 
     Scaling keeps the order of positions, so class ``i`` here is class ``i``
     of :func:`singularity_profile`.  A class of odd size, or zero orders other
     than the stratum's, raise :class:`MetricError`.
     """
-    classes = sorted((tuple(sorted(g)) for g in _corner_walk(lay)), key=lambda g: (-len(g), g))
+    classes = sorted((tuple(sorted(g)) for g in walk), key=lambda g: (-len(g), g))
     for g in classes:
         if len(g) % 2 != 0:
             g = tuple((v, e, Fraction(x, lay.scale)) for v, e, x in g)
@@ -382,7 +414,7 @@ def singularity_profile(s: HyperellipticSurface) -> SingularityProfile:
     raises rather than reports.
     """
     lay = _layout(s)
-    classes, expected = _profile_classes(s.skeleton, lay)
+    classes, expected = _profile_classes(s.skeleton, lay, _corners(s))
     D = lay.scale
     corner_orders = tuple(len(g) // 2 - 1 for g in classes)
     return SingularityProfile(
@@ -433,11 +465,8 @@ def weierstrass_points(s: HyperellipticSurface) -> WeierstrassReport:
     involution.  The count is compared against ``2g + 2`` and against the
     closed formula ``sum(deg_v + 2) - 2 * #edges + #fixed corner classes``.
     """
-    return _weierstrass(s, _layout(s))
-
-
-def _weierstrass(s: HyperellipticSurface, lay: _Layout) -> WeierstrassReport:
     t = s.skeleton
+    lay = _layout(s)
     D2 = 2 * lay.scale
     points: list[tuple] = []
     for v in t.vertices:
@@ -449,7 +478,7 @@ def _weierstrass(s: HyperellipticSurface, lay: _Layout) -> WeierstrassReport:
         points.append(("core", v, Fraction((x0 + L2 // 2) % L2, D2), h))
     for p in t.half_edge_ports():
         points.append(("midpoint", p, s.lengths[p] / 2))
-    classes = _corner_walk(lay)
+    classes = _corners(s)
     fixed = _fixed_classes(lay, classes)
     for i in fixed:
         v, e, x = min(classes[i])
@@ -477,14 +506,14 @@ def involution_check(s: HyperellipticSurface) -> InvolutionReport:
 
     Runs the glued-level certification (which searches for per-cylinder
     alignments and checks global seam consistency) and the Weierstrass count,
-    both on one integer layout.  Distances need no separate check: inside a
-    cylinder the involution is ``j(x, y) = (-tw - x mod L, h - y)``, which only
-    flips the sign of differences, so ``min(dx, L - dx)`` and ``|y1 - y2|`` are
-    preserved for every ``L``, ``h`` and ``tw``.
+    both on the kept layout, certification and corner walk.  Distances need
+    no separate check: inside a cylinder the involution is
+    ``j(x, y) = (-tw - x mod L, h - y)``, which only flips the sign of
+    differences, so ``min(dx, L - dx)`` and ``|y1 - y2|`` are preserved for
+    every ``L``, ``h`` and ``tw``.
     """
-    lay = _layout(s)
-    failures = list(_certify(lay, s.heights).failures)
-    wr = _weierstrass(s, lay)
+    failures = list(_certified(s).failures)
+    wr = weierstrass_points(s)
     if not wr.ok:
         failures.append(
             f"fixed point count {wr.count} != {wr.expected} or formula residual {wr.formula_residual}"
@@ -783,6 +812,11 @@ def _certify(lay: _Layout, heights: Mapping[int, Fraction]) -> CertifyResult:
     return CertifyResult(True, tuple(surfaces), involution, alignments, ())
 
 
+def _certified(s: HyperellipticSurface) -> CertifyResult:
+    """``_certify(_layout(s), s.heights)``, kept on ``s``."""
+    return _kept(s, "_cert", lambda: _certify(_layout(s), s.heights))
+
+
 def extract_skeleton(s: HyperellipticSurface) -> HalfTree:
     """Recover the half-tree of a built surface through full certification.
 
@@ -792,7 +826,7 @@ def extract_skeleton(s: HyperellipticSurface) -> HalfTree:
     are equal, ``s.skeleton`` itself is returned, so a canonical form kept
     on it is reused.
     """
-    cert = _certify(_layout(s), s.heights)
+    cert = _certified(s)
     if not cert.ok:
         raise MetricError(f"surface failed certification: {cert.failures[0]}")
     if len(cert.components) != 1:

@@ -392,9 +392,10 @@ def unlabeled_trees(n: int) -> dict[str, dict[int, list[int]]]:
 
 
 # -- Fraction reference for the vertical flow and the corner walk -------------
-# Every table and step in ``Fraction``, positions read off ``port_start``,
-# ``top_start`` and ``seam_sides``; the library walks the same lattice in
-# integers and must agree with these exactly.
+# Every table and step in ``Fraction``.  The geometry sums each bottom circle
+# once and reads top sides off ``seam_sides`` once per seam; steps read those
+# tables.  The library walks the same lattice in integers and must agree with
+# these exactly.
 
 
 class FractionGeometry:
@@ -408,6 +409,9 @@ class FractionGeometry:
         self.bottom_ports: dict[int, list[int]] = {}
         self.top_starts: dict[int, list[Fraction]] = {}
         self.top_ports: dict[int, list[int]] = {}
+        # seam -> its bottom start, and seam -> (vertex below, top start)
+        self.start_of: dict[int, Fraction] = {}
+        self.below_of: dict[int, tuple[int, Fraction]] = {}
         for v in t.vertices:
             starts, ports = [], []
             a = Fraction(0)
@@ -416,9 +420,11 @@ class FractionGeometry:
                 ports.append(p)
                 a += s.lengths[p]
             self.bottom_starts[v], self.bottom_ports[v] = starts, ports
+            self.start_of.update(zip(ports, starts))
         tops: dict[int, list[tuple[Fraction, int]]] = {v: [] for v in t.vertices}
         for p in t.all_ports:
             (_, _), (w, ts) = s.seam_sides(p)
+            self.below_of[p] = (w, ts)
             tops[w].append((ts, p))
         for v, entries in tops.items():
             entries.sort()
@@ -429,7 +435,7 @@ class FractionGeometry:
         for m in s.marks:
             self.mark_offsets.setdefault(m.port, set()).add(m.offset)
             v = t.vertex_of(m.port)
-            self.bottom_mark_positions[v].add(s.port_start(m.port) + m.offset)
+            self.bottom_mark_positions[v].add(self.start_of[m.port] + m.offset)
 
     def step_up(self, v: int, x: Fraction):
         """Cross cylinder ``v`` upward from bottom position ``x``.
@@ -449,7 +455,7 @@ class FractionGeometry:
         if offset in self.mark_offsets.get(seam, ()):
             return ("mark", (seam, offset))
         above_vertex = self.s.skeleton.vertex_of(seam)
-        return ("cross", above_vertex, self.s.port_start(seam) + offset)
+        return ("cross", above_vertex, self.start_of[seam] + offset)
 
     def step_down(self, v: int, x: Fraction) -> tuple[int, Fraction] | None:
         """Pull a non-corner bottom position down through the cylinder below."""
@@ -457,8 +463,7 @@ class FractionGeometry:
         idx = bisect_right(starts, x) - 1
         if x == starts[idx]:
             return None
-        seam = self.bottom_ports[v][idx]
-        (_, _), (w, ts) = self.s.seam_sides(seam)
+        w, ts = self.below_of[self.bottom_ports[v][idx]]
         y = ts + (x - starts[idx])
         return (w, (y - self.s.twists[w]) % self.L[w])
 
@@ -514,7 +519,7 @@ def split_points_fraction(geo: FractionGeometry) -> dict[int, list[Fraction]]:
         seed |= {(c - s.twists[v]) % geo.L[v] for c in geo.top_starts[v]}
         seed |= geo.bottom_mark_positions[v]
         for p, offsets in geo.mark_offsets.items():
-            (_, _), (w, ts) = s.seam_sides(p)
+            w, ts = geo.below_of[p]
             if w == v:
                 seed |= {(ts + u - s.twists[v]) % geo.L[v] for u in offsets}
         split[v] = seed
@@ -561,7 +566,7 @@ def vertical_decomposition_fraction(s: HyperellipticSurface) -> tuple[VerticalCy
         idx = bisect_right(starts, y) - 1
         seam = geo.top_ports[v][idx]
         u = s.skeleton.vertex_of(seam)
-        x2 = s.port_start(seam) + (y - starts[idx])
+        x2 = geo.start_of[seam] + (y - starts[idx])
         succ.append(index[(u, x2)])
     assert len(set(succ)) == len(succ), "interval map failed to be a bijection"
     seen = [False] * len(intervals)
@@ -1469,7 +1474,6 @@ def horizontal_collapse_fraction(
     deleted_area = sum((gs.cylinders[c][0] * gs.cylinders[c][1] for c in chosen), Fraction(0))
     return collapse.HorizontalCollapseResult(
         surfaces=out,
-        glued=reglued,
         certification=cert,
         gluings=tuple(gluings),
         junctions=tuple(junctions),
@@ -1477,4 +1481,5 @@ def horizontal_collapse_fraction(
         area_before=area(s),
         area_after=after,
         deleted_area=deleted_area,
+        _seam_table=lambda: reglued,
     )

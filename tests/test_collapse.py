@@ -251,7 +251,7 @@ class TestVerticalCollapse:
 
     def test_one_layout_and_one_build_per_component(self, monkeypatch, horned_path3):
         layouts, builds = [], []
-        layout, build_ = flattree.collapse._layout, flattree.surface.build
+        layout, build_ = flattree.surface._new_layout, flattree.surface.build
 
         def counted_layout(*args):
             layouts.append(args)
@@ -261,7 +261,7 @@ class TestVerticalCollapse:
             builds.append(args)
             return build_(*args)
 
-        monkeypatch.setattr(flattree.collapse, "_layout", counted_layout)
+        monkeypatch.setattr(flattree.surface, "_new_layout", counted_layout)
         monkeypatch.setattr(flattree.surface, "build", counted_build)
         sp, props = full_edge_class_containing(horned_path3, 1)
         res = vertical_collapse(horned_path3, sp, props)
@@ -397,6 +397,21 @@ class TestHorizontalCollapse:
         assert len(layouts) == 1
         assert repr(res.glued) == repr(oracles.horizontal_collapse_fraction(s, {1}).glued)
 
+    def test_seam_table_is_built_on_first_access(self, monkeypatch, path3):
+        tables = []
+        glued = flattree.collapse._glued
+
+        def counted(*args):
+            tables.append(args)
+            return glued(*args)
+
+        monkeypatch.setattr(flattree.collapse, "_glued", counted)
+        res = horizontal_collapse(path3, {1})
+        assert tables == []
+        assert res.glued is res.glued
+        assert len(tables) == 1
+        assert "glued" not in repr(res)
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_single_deletions_always_certify(self, n):
         for t in enumerate_halftrees(n):
@@ -446,12 +461,15 @@ def reference_sweep_surfaces(n):
 
 
 def collapse_outcome(collapse, s, delete) -> tuple:
-    """("result", repr, result) of an accepted collapse, ("refused", message, None) of a refused one."""
+    """("result", repr, result) of an accepted collapse, ("refused", message, None) of a refused one.
+
+    The repr covers the seam table ``glued`` too, which the result's own repr leaves out.
+    """
     try:
         res = collapse(s, delete)
     except CollapseError as exc:
         return "refused", str(exc), None
-    return "result", repr(res), res
+    return "result", repr((res, res.glued)), res
 
 
 @functools.cache

@@ -563,7 +563,7 @@ class TestWorkPerCall:
 
         for module in (surface, cover):
             monkeypatch.setattr(module, "_layout", layout)
-        monkeypatch.setattr(surface, "_corner_walk", walk)
+            monkeypatch.setattr(module, "_corner_walk", walk)
         return layouts, walks
 
     def test_each_public_call(self, stock, counts):

@@ -202,3 +202,58 @@ def test_kept_form_guard_sees_every_kind_of_write():
     )
     assert _shared_form_writes(ast.parse(snippet), may_keep=False) == [1, 2, 3, 4, 5, 6]
     assert _shared_form_writes(ast.parse(snippet), may_keep=True) == [1, 2, 3, 4]
+
+
+# ``tests/oracles.py`` is the layout-independent convention the integer kernels
+# are checked against, so it may reach no kernel and no value a surface keeps
+_KERNEL_NAMES = {
+    "_layout",
+    "_new_layout",
+    "_certify",
+    "_certified",
+    "_corner_walk",
+    "_corners",
+    "_kept",
+    "_lay",
+    "_cert",
+    "_walk",
+}
+
+
+def _kernel_references(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that name a kernel or a kept attribute, as a name, attribute, import or string."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in _KERNEL_NAMES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_oracles_reach_no_kernel_and_no_kept_value():
+    oracles = Path(__file__).resolve().parent / "oracles.py"
+    assert _kernel_references(ast.parse(oracles.read_text())) == []
+
+
+def test_kernel_guard_sees_each_kind_of_reference():
+    snippet = "\n".join(
+        [
+            "from flattree.surface import _layout",
+            "lay = surface._certify(x, h)",
+            "walk = _corner_walk(lay)",
+            "lay = vars(s)['_lay']",
+            "c = getattr(s, '_cert')",
+            '"""A docstring that mentions _layout and _walk."""',
+            "layout = lower(s)",
+        ]
+    )
+    assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5]

@@ -1,10 +1,13 @@
 """Surface layer: build validation, corner walk, involution, glued certification."""
 
+import copy
 import json
+import math
+import pickle
 import random
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import oracles
@@ -283,7 +286,8 @@ class TestWeierstrass:
                 prof = singularity_profile(s).corner_classes
                 fixed = oracles.fixed_corner_classes_fraction(s, prof)
                 lay = surface._layout(s)
-                assert surface._fixed_classes(lay, surface._profile_classes(s.skeleton, lay)[0]) == fixed
+                classes = surface._profile_classes(s.skeleton, lay, surface._corners(s))[0]
+                assert surface._fixed_classes(lay, classes) == fixed
 
     def test_fixed_class_needs_its_whole_image(self):
         # rotation by pi sends (0, side, x) to (0, other side, -x mod 3): class 0
@@ -344,16 +348,17 @@ class TestInvolution:
         assert repr(surface._certify(surface._layout(raw), raw.heights)) == repr(cert)
 
     def test_builds_one_layout(self, monkeypatch, star3_surface):
-        calls = []
-        layout = surface._layout
+        builds = []
+        new_layout = surface._new_layout
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return layout(*args, **kwargs)
+        def counted(s):
+            builds.append(s)
+            return new_layout(s)
 
-        monkeypatch.setattr(surface, "_layout", counted)
-        assert involution_check(star3_surface).ok
-        assert len(calls) == 1
+        monkeypatch.setattr(surface, "_new_layout", counted)
+        s = replace(star3_surface)  # a fresh object, nothing kept yet
+        assert involution_check(s).ok
+        assert builds == [s]
 
     def test_surfaces_certify_without_a_seam_table(self, monkeypatch, star3_surface):
         def refuse(*args):
@@ -363,6 +368,154 @@ class TestInvolution:
         monkeypatch.setattr(surface, "certify_glued", refuse)
         assert involution_check(star3_surface).ok
         assert extract_skeleton(star3_surface) == star3_surface.skeleton
+
+
+def relabeled_rebuild(s: HyperellipticSurface, rng: random.Random) -> HyperellipticSurface:
+    """``s`` under fresh vertex and port ids, every port list rotated and its twist corrected."""
+    t = s.skeleton
+    vids = dict(zip(t.vertices, rng.sample(range(100, 100 + 3 * len(t.vertices)), len(t.vertices))))
+    pids = dict(zip(t.all_ports, rng.sample(range(500, 500 + 3 * t.n_ports), t.n_ports)))
+    ports_of, heights, twists = {}, {}, {}
+    for v in t.vertices:
+        plist = t.ports(v)
+        r = rng.randrange(len(plist))
+        ports_of[vids[v]] = [pids[p] for p in plist[r:] + plist[:r]]
+        heights[vids[v]] = s.heights[v]
+        twists[vids[v]] = s.twists[v] + 2 * s.port_start(plist[r])
+    skeleton = HalfTree(ports_of, [(pids[p], pids[q]) for p, q in t.edges()])
+    return build(skeleton, {pids[p]: x for p, x in s.lengths.items()}, heights, twists)
+
+
+def fraction_layout(s: HyperellipticSurface, scale: int) -> surface._Layout:
+    """The layout of ``s`` on ``scale``, every entry read off the ``Fraction`` layout methods."""
+    t = s.skeleton
+
+    def at(x: F) -> int:
+        n = x * scale
+        if n.denominator != 1:
+            raise ValueError(f"{x} is not integral on scale {scale}")
+        return n.numerator
+
+    return surface._Layout(
+        scale,
+        {v: at(s.circumference(v)) for v in t.vertices},
+        {v: at(x) for v, x in s.twists.items()},
+        {p: at(x) for p, x in s.lengths.items()},
+        {p: tuple((u, at(x)) for u, x in s.seam_sides(p)) for p in t.all_ports},
+        tuple(sorted((m.port, at(m.offset)) for m in s.marks)),
+    )
+
+
+class TestKeptData:
+    """A surface lays itself out, certifies and walks its corners once, and nothing else sees it."""
+
+    @staticmethod
+    def counting(monkeypatch, name: str) -> list:
+        """Patch ``surface.<name>`` to record its first argument on every call."""
+        calls, original = [], getattr(surface, name)
+
+        def counted(first, *args):
+            calls.append(first)
+            return original(first, *args)
+
+        monkeypatch.setattr(surface, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_census_case_computes_each_value_once(self, monkeypatch, n):
+        builds = self.counting(monkeypatch, "_new_layout")
+        certified = self.counting(monkeypatch, "_certify")
+        walked = self.counting(monkeypatch, "_corner_walk")
+        rng = random.Random(n)
+        for t in enumerate_halftrees(n):
+            for seed in (0, 1):
+                for calls in (builds, certified, walked):
+                    calls.clear()
+                s = random_metric(t, seed)
+                assert canonical_form(extract_skeleton(s)) is canonical_form(t)
+                singularity_profile(s)
+                assert weierstrass_points(s).ok
+                assert involution_check(s).ok
+                other = relabeled_rebuild(s, rng)
+                assert surfaces_isomorphic(s, other)
+                assert [id(x) for x in builds] == [id(s), id(other)]
+                assert [id(lay) for lay in certified] == [id(surface._layout(s))]
+                assert [id(lay) for lay in walked] == [id(surface._layout(s))]
+
+    def test_kept_values_are_invisible(self, path3_surface):
+        s = with_marks(path3_surface, involution_orbit(path3_surface, Mark(0, F(1, 3))))
+        twin = replace(s)
+        before = (repr(s), surface_to_json(s), fields(s))
+        with pytest.raises(TypeError) as unhashable:
+            hash(s)
+        assert involution_check(s).ok and singularity_profile(s) and extract_skeleton(s)
+        assert surfaces_isomorphic(s, twin)
+        assert (repr(s), surface_to_json(s), fields(s)) == before
+        with pytest.raises(TypeError, match=str(unhashable.value)):
+            hash(s)
+        assert s == twin and replace(s) == s
+        # a new object on the same skeleton keeps nothing yet
+        assert pickle.dumps(s) == pickle.dumps(replace(s))
+        names = {f.name for f in fields(s)}
+        for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert other == s and set(vars(other)) == names
+
+    def test_new_objects_lay_out_afresh(self, path3_surface):
+        s = path3_surface
+        kept = surface._layout(s)
+        sheared = replace(s, twists={v: x + F(1, 5) for v, x in s.twists.items()})
+        marked = with_marks(s, involution_orbit(s, Mark(2, F(1, 2))))
+        for other in (sheared, marked):
+            lay = surface._layout(other)
+            assert lay is not kept and lay != kept
+            assert lay == fraction_layout(other, lay.scale)
+        assert surface._layout(sheared).scale == 30
+        assert surface._layout(marked).marks == ((2, 3), (3, 6))
+        assert surface._layout(s) is kept and kept == fraction_layout(s, 6)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rescaled_layout_equals_a_fresh_build(self, n):
+        extras = [(), (F(1, 3),), (F(5, 12), F(-7, 8)), (F(1, 35), F(2)), (F(9, 16),)]
+        for t in enumerate_halftrees(n):
+            s = random_metric(t, n)
+            marked = with_marks(s, involution_orbit(s, Mark(t.all_ports[0], s.lengths[t.all_ports[0]] / 3)))
+            wound = replace(s, twists={v: x - 3 * s.circumference(v) for v, x in s.twists.items()})
+            for x in (s, marked, wound):
+                D = surface._layout(x).scale
+                for extra in extras:
+                    scale = math.lcm(D, *(e.denominator for e in extra))
+                    lay = surface._layout(x, extra)
+                    assert lay.scale == scale and lay == fraction_layout(x, scale)
+                    assert (lay is surface._layout(x)) == (scale == D)
+                assert surface._layout(x) == fraction_layout(x, D)
+
+    @pytest.mark.parametrize("first", ["involution_check", "extract_skeleton"])
+    @pytest.mark.parametrize(
+        "raw, failure",
+        [
+            (raw_path3(lengths=(2, 3, 3, 3)), "top circle of cylinder 0 covers 3 of circumference 2"),
+            (raw_path3(marks=(Mark(0, F(1, 3)),)), "cylinder 0: no rotation aligns"),
+            (raw_path3(heights=(1, -1, 1)), "cylinder 1 has nonpositive dimensions"),
+        ],
+    )
+    def test_failed_certification_reads_alike_in_either_order(self, first, raw, failure):
+        raw = replace(raw)  # nothing kept from other tests
+        cert = certify_glued(lower(replace(raw)))
+
+        def extracted() -> str:
+            with pytest.raises(MetricError) as exc:
+                extract_skeleton(raw)
+            return str(exc.value)
+
+        if first == "extract_skeleton":
+            message = extracted()
+            report = involution_check(raw)
+        else:
+            report = involution_check(raw)
+            message = extracted()
+        assert cert.failures[0].startswith(failure)
+        assert message == f"surface failed certification: {cert.failures[0]}"
+        assert not report.ok and report.failures[: len(cert.failures)] == cert.failures
 
 
 def stubbed_path(n: int) -> HyperellipticSurface:
