@@ -141,6 +141,8 @@ class _Lattice:
         if offset in self.mark_offsets.get(seam, ()):
             return ("mark", (seam, offset))
         above_vertex, a = self.seams[seam][0]
+        if a + offset >= self.L[above_vertex]:
+            raise FlowError(f"vertical step lands past the end of circle {above_vertex}")
         return ("cross", above_vertex, a + offset)
 
     def strip_up(self, v: int, x: int, w: int) -> tuple[int, int] | None:

@@ -294,6 +294,32 @@ class TestFractionReference:
             else:
                 assert repr(trace_vertical(s, start)) == repr(want)
 
+    def test_trace_on_inconsistent_raw_surfaces_refuses_landings_off_the_circle(self):
+        # the reference keeps walking from a landing past the end of a circle
+        rng = random.Random(0)
+        for n in range(2, 7):
+            for t in enumerate_halftrees(n):
+                for seed in range(3):
+                    s = random_metric(t, seed)
+                    lengths = dict(s.lengths)
+                    p = rng.choice(t.all_ports)
+                    lengths[p] += F(rng.randint(1, 3), 2)
+                    raw = HyperellipticSurface(t, lengths, s.heights, s.twists, s.marks)
+                    for start in ((v, x) for v in t.vertices for x in (F(1, 7), F(1, 3), F(5, 11))):
+                        try:
+                            want = oracles.trace_vertical_fraction(raw, start)
+                        except FlowError as exc:
+                            with pytest.raises(FlowError, match=re.escape(str(exc))):
+                                trace_vertical(raw, start)
+                            continue
+                        except RuntimeError:  # the reference's step bound
+                            want = None
+                        if want and all(x < raw.circumference(v) for v, x in want.crossings):
+                            assert repr(trace_vertical(raw, start)) == repr(want)
+                        else:
+                            with pytest.raises(FlowError):
+                                trace_vertical(raw, start)
+
 
 @pytest.fixture
 def fractions_made(monkeypatch):
