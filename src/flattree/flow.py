@@ -7,9 +7,13 @@ make every orbit periodic, which is what lets the decomposition be exact.
 
 A trajectory stops when it meets a zero or a marked point; decoration marks
 therefore act as vertical barriers and may subdivide what would otherwise be
-a single vertical cylinder.  Widths and areas are unaffected.  The
-decomposition walks the return map forward from each bottom corner and mark on
-the integer layout, and builds exact ``Fraction`` crossings only when read.
+a single vertical cylinder.  Widths and areas are unaffected.
+
+:func:`_return_map` lays the bottom circles end to end on one integer line
+and cuts the return map into translation pieces there.  Every walk reads that
+one table: :func:`trace_vertical` steps one point, :func:`vertical_decomposition`
+walks forward from each bottom corner and mark, and :func:`_locate_witness`
+carries a strip.  Exact ``Fraction`` crossings are built only when read.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ class VerticalCylinder:
 
 
 class _Crossings(Sequence):
-    """Read-only view of a decomposed cylinder's crossings over its integer orbit.
+    """Read-only view of crossings given as points of the return map's line.
 
-    ``circles`` is (sorted vertices, their offsets on the orbit's line, scale).  ``len``
+    ``circles`` is (sorted vertices, their offsets on the line, scale).  ``len``
     and :meth:`visits` read ints; the exact tuple ``self[:]`` is built on first item
     access, and ``==``, ``hash`` and ``repr`` are that tuple's.  Two views on equal
     circle tables compare their int orbits instead, with the same result.
@@ -91,7 +95,7 @@ class _Crossings(Sequence):
         if self._exact is None:
             verts, offs, D = self._circles
             at = [bisect_right(offs, g) - 1 for g in self._orbit]
-            self._exact = _fractions(D, [(verts[k], g - offs[k]) for k, g in zip(at, self._orbit)])
+            self._exact = tuple((verts[k], Fraction(g - offs[k], D)) for k, g in zip(at, self._orbit))
         return self._exact[i]
 
     def __eq__(self, other: object) -> bool:
@@ -106,63 +110,55 @@ class _Crossings(Sequence):
         return repr(self[:])
 
 
-class _Lattice:
-    """Sorted circle tables of one surface's integer layout, shared by the walkers."""
+def _return_map(s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
+    """The first-return map to the bottom circles, on one integer line.
 
-    def __init__(self, s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
-        lay = _layout(s, extra)
-        self.D, self.L, self.twist, self.seams = lay.scale, lay.circumference, lay.twist, lay.seams
-        bottoms, tops = _circles(lay)
-        self.bottom_starts, self.top_starts, self.top_ports = {}, {}, {}
-        for v in self.L:
-            self.bottom_starts[v] = [a for a, _ in bottoms[v]]
-            self.top_starts[v], self.top_ports[v] = zip(*tops[v])
-        self.mark_offsets: dict[int, set[int]] = {}
-        self.bottom_mark_positions: dict[int, set[int]] = {v: set() for v in self.L}
-        for port, u in lay.marks:
-            self.mark_offsets.setdefault(port, set()).add(u)
-            v, a = self.seams[port][0]
-            self.bottom_mark_positions[v].add(a + u)
-
-    def step_up(self, v: int, x: int):
-        """Cross cylinder ``v`` upward from bottom position ``x``.
-
-        Returns ("cross", vertex, position), ("zero", corner) or
-        ("mark", seam, offset).
-        """
-        y = (x + self.twist[v]) % self.L[v]
-        starts = self.top_starts[v]
-        idx = bisect_right(starts, y) - 1
-        ts = starts[idx]
-        if y == ts:
-            return ("zero", (v, "t", y))
-        seam = self.top_ports[v][idx]
-        offset = y - ts
-        if offset in self.mark_offsets.get(seam, ()):
-            return ("mark", (seam, offset))
-        above_vertex, a = self.seams[seam][0]
-        if a + offset >= self.L[above_vertex]:
-            raise FlowError(f"vertical step lands past the end of circle {above_vertex}")
-        return ("cross", above_vertex, a + offset)
-
-    def strip_up(self, v: int, x: int, w: int) -> tuple[int, int] | None:
-        """Carry the strip [x, x + w) of ``v``'s bottom circle across ``v``.
-
-        Returns the strip's bottom position on the cylinder above, or None when
-        its top image [y, y + w) is not inside one seam or has a mark strictly
-        inside.
-        """
-        L = self.L[v]
-        y = (x + self.twist[v]) % L
-        starts = self.top_starts[v]
-        idx = bisect_right(starts, y) - 1
-        if y + w > (starts[idx + 1] if idx + 1 < len(starts) else L):
-            return None
-        seam, offset = self.top_ports[v][idx], y - starts[idx]
-        if any(offset < u < offset + w for u in self.mark_offsets.get(seam, ())):
-            return None
-        above_vertex, a = self.seams[seam][0]
-        return above_vertex, a + offset
+    Returns ``(D, H, verts, offs, starts, pieces, sources)``: on the layout
+    scale ``D``, the bottom circle of ``verts[i]`` (sorted) is ``[offs[i],
+    offs[i + 1])``.  A point ``g`` of the piece from ``starts[j]``, with
+    ``(shift, h, stop) = pieces[j]``, crosses a height of ``h / H`` and
+    returns at ``g + shift``, unless ``g == stop``: it then meets the top
+    corner or mark glued to the source ``g + shift``, and ``sources`` maps
+    that to ``("zero", (cylinder, "t", top position))`` or ``("mark", (seam,
+    offset))``.  ``stop`` is None on a piece whose returns fall past the end
+    of their circle, which only an inconsistent raw surface has.
+    """
+    lay = _layout(s, extra)
+    H = math.lcm(*(h.denominator for h in s.heights.values()))
+    verts = sorted(lay.circumference)
+    offs = [0, *accumulate(lay.circumference[v] for v in verts)]
+    off = dict(zip(verts, offs))
+    marks: dict[int, list[int]] = {}
+    for p, u in lay.marks:
+        marks.setdefault(p, []).append(u)
+    sources: dict[int, tuple] = {}
+    for p, ((v, a), (w, b)) in lay.seams.items():
+        sources[off[v] + a] = ("zero", (w, "t", b))
+        for u in marks.get(p, ()):
+            sources[off[v] + a + u] = ("mark", (p, u))
+    starts, pieces = [], []
+    _, tops_of = _circles(lay)
+    for v, o in off.items():
+        L, tops = lay.circumference[v], tops_of[v]
+        tw, h = lay.twist[v] % L, s.heights[v].numerator * H // s.heights[v].denominator
+        # top corners and marks, the line point each is glued to, and where returns leave its circle
+        ys, glued, out, cuts = [], [], [], {0}
+        for (b, p), (nb, _) in zip(tops, [*tops[1:], (L, None)]):
+            (u, a), _ = lay.seams[p]
+            if b + lay.circumference[u] - a < nb:
+                cuts.add((b + lay.circumference[u] - a - tw) % L)
+            for y in (b, *(b + m for m in marks.get(p, ()))):
+                ys.append(y)
+                glued.append(off[u] + a + y - b)
+                out.append(b + lay.circumference[u] - a)
+                cuts.add((y - tw) % L)
+        for x in sorted(cuts):
+            y = (x + tw) % L
+            k = bisect_right(ys, y) - 1
+            starts.append(o + x)
+            stop = o + x if y == ys[k] else None if y >= out[k] else -1
+            pieces.append((glued[k] + y - ys[k] - o - x, h, stop))
+    return lay.scale, H, verts, offs, starts, pieces, sources
 
 
 def trace_vertical(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Trajectory:
@@ -176,35 +172,29 @@ def trace_vertical(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Traj
     if v not in s.skeleton.vertices:
         raise FlowError(f"no cylinder {v}")
     x = Fraction(x)
-    lat = _Lattice(s, (x,))
-    D = lat.D
-    xi = x.numerator * (D // x.denominator) % lat.L[v]
-    x = Fraction(xi, D)
-    if xi in lat.bottom_starts[v]:
-        raise FlowError(f"start ({v}, {x}) lies on a singular corner")
-    if xi in lat.bottom_mark_positions[v]:
-        raise FlowError(f"start ({v}, {x}) lies on a marked point")
-    crossings: list[tuple[int, int]] = [(v, xi)]
-    length = Fraction(0)
-    # every crossing lands on one of the layout's sum(L) lattice positions
-    limit = 2 * sum(lat.L.values()) + 4
-    cur_v, cur_x = v, xi
-    for _ in range(limit):
-        outcome = lat.step_up(cur_v, cur_x)
-        length += s.heights[cur_v]
-        if outcome[0] != "cross":
-            kind, where = outcome
+    D, H, verts, offs, starts, pieces, sources = _return_map(s, (x,))
+    o, end = offs[verts.index(v) : verts.index(v) + 2]
+    g = o + x.numerator * (D // x.denominator) % (end - o)
+    x = Fraction(g - o, D)
+    if g in sources:
+        what = "singular corner" if sources[g][0] == "zero" else "marked point"
+        raise FlowError(f"start ({v}, {x}) lies on a {what}")
+    orbit, length, table = [g], 0, (verts, offs, D)
+    # every crossing lands on one of the line's offs[-1] points
+    for _ in range(2 * offs[-1] + 4):
+        shift, h, stop = pieces[bisect_right(starts, g) - 1]
+        length += h
+        if g == stop:
+            kind, where = sources[g + shift]
             hit = (kind, where[:-1] + (Fraction(where[-1], D),))
-            return Trajectory((v, x), False, _fractions(D, crossings), length, hit)
-        _, cur_v, cur_x = outcome
-        if (cur_v, cur_x) == (v, xi):
-            return Trajectory((v, x), True, _fractions(D, crossings), length)
-        crossings.append((cur_v, cur_x))
+            return Trajectory((v, x), False, _Crossings(orbit, table)[:], Fraction(length, H), hit)
+        if stop is None:
+            raise FlowError("vertical step lands past the end of its circle")
+        g += shift
+        if g == orbit[0]:
+            return Trajectory((v, x), True, _Crossings(orbit, table)[:], Fraction(length, H))
+        orbit.append(g)
     raise FlowError("vertical trace exceeded the rational step bound")
-
-
-def _fractions(D: int, crossings: list[tuple[int, int]]) -> tuple[tuple[int, Fraction], ...]:
-    return tuple((v, Fraction(x, D)) for v, x in crossings)
 
 
 def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, ...]:
@@ -217,28 +207,8 @@ def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, .
     at, so each vertical cylinder is one cycle of walks.  Its core sums the
     heights crossed; ``crossings`` is a :class:`_Crossings` view.
     """
-    lat = _Lattice(s)
-    H = math.lcm(*(h.denominator for h in s.heights.values()))
-    verts = sorted(lat.L)
-    offs = [0, *accumulate(lat.L[v] for v in verts)]
-    off = dict(zip(verts, offs))
-    # the return map on the line of bottom circles: g in the piece from starts[j] goes
-    # to g + shift, or meets a zero or mark if g is its stop (g + shift is then a source)
-    starts, pieces = [], []
-    for v, o in off.items():
-        L, tw, h = lat.L[v], lat.twist[v] % lat.L[v], s.heights[v].numerator * H // s.heights[v].denominator
-        ys, glued = [], []  # top corners and marks, and the bottom position of each
-        for ts, seam in zip(lat.top_starts[v], lat.top_ports[v]):
-            u, a = lat.seams[seam][0]
-            for y in (ts, *sorted(ts + m for m in lat.mark_offsets.get(seam, ()))):
-                ys.append(y)
-                glued.append(off[u] + a + y - ts)
-        for x in sorted({0, *((y - tw) % L for y in ys)}):
-            y = (x + tw) % L
-            k = bisect_right(ys, y) - 1
-            starts.append(o + x)
-            pieces.append((glued[k] + y - ys[k] - o - x, h, o + x if y == ys[k] else -1))
-    sources = sorted(off[v] + x for v in verts for x in (*lat.bottom_starts[v], *lat.bottom_mark_positions[v]))
+    D, H, verts, offs, starts, pieces, sources = _return_map(s)
+    sources = sorted(sources)
     index = {g: i for i, g in enumerate(sources)}
     walks, cores, succ = [], [], []
     for g in sources:
@@ -272,8 +242,8 @@ def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, .
             width = ends[bisect_left(points, pivot)] - pivot
             shifted += [g + width for g in orbit]
             k = orbit.index(pivot)
-            crossings = _Crossings(orbit[k:] + orbit[:k], (verts, offs, lat.D))
-            found.append((pivot, VerticalCylinder(Fraction(width, lat.D), Fraction(core, H), crossings)))
+            crossings = _Crossings(orbit[k:] + orbit[:k], (verts, offs, D))
+            found.append((pivot, VerticalCylinder(Fraction(width, D), Fraction(core, H), crossings)))
     # as every g + width > g, this holds only if each point's interval has its orbit's width
     if sorted(shifted) != ends:
         raise FlowError("interval orbit changed width")
@@ -304,9 +274,9 @@ def cylinder_proportion(
         else:
             chosen.add(match)
     if foreign:
-        raise FlowError(
-            f"{len(set(foreign))} vertical cylinder(s) not from the current decomposition"
-        )
+        # distinct by ==, as a foreign cylinder's crossings need not be hashable
+        distinct = sum(vc not in foreign[:i] for i, vc in enumerate(foreign))
+        raise FlowError(f"{distinct} vertical cylinder(s) not from the current decomposition")
     L = s.circumference(cylinder)
     covered = sum(
         (current[i].width * current[i].crossing_count(cylinder) for i in chosen), Fraction(0)
@@ -381,8 +351,9 @@ def _locate_witness(
     ``a_p`` and ``ell`` are the saddle's start and length, so they lie on the
     layout's lattice.
 
-    The strip is a vertical cylinder exactly when, at every crossing, its top
-    image lies inside one seam with no mark strictly inside.  Its bottom
+    The strip is a vertical cylinder exactly when, at every crossing, it lies
+    inside one piece of the return map, that is, its top image lies inside one
+    seam with no mark strictly inside.  Its bottom
     intervals need no check of their own: each is the image of the top
     interval checked one crossing earlier (the first, of the last, once the
     walk closes), and the two sides of a seam carry the same marks.  The
@@ -391,21 +362,23 @@ def _locate_witness(
     point inside the strip ("no vertical witness"); a strip that closes
     anywhere but after one crossing of ``C`` and one of ``D`` "crosses others".
     """
-    lat = _Lattice(surface)
-    x = a_p.numerator * (lat.D // a_p.denominator)
-    w = ell.numerator * (lat.D // ell.denominator)
-    crossings = [(C, x)]
-    for _ in range(sum(lat.L.values()) // w):
-        nxt = lat.strip_up(*crossings[-1], w)
-        if nxt is None:
+    scale, _, verts, offs, starts, pieces, _ = _return_map(surface)
+    ends = starts[1:] + offs[-1:]
+    g = offs[verts.index(C)] + a_p.numerator * (scale // a_p.denominator)
+    w = ell.numerator * (scale // ell.denominator)
+    walk = [g]
+    for _ in range(offs[-1] // w):
+        j = bisect_right(starts, g) - 1
+        if g + w > ends[j]:
             break
-        if nxt == (C, x):
-            if [v for v, _ in crossings] != [C, D]:
+        g += pieces[j][0]
+        if g == walk[0]:
+            if [v for v, _ in _Crossings(walk, (verts, offs, scale))] != [C, D]:
                 raise FlowError(f"vertical witness over cylinders {C}, {D} crosses others")
             core = surface.heights[C] + surface.heights[D]
             # of two crossings, the rotation starting at the least is the sorted one
-            return VerticalCylinder(ell, core, _fractions(lat.D, sorted(crossings)))
-        crossings.append(nxt)
+            return VerticalCylinder(ell, core, _Crossings(sorted(walk), (verts, offs, scale)))
+        walk.append(g)
     raise FlowError("aligned saddle produced no vertical witness")
 
 

@@ -175,6 +175,10 @@ class HalfTree:
     def __hash__(self) -> int:
         return hash((tuple(self._ports.items()), tuple(sorted(self._pair.items()))))
 
+    def __reduce__(self):
+        """Pickles and copies carry the ports and the pairs, not the kept verdict or form."""
+        return HalfTree, (self._ports, self.edges())
+
     def __repr__(self) -> str:
         parts = ", ".join(f"{v}:{list(ps)}" for v, ps in self._ports.items())
         return f"HalfTree({parts}; pairs={list(self.edges())})"

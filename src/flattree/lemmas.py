@@ -108,32 +108,6 @@ def _completion_counts(rows: int, top: int, blocked: int) -> list[list[int]]:
 # -- interval systems ------------------------------------------------------
 
 
-def _interval_systems(n: int) -> Iterator[tuple[int, ...]]:
-    """All anchor vectors ``k`` of a single-cylinder interval system, in lexicographic order.
-
-    Interval ``I_i`` runs cyclically from ``k[i]`` to ``k[i-1]``.  Three
-    requirements, the first two per cyclic index ``i`` with
-    ``len_i = (k[i-1] - k[i]) % n``:
-
-    * consecutive intervals meet in exactly one point, equivalently
-      ``len_i + len_{i+1} <= n - 1``;
-    * the intervals chain end-to-end (interval ``i+1`` ends where interval
-      ``i`` starts), so the anchors wind the circle at most once:
-      ``sum(len_i) <= n``.  Dropping this admits anchor vectors like
-      ``(0, 0, 2, 2, 4, 4)`` at ``n = 6`` that wind twice and carry a
-      triangle; no boundary-saddle geometry produces them, since the flow
-      image of the boundary tiles the opposite circle exactly once.
-
-    For ``n <= 2`` both requirements are dropped, matching the statement
-    being tested (a graph on two vertices is always a forest).
-
-    This is the sorted expansion of the representatives of
-    :func:`_interval_walk`: each ``(k, forest, p)`` stands for
-    ``_rotated(k, r)`` with ``r < p``.
-    """
-    yield from sorted(_rotated(k, r) for k, _, p in _interval_walk(n) for r in range(p))
-
-
 def _rotated(k: tuple[int, ...], r: int) -> tuple[int, ...]:
     """``rot^r(k)``, where ``rot(k)[i] = (k[i-1] + 1) % n``: the labels shifted ``r`` places."""
     n = len(k)
@@ -141,7 +115,12 @@ def _rotated(k: tuple[int, ...], r: int) -> tuple[int, ...]:
 
 
 def _interval_walk(n: int) -> Iterator[tuple[tuple[int, ...], bool, int]]:
-    """One representative per rotation class of :func:`_interval_systems`, its verdict and weight.
+    """One representative per rotation class of the interval systems, its verdict and weight.
+
+    An interval system is an anchor vector ``k`` whose lengths ``len_i = (k[i-1]
+    - k[i]) % n`` satisfy ``len_i + len_{i+1} <= n - 1`` and ``sum(len_i) <= n``
+    (for ``n > 2``); ``interval_systems`` in ``tests/oracles.py`` lists them all
+    in lexicographic order and says where both requirements come from.
 
     The statement has a cyclic symmetry: ``rot(k)[i] = (k[i-1] + 1) % n``
     rotates the length vector ``N = (len_1, .., len_{n-1}, len_0)`` one place

@@ -1060,6 +1060,36 @@ def equivariance_failures_fraction(source, base, cyl_map, offsets) -> list[str]:
     return failures
 
 
+# -- every interval system, expanded from the library's rotation classes -------
+
+
+def interval_systems(n: int):
+    """All anchor vectors ``k`` of a single-cylinder interval system, in lexicographic order.
+
+    Interval ``I_i`` runs cyclically from ``k[i]`` to ``k[i-1]``.  Two
+    requirements, with ``len_i = (k[i-1] - k[i]) % n``:
+
+    * consecutive intervals meet in exactly one point, equivalently
+      ``len_i + len_{i+1} <= n - 1``;
+    * the intervals chain end-to-end (interval ``i+1`` ends where interval
+      ``i`` starts), so the anchors wind the circle at most once:
+      ``sum(len_i) <= n``.  Dropping this admits anchor vectors like
+      ``(0, 0, 2, 2, 4, 4)`` at ``n = 6`` that wind twice and carry a
+      triangle; no boundary-saddle geometry produces them, since the flow
+      image of the boundary tiles the opposite circle exactly once.
+
+    For ``n <= 2`` both requirements are dropped, matching the statement
+    being tested (a graph on two vertices is always a forest).
+
+    This is the sorted expansion of the representatives of
+    :func:`flattree.lemmas._interval_walk`: each ``(k, forest, p)`` stands for
+    ``lemmas._rotated(k, r)`` with ``r < p``.
+    """
+    yield from sorted(
+        lemmas._rotated(k, r) for k, _, p in lemmas._interval_walk(n) for r in range(p)
+    )
+
+
 # -- recursive reference for the lemma sweeps ----------------------------------
 # The interval and balls enumerators and kernels as first written: recursive
 # generators, an O(n^2) pair scan and per-gap ``Counter`` multisets.  The

@@ -417,6 +417,10 @@ class TestCrossingsView:
         wider = VerticalCylinder(vc.width * 2, vc.core, vc.crossings)
         with pytest.raises(FlowError, match="^2 vertical cylinder"):
             cylinder_proportion(s, [wider, turned, *dec], 0)
+        # crossings given as a list cannot be hashed
+        listed = VerticalCylinder(vc.width, vc.core, list(turned.crossings))
+        with pytest.raises(FlowError, match="^1 vertical cylinder"):
+            cylinder_proportion(s, [vc, listed, listed], 0)
 
 
 class TestStandardPosition:
@@ -490,24 +494,24 @@ class TestStandardPosition:
                 locate(s, 0, 1, F(0), F(1))
 
     def test_no_decomposition_and_one_lattice_per_witness(self, path3_surface, monkeypatch):
-        calls = {"decomposition": 0, "lattice": 0}
+        calls = {"decomposition": 0, "return map": 0}
+        return_map = flow._return_map
 
         def decomposition(s):
             calls["decomposition"] += 1
             return vertical_decomposition(s)
 
-        class Lattice(flow._Lattice):
-            def __init__(self, *args):
-                calls["lattice"] += 1
-                super().__init__(*args)
+        def counted_return_map(*args):
+            calls["return map"] += 1
+            return return_map(*args)
 
         monkeypatch.setattr(flow, "vertical_decomposition", decomposition)
-        monkeypatch.setattr(flow, "_Lattice", Lattice)
+        monkeypatch.setattr(flow, "_return_map", counted_return_map)
         for align in (standard_position, transverse_standard_position):
             before = dict(calls)
             align(path3_surface, 0)
             assert calls["decomposition"] == before["decomposition"] == 0
-            assert calls["lattice"] == before["lattice"] + 1
+            assert calls["return map"] == before["return map"] + 1
 
     def test_deep_path_under_the_default_recursion_limit(self):
         t = stubbed_path_skeleton(10**4)

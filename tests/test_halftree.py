@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import time
 
@@ -377,6 +379,18 @@ class TestKeptCanonicalForm:
                     assert copy._canonical is None
                     assert repr(canonical_form(copy)) == repr(kept)
                     assert repr(kept) == repr(oracles.canonical_form_reference(u)), u
+
+    def test_pickles_and_copies_leave_the_kept_values_out(self):
+        t = stubbed_path(6)
+        before = (pickle.dumps(t), copy.copy(t), copy.deepcopy(t))
+        assert validate(t).ok and canonical_form(t)
+        assert t._verdict is not None and t._canonical is not None
+        after = (pickle.dumps(t), copy.copy(t), copy.deepcopy(t))
+        assert after[0] == before[0]
+        for other in (*before[1:], *after[1:], pickle.loads(after[0])):
+            assert other == t and other is not t
+            assert other._verdict is None and other._canonical is None
+            assert pickle.dumps(other) == before[0]
 
     def test_invalid_tree_raises_every_time_and_keeps_nothing(self):
         invalid = (

@@ -24,7 +24,6 @@ from flattree.lemmas import (
     _completion_counts,
     _gaps_agree,
     _interval_masks,
-    _interval_systems,
     _interval_walk,
     _max_graph_is_forest,
     _rotated,
@@ -47,7 +46,7 @@ class TestIntervalLemma:
     def test_double_winding_anchors_rejected(self):
         # satisfies the pairwise one-point intersections but wraps the circle
         # twice, carrying a triangle; no cylinder boundary produces it
-        assert (0, 0, 2, 2, 4, 4) not in set(_interval_systems(6))
+        assert (0, 0, 2, 2, 4, 4) not in set(oracles.interval_systems(6))
 
     def test_oracle_every_admissible_graph_is_forest(self):
         for n in range(1, 6):
@@ -64,18 +63,18 @@ class TestIntervalKernels:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_enumeration_order_matches_reference(self, n):
-        assert list(_interval_systems(n)) == list(oracles.interval_systems_recursive(n))
+        assert list(oracles.interval_systems(n)) == list(oracles.interval_systems_recursive(n))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_forest_check_matches_reference_on_every_system(self, n):
         masks = _interval_masks(n)
-        for k in _interval_systems(n):
+        for k in oracles.interval_systems(n):
             assert _max_graph_is_forest(k, masks) == oracles.max_graph_is_forest_pairs(n, k), k
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_forest_check_matches_reference_off_systems(self, n):
         rng = random.Random(1000 + n)
-        systems = set(_interval_systems(n))
+        systems = set(oracles.interval_systems(n))
         masks = _interval_masks(n)
         cycles = 0
         for _ in range(5000):
@@ -536,7 +535,7 @@ class TestFaultInjection:
         # cycles already among labels 1..n-2, which a prefix fixes, exist
         cyclic_prefixes = 0
         masks = _widened_masks(7)
-        for k in _interval_systems(7):
+        for k in oracles.interval_systems(7):
             inside = [masks[k[i - 1]][k[i]] for i in range(7)]
             edges = [
                 (i, j)
