@@ -128,13 +128,13 @@ def _return_map(s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
     verts = sorted(lay.circumference)
     offs = [0, *accumulate(lay.circumference[v] for v in verts)]
     off = dict(zip(verts, offs))
-    marks: dict[int, list[int]] = {}
+    marks: dict[int, list[int]] = {}  # seam -> its corner's offset 0, then its marks
     for p, u in lay.marks:
-        marks.setdefault(p, []).append(u)
+        marks.setdefault(p, [0]).append(u)
     sources: dict[int, tuple] = {}
     for p, ((v, a), (w, b)) in lay.seams.items():
         sources[off[v] + a] = ("zero", (w, "t", b))
-        for u in marks.get(p, ()):
+        for u in marks.get(p, (0,))[1:]:
             sources[off[v] + a + u] = ("mark", (p, u))
     starts, pieces = [], []
     _, tops_of = _circles(lay)
@@ -145,13 +145,14 @@ def _return_map(s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
         ys, glued, out, cuts = [], [], [], {0}
         for (b, p), (nb, _) in zip(tops, [*tops[1:], (L, None)]):
             (u, a), _ = lay.seams[p]
-            if b + lay.circumference[u] - a < nb:
-                cuts.add((b + lay.circumference[u] - a - tw) % L)
-            for y in (b, *(b + m for m in marks.get(p, ()))):
-                ys.append(y)
-                glued.append(off[u] + a + y - b)
-                out.append(b + lay.circumference[u] - a)
-                cuts.add((y - tw) % L)
+            leave = b + lay.circumference[u] - a
+            if leave < nb:
+                cuts.add((leave - tw) % L)
+            for m in marks.get(p, (0,)):
+                ys.append(b + m)
+                glued.append(off[u] + a + m)
+                out.append(leave)
+                cuts.add((b + m - tw) % L)
         for x in sorted(cuts):
             y = (x + tw) % L
             k = bisect_right(ys, y) - 1
@@ -208,10 +209,9 @@ def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, .
     heights crossed; ``crossings`` is a :class:`_Crossings` view.
     """
     D, H, verts, offs, starts, pieces, sources = _return_map(s)
-    sources = sorted(sources)
-    index = {g: i for i, g in enumerate(sources)}
+    index = {g: i for i, g in enumerate(sorted(sources))}
     walks, cores, succ = [], [], []
-    for g in sources:
+    for g in index:
         walk, core = [], 0
         for _ in range(offs[-1]):
             walk.append(g)
