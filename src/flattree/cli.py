@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .collapse import (
     CollapseError,
-    certify_hyperelliptic,
     horizontal_collapse,
     horizontal_collapse_report,
     vertical_collapse,

@@ -1,12 +1,11 @@
 """Degenerations: shrink saddle classes to zero, or delete whole cylinders.
 
-Vertical collapse rescales saddle classes by (1 - p) and removes the fully
-collapsed edges; the rescaled forest is certified once, as one surface, and
-certification hands back its pieces, one rebuilt surface per subtree.
-Horizontal collapse removes cylinders and reglues their two boundary circles
-to each other along vertical lines; the regluing is done strip by strip on
-the surface's integer layout, and the reglued layout is pushed through the
-same certification as everything else.
+Both collapses certify one ``_Layout`` built from the surface's kept one.
+Vertical collapse rescales saddle classes by (1 - p), on the kept scale times
+the factors' denominators, and drops the fully collapsed edges; certification
+hands back one rebuilt surface per surviving subtree.  Horizontal collapse
+removes cylinders and reglues their boundary circles along vertical lines,
+strip by strip.  Areas are integer sums over the layout's circumferences.
 
 Cylinders that lose their whole boundary collapse to points and are dropped
 with a notice rather than an error; only a collapse that leaves nothing at
@@ -23,20 +22,20 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .deform import DeformError, SaddlePartition
-from .halftree import HalfTree, _find
+from .halftree import _find
 from .surface import (
     CertifyResult,
     DisjointSurface,
     GluedSurface,
     HyperellipticSurface,
-    Mark,
+    _area,
     _certified,
     _certify,
     _circles,
+    _convention,
     _glued,
     _Layout,
     _layout,
-    area,
     certify_glued,
     fraction_to_string,
     surface_to_json,
@@ -121,25 +120,24 @@ def vertical_collapse(
         for e in group:
             props[e] = p
 
-    scale: dict[int, Fraction] = {}
+    # port p keeps factor[p] / B of its length, B the lcm of the denominators
+    B = math.lcm(*(p.denominator for p in props.values()))
+    factor: dict[int, int] = {}
     deleted_edges = []
     for obj in t.edge_objects():
         p = props[obj[0]]
         if p == 1:
             if len(obj) == 1:
-                raise CollapseError(
-                    f"cannot fully collapse self-glued saddle {obj[0]}"
-                )
+                raise CollapseError(f"cannot fully collapse self-glued saddle {obj[0]}")
             deleted_edges.append(obj)
         for port in obj:
-            scale[port] = 1 - p
+            factor[port] = (p.denominator - p.numerator) * (B // p.denominator)
 
-    survivors = {p for p in t.all_ports if scale[p] > 0}
     notices: list[str] = []
     new_ports: dict[int, list[int]] = {}
     dropped: list[int] = []
     for v in t.vertices:
-        remaining = [p for p in t.ports(v) if p in survivors]
+        remaining = [p for p in t.ports(v) if factor[p]]
         if remaining:
             new_ports[v] = remaining
         else:
@@ -148,26 +146,18 @@ def vertical_collapse(
     if not new_ports:
         raise CollapseError("every cylinder collapsed to a point; nothing survives")
 
-    marks: list[Mark] = []
-    for m in s.marks:
-        if m.port in survivors:
-            marks.append(Mark(m.port, m.offset * scale[m.port]))
-        else:
-            notices.append(f"mark on collapsed saddle {m.port} was dropped")
-    # one raw surface on the surviving forest: twists may exceed the shrunken
+    lay = _layout(s)
+    marks = tuple((p, u * factor[p]) for p, u in lay.marks if factor[p])
+    notices += [f"mark on collapsed saddle {p} was dropped" for p, _ in lay.marks if not factor[p]]
+    # the surviving forest in one layout: twists may exceed the shrunken
     # circumferences, and certification reduces them as it rebuilds each tree
-    forest = HyperellipticSurface(
-        HalfTree(new_ports, [(p, q) for p, q in t.edges() if p in survivors]),
-        {p: s.lengths[p] * scale[p] for p in survivors},
-        {v: s.heights[v] for v in new_ports},
-        {v: s.twists[v] for v in new_ports},
-        tuple(marks),
-    )
-    cert = _certified(forest)
+    length = {p: lay.length[p] * factor[p] for ports in new_ports.values() for p in ports}
+    forest = _convention(t, new_ports, lay.scale * B, length, {v: lay.twist[v] * B for v in new_ports}, marks)
+    cert = _certify(forest, s.heights)
     if not cert.ok:
         raise CollapseError(f"collapsed surface failed certification: {cert.failures[0]}")
-    before = area(s)
-    after = sum((area(c) for c in cert.components), Fraction(0))
+    before = _area(lay.circumference, lay.scale, s.heights, t.vertices)
+    after = _area(forest.circumference, forest.scale, s.heights, list(new_ports))
     return VerticalCollapseResult(
         surfaces=DisjointSurface(cert.components, tuple(notices)),
         collapsed_area=before - after,
@@ -386,18 +376,17 @@ def horizontal_collapse(
     cert = _certify(reglued, s.heights)
     if not cert.ok:
         raise CollapseError(f"reglued surface failed certification: {cert.failures[0]}")
-    # cylinder areas L * h as ints over D and the lcm H of the heights' denominators
-    H = math.lcm(*(h.denominator for h in s.heights.values()))
-    areas = {v: h.numerator * (H // h.denominator) * L[v] for v, h in s.heights.items()}
+    kept_area = _area(L, D, s.heights, kept)
+    deleted_area = _area(L, D, s.heights, sorted(chosen))
     return HorizontalCollapseResult(
         surfaces=DisjointSurface(cert.components, tuple(notices)),
         certification=cert,
         gluings=tuple(gluings),
         junctions=tuple(junctions),
         forests=tuple(forests),
-        area_before=Fraction(sum(areas.values()), H * D),
-        area_after=sum((area(comp) for comp in cert.components), Fraction(0)),
-        deleted_area=Fraction(sum(areas[c] for c in chosen), H * D),
+        area_before=kept_area + deleted_area,
+        area_after=kept_area,
+        deleted_area=deleted_area,
         _seam_table=partial(_glued, reglued, s.heights),
     )
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .halftree import HalfTree, _least_rotation, bipartition, canonical_form
-from .surface import HyperellipticSurface, build, fraction_from_string, fraction_to_string
+from .surface import HyperellipticSurface, build, fraction_to_string
 
 
 class DeformError(ValueError):

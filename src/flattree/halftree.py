@@ -26,8 +26,8 @@ is asked for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 
 def _find(parent, x):

@@ -16,15 +16,15 @@ With this marking, bottom ``x`` maps to top ``(-x) mod L`` under the
 involution for every twist, which is what makes rotation by pi an involution
 of the glued surface and the whole hyperelliptic bookkeeping twist-free.
 
-Walks over many positions (the corner walk, the vertical flow, horizontal
-collapse) evaluate this convention in integers: :func:`_layout` scales every
-position by ``D``, the lcm of the denominators of all lengths, twists and mark
-offsets, and results become ``Fraction`` again, as ``x / D``, only at the API
-edge.  Every surface certifies on that layout: the integer kernel
-:func:`_certify` searches alignments with an explicit stack, and
-:func:`involution_check`, :func:`extract_skeleton` and both collapses hand it a
-layout directly.  :func:`certify_glued` is the entry for foreign seam tables
-only; it scales the table once into the same layout shape.
+Walks over many positions (the corner walk, the vertical flow, both
+collapses) evaluate this convention in integers, written once by
+:func:`_convention`: :func:`_layout` scales every position by ``D``, the lcm
+of the denominators of all lengths, twists and mark offsets, and results
+become ``Fraction`` again, as ``x / D``, only at the API edge.  Every surface
+certifies on that layout: the integer kernel :func:`_certify` searches
+alignments with an explicit stack, and :func:`involution_check`,
+:func:`extract_skeleton` and both collapses hand it a layout directly.
+:func:`certify_glued` scales a foreign seam table once into the same shape.
 """
 
 from __future__ import annotations
@@ -181,22 +181,34 @@ def _new_layout(s: HyperellipticSurface) -> _Layout:
         return x.numerator * (D // x.denominator)
 
     length = {p: scaled(x) for p, x in s.lengths.items()}
+    twist = {v: scaled(x) for v, x in s.twists.items()}
+    marks = tuple(sorted((m.port, scaled(m.offset)) for m in s.marks))
+    return _convention(t, {v: t.ports(v) for v in t.vertices}, D, length, twist, marks)
+
+
+def _convention(
+    t: HalfTree,
+    ports: Mapping[int, Sequence[int]],
+    D: int,
+    length: dict[int, int],
+    twist: dict[int, int],
+    marks: tuple[tuple[int, int], ...],
+) -> _Layout:
+    """The layout on scale ``D`` of cylinders ``ports`` (all of ``t``, or a part closed under partners)."""
     circumference: dict[int, int] = {}
     bottom: dict[int, int] = {}
-    for v in t.vertices:
+    for v, plist in ports.items():
         a = 0
-        for p in t.ports(v):
+        for p in plist:
             bottom[p], a = a, a + length[p]
         circumference[v] = a
     seams = {}
-    for p in t.all_ports:
+    for p, a in bottom.items():
         q = t.partner(p)
         q = p if q is None else q
         w = t.vertex_of(q)
         L = circumference[w]
-        seams[p] = ((t.vertex_of(p), bottom[p]), (w, (L - bottom[q] - length[q]) % L))
-    twist = {v: scaled(x) for v, x in s.twists.items()}
-    marks = tuple(sorted((m.port, scaled(m.offset)) for m in s.marks))
+        seams[p] = ((t.vertex_of(p), a), (w, (L - bottom[q] - length[q]) % L))
     return _Layout(D, circumference, twist, length, seams, marks)
 
 
@@ -240,7 +252,7 @@ def build(
         if p not in lengths:
             raise MetricError(f"no length for port {p}")
         val = _exact(lengths[p])
-        if val <= 0:
+        if val.numerator <= 0:
             raise MetricError(f"length of port {p} must be positive, got {val}")
         lens[p] = val
     extra = set(lengths) - set(skeleton.all_ports)
@@ -257,7 +269,7 @@ def build(
         if v not in heights:
             raise MetricError(f"no height for vertex {v}")
         h = _exact(heights[v])
-        if h <= 0:
+        if h.numerator <= 0:
             raise MetricError(f"height of vertex {v} must be positive, got {h}")
         hts[v] = h
     known = set(skeleton.vertices)
@@ -312,9 +324,19 @@ def forget_marked_points(s: HyperellipticSurface) -> HyperellipticSurface:
 
 
 def area(s: HyperellipticSurface) -> Fraction:
-    return sum(
-        (s.circumference(v) * s.heights[v] for v in s.skeleton.vertices), Fraction(0)
-    )
+    """Total area, one integer sum over the lcm of the length and height denominators."""
+    t = s.skeleton
+    D = math.lcm(*(x.denominator for x in s.lengths.values()))
+    scaled = {p: x.numerator * (D // x.denominator) for p, x in s.lengths.items()}
+    L = {v: sum(scaled[p] for p in t.ports(v)) for v in t.vertices}
+    return _area(L, D, s.heights, t.vertices)
+
+
+def _area(L: Mapping[int, int], D: int, heights: Mapping[int, Fraction], cylinders: Sequence[int]) -> Fraction:
+    """Area of ``cylinders``, circumferences ``L`` over ``D``: ``sum(h_v * L_v)`` in ints, then one ``Fraction``."""
+    H = math.lcm(*(heights[v].denominator for v in cylinders))
+    total = sum(L[v] * heights[v].numerator * (H // heights[v].denominator) for v in cylinders)
+    return Fraction(total, D * H)
 
 
 def random_metric(

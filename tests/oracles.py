@@ -32,7 +32,6 @@ from flattree.surface import (
     Mark,
     MetricError,
     Seam,
-    area,
     build,
     certify_glued,
 )
@@ -888,6 +887,12 @@ def _extract_component_fraction(gs, comp_cyls, kappas, involution, bottoms):
         return None, (f"component {comp_cyls} fails to rebuild: {exc}",)
     return surf, ()
 
+
+def area_fraction(s: HyperellipticSurface) -> Fraction:
+    """Total area as a ``Fraction`` sum of circumference times height."""
+    return sum((s.circumference(v) * s.heights[v] for v in s.skeleton.vertices), Fraction(0))
+
+
 # -- per-component reference for vertical collapse ------------------------------
 # ``vertical_collapse`` as first written: split the surviving forest with its
 # own union-find, then validate and build each subtree.  The library certifies
@@ -961,11 +966,8 @@ def vertical_collapse_per_component(s: HyperellipticSurface, sp, proportions) ->
                 [m for m in kept_marks if m.port in comp_ports],
             )
         )
-    before = sum((s.circumference(v) * s.heights[v] for v in t.vertices), Fraction(0))
-    after = sum(
-        (c.circumference(v) * c.heights[v] for c in components for v in c.skeleton.vertices),
-        Fraction(0),
-    )
+    before = area_fraction(s)
+    after = sum((area_fraction(c) for c in components), Fraction(0))
     return {
         "components": tuple(components),
         "notices": tuple(notices),
@@ -1500,7 +1502,7 @@ def horizontal_collapse_fraction(
     if not cert.ok:
         raise collapse.CollapseError(f"reglued surface failed certification: {cert.failures[0]}")
     out = DisjointSurface(cert.components, tuple(notices))
-    after = sum((area(comp) for comp in cert.components), Fraction(0))
+    after = sum((area_fraction(comp) for comp in cert.components), Fraction(0))
     deleted_area = sum((gs.cylinders[c][0] * gs.cylinders[c][1] for c in chosen), Fraction(0))
     return collapse.HorizontalCollapseResult(
         surfaces=out,
@@ -1508,7 +1510,7 @@ def horizontal_collapse_fraction(
         gluings=tuple(gluings),
         junctions=tuple(junctions),
         forests=tuple(forests),
-        area_before=area(s),
+        area_before=area_fraction(s),
         area_after=after,
         deleted_area=deleted_area,
         _seam_table=lambda: reglued,

@@ -19,6 +19,7 @@ from flattree import (
     FlowError,
     GluedSurface,
     HalfTree,
+    HyperellipticSurface,
     Mark,
     Seam,
     area,
@@ -249,6 +250,26 @@ class TestVerticalCollapse:
             for sp, props in full_edge_collapses(s):
                 assert_matches_per_component_reference(s, sp, props)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mixed_denominators_match_per_component_reference(self, n):
+        # several classes shrink at once, so the kept layout is scaled by lcm(3, 5, 4)
+        shares = (F(1, 3), F(2, 5), F(3, 4), F(1))
+        for t in enumerate_halftrees(n):
+            sp = singleton_partitions(t)[1]
+            for seed in (0, 1):
+                s = random_metric(t, seed)
+                rng = random.Random(f"{seed}:{t!r}")
+                p = rng.choice(t.all_ports)
+                marked = with_marks(s, involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
+                for k in range(len(shares)):
+                    # a self-glued saddle never reaches 1
+                    props = [
+                        shares[(i + k) % (4 if t.partner(g[0]) is not None else 3)]
+                        for i, g in enumerate(sp.classes)
+                    ]
+                    for x in (s, marked):
+                        assert_matches_per_component_reference(x, sp, props)
+
     def test_one_layout_and_one_build_per_component(self, monkeypatch, horned_path3):
         layouts, builds = [], []
         layout, build_ = flattree.surface._new_layout, flattree.surface.build
@@ -268,6 +289,35 @@ class TestVerticalCollapse:
         assert len(res.surfaces.components) == 2
         assert len(layouts) == 1
         assert len(builds) == 2
+
+    def test_warm_layout_means_no_new_layout_and_no_forest_surface(self, monkeypatch, horned_path3):
+        # the forest is a layout scaled from the kept one; only components are surfaces
+        layouts, surfaces = [], []
+        layout, init = flattree.surface._new_layout, HyperellipticSurface.__init__
+
+        def counted_layout(*args):
+            layouts.append(args)
+            return layout(*args)
+
+        def counted_init(self, *args, **kwargs):
+            surfaces.append(args)
+            init(self, *args, **kwargs)
+
+        sp = singleton_partitions(horned_path3.skeleton)[1]
+        marked = with_marks(horned_path3, [Mark(3, F(1)), Mark(4, F(2))])
+        cases = [(horned_path3, *full_edge_class_containing(horned_path3, 1))]
+        cases.append((marked, sp, [F(1, 3), F(2, 5), F(3, 4), F(1, 2)]))
+        for s, _, _ in cases:
+            flattree.surface._layout(s)
+        monkeypatch.setattr(flattree.surface, "_new_layout", counted_layout)
+        monkeypatch.setattr(HyperellipticSurface, "__init__", counted_init)
+        for s, sp, props in cases:
+            surfaces.clear()
+            res = vertical_collapse(s, sp, props)
+            assert res.certification.ok
+            assert layouts == []
+            assert len(surfaces) == len(res.surfaces.components)
+        assert len(res.surfaces.components) == 1 and res.surfaces.components[0].marks
 
 
 class TestHorizontalCollapse:

@@ -209,6 +209,8 @@ def test_kept_form_guard_sees_every_kind_of_write():
 _KERNEL_NAMES = {
     "_layout",
     "_new_layout",
+    "_convention",
+    "_area",
     "_certify",
     "_certified",
     "_corner_walk",
@@ -257,3 +259,43 @@ def test_kernel_guard_sees_each_kind_of_reference():
         ]
     )
     assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5]
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """``line:name`` of each name ``tree`` imports but never reads (``__future__`` features aside)."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{line}:{name}" for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    # __init__.py imports only to re-export
+    found = [
+        f"{path.name}:{entry}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+        for entry in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_import_guard_sees_each_kind_of_import():
+    snippet = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import os.path",
+            "import json as js",
+            "from typing import Iterator, Mapping",
+            "from .surface import area",
+            "def f(m: Mapping) -> None:",
+            "    from bisect import bisect_left",
+            "    return os.path.join(area.__name__)",
+        ]
+    )
+    assert _unused_imports(ast.parse(snippet)) == ["3:js", "4:Iterator", "7:bisect_left"]

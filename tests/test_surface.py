@@ -30,6 +30,7 @@ from flattree import (
     canonical_form,
     canonical_metric,
     certify_glued,
+    dilate_class,
     enumerate_halftrees,
     extract_skeleton,
     forget_marked_points,
@@ -38,6 +39,7 @@ from flattree import (
     lower,
     random_metric,
     relative_deformation,
+    shear_class,
     singularity_profile,
     stratum_of,
     surface_from_json,
@@ -191,6 +193,21 @@ class TestGeometry:
     def test_area(self, path3_surface):
         s = path3_surface
         assert area(s) == F(2) * 1 + F(7, 2) * F(1, 2) + F(3, 2) * 2
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_area_is_the_fraction_sum(self, n):
+        # the integer sum against circumference times height, summed in Fraction
+        for t in enumerate_halftrees(n):
+            for seed in (0, 1):
+                s = random_metric(t, seed)
+                rng = random.Random(f"{seed}:{t!r}")
+                p = rng.choice(t.all_ports)
+                marked = with_marks(s, involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
+                some = rng.sample(t.vertices, max(1, len(t.vertices) // 2))
+                sheared = shear_class(marked, some, F(rng.randint(1, 9), rng.randint(1, 5)))
+                dilated = dilate_class(sheared, some, F(rng.randint(1, 9), rng.randint(1, 5)))
+                for x in (s, marked, sheared, dilated):
+                    assert area(x) == oracles.area_fraction(x), x
 
     def test_seam_sides(self, path3_surface):
         (above, below) = path3_surface.seam_sides(0)
