@@ -39,7 +39,6 @@ from .surface import (
     canonical_metric,
     certify_glued,
     extract_skeleton,
-    forget_marked_points,
     fraction_from_string,
     fraction_to_string,
     involution_check,
@@ -58,12 +57,10 @@ from .flow import (
     FlowError,
     StandardPosition,
     Trajectory,
-    TransverseStandardPosition,
     VerticalCylinder,
     cylinder_proportion,
     standard_position,
     trace_vertical,
-    transverse_standard_position,
     vertical_decomposition,
 )
 from .deform import (

@@ -33,6 +33,7 @@ from .surface import (
     _certify,
     _circles,
     _convention,
+    _exact,
     _glued,
     _Layout,
     _layout,
@@ -114,7 +115,7 @@ def vertical_collapse(
         raise DeformError("saddle classes do not cover the edge objects exactly")
     props: dict[int, Fraction] = {}
     for i, group in enumerate(sp.classes):
-        p = Fraction(proportions[i])
+        p = _exact(proportions[i])
         if not 0 <= p <= 1:
             raise CollapseError(f"proportion {p} for class {group} outside [0, 1]")
         for e in group:

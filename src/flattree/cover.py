@@ -169,9 +169,8 @@ def pullback(b: CoverBlueprint) -> HyperellipticSurface:
     offsets = {f.cylinder: Fraction(0) for f in b.fibers}
     wraps = {f.cylinder: f.wrap for f in b.fibers}
     degree = sum(f.wrap for f in b.fibers if f.base == b.base.skeleton.vertices[0])
-    branch, equivariance = _cover_failures(
-        surface, b.base, _scaled(surface, b.base, offsets), cyl_map, degree
-    )
+    scaled = _scaled(surface, b.base, offsets, _layout(surface))
+    branch, equivariance = _cover_failures(surface, b.base, scaled, cyl_map, degree)
     problems = branch + equivariance
     if problems:
         raise CoverError(f"pullback is not a translation covering: {problems[0]}")
@@ -219,15 +218,19 @@ def _chi_residual(
 
 
 def _scaled(
-    source: HyperellipticSurface, base: HyperellipticSurface, offsets: Mapping[int, Fraction]
+    source: HyperellipticSurface,
+    base: HyperellipticSurface,
+    offsets: Mapping[int, Fraction],
+    lay_s: _Layout,
 ) -> tuple[_Layout, _Layout, dict[int, int]]:
     """Layouts of ``source`` and ``base`` on one scale, and the offsets on that scale.
 
-    The scale is twice the lcm of the denominators of both surfaces' lengths,
-    twists and marks and of the offsets, so half twists, half circumferences
-    and half lengths are ints as well.
+    ``lay_s`` is ``_layout(source)``, which a caller may already have read the
+    offsets off.  The scale is twice the lcm of the denominators of both
+    surfaces' lengths, twists and marks and of the offsets, so half twists,
+    half circumferences and half lengths are ints as well.
     """
-    scales = (_layout(source).scale, _layout(base).scale)  # each its own lcm of denominators
+    scales = (lay_s.scale, _layout(base).scale)  # each its own lcm of denominators
     D = 2 * math.lcm(*scales, *(x.denominator for x in offsets.values()))
     unit = (Fraction(1, D),)
     off = {v: x.numerator * (D // x.denominator) for v, x in offsets.items()}
@@ -366,6 +369,7 @@ def quotient(
         endpoints[sigma] = ends.pop()
 
     # rotation offsets aligning each member onto the class pattern
+    lay = _layout(s)
     offsets: dict[int, Fraction] = {}
     base_twists: dict[int, Fraction] = {}
     for a, group in enumerate(cp.classes):
@@ -380,7 +384,7 @@ def quotient(
                     break
             else:
                 raise CoverError(f"cylinder {v} boundary does not wrap its class pattern")
-            phi = s.port_start(t.ports(v)[r])
+            phi = Fraction(lay.seams[t.ports(v)[r]][0][1], lay.scale)
             offsets[v] = phi
             twists_seen.setdefault((s.twists[v] + 2 * phi) % L_base, v)
         if len(twists_seen) != 1:
@@ -454,9 +458,8 @@ def quotient(
         for e in group
     }
     residual = _chi_residual(t, base_skeleton, report.wraps, degree)
-    branch, equivariance = _cover_failures(
-        s, base, _scaled(s, base, offsets), cylinder_map, degree
-    )
+    scaled = _scaled(s, base, offsets, lay)
+    branch, equivariance = _cover_failures(s, base, scaled, cylinder_map, degree)
     problems = branch + equivariance
     if residual != 0:
         problems.insert(0, f"Riemann-Hurwitz residual {residual}")
@@ -523,7 +526,7 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
         failures.append(msg)
 
     known = set(bt.vertices)
-    scaled = lay_s, lay_b, off = _scaled(source, base, result.offsets)
+    scaled = lay_s, lay_b, off = _scaled(source, base, result.offsets, _layout(source))
     D = lay_s.scale
     for v in t.vertices:
         w = result.cylinder_map.get(v)

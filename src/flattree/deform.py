@@ -52,7 +52,7 @@ def shear_class(
     amount = Fraction(amount)
     twists = dict(s.twists)
     for v in chosen:
-        twists[v] = (twists[v] + amount * s.heights[v]) % s.circumference(v)
+        twists[v] += amount * s.heights[v]
     return build(s.skeleton, s.lengths, s.heights, twists, s.marks)
 
 

@@ -303,46 +303,6 @@ class StandardPosition:
     vertical: VerticalCylinder
 
 
-@dataclass(frozen=True)
-class TransverseStandardPosition:
-    """Same alignment, but the first cylinder keeps its twist.
-
-    Only the second cylinder is sheared; the saddle copies align along the
-    direction (sigma, 1) instead of the vertical.  ``sheared`` is the image
-    of ``surface`` under the global shear taking that direction vertical,
-    and hosts the witness cylinder.
-    """
-
-    saddle: tuple[int, int]
-    cylinders: tuple[int, int]
-    sigma: Fraction
-    direction: tuple[Fraction, Fraction]
-    deltas: dict[int, Fraction]
-    surface: HyperellipticSurface
-    sheared: HyperellipticSurface
-    vertical: VerticalCylinder
-
-
-def _saddle_alignment_data(s: HyperellipticSurface, saddle: int):
-    t = s.skeleton
-    if saddle not in set(t.all_ports):
-        raise FlowError(f"no saddle {saddle}")
-    q = t.partner(saddle)
-    if q is None:
-        raise FlowError(
-            f"saddle {saddle} is self-glued; alignment needs two distinct cylinders"
-        )
-    if any(m.port in (saddle, q) for m in s.marks):
-        raise FlowError(f"marked points on saddle {saddle} would split the witness")
-    C, D = t.vertex_of(saddle), t.vertex_of(q)
-    ell = s.lengths[saddle]
-    targets = {}
-    for vertex, port in ((C, saddle), (D, q)):
-        L = s.circumference(vertex)
-        targets[vertex] = (-2 * s.port_start(port) - ell) % L
-    return q, C, D, ell, targets
-
-
 def _locate_witness(
     surface: HyperellipticSurface, C: int, D: int, a_p: Fraction, ell: Fraction
 ) -> VerticalCylinder:
@@ -390,32 +350,24 @@ def standard_position(s: HyperellipticSurface, saddle: int) -> StandardPosition:
     and it crosses only the two cylinders.  The witness is read off one walk
     of that strip on the integer layout.
     """
-    q, C, D, ell, targets = _saddle_alignment_data(s, saddle)
-    deltas = {v: (targets[v] - s.twists[v]) % s.circumference(v) for v in (C, D)}
-    twists = {**s.twists, C: targets[C], D: targets[D]}
+    t = s.skeleton
+    if saddle not in set(t.all_ports):
+        raise FlowError(f"no saddle {saddle}")
+    q = t.partner(saddle)
+    if q is None:
+        raise FlowError(
+            f"saddle {saddle} is self-glued; alignment needs two distinct cylinders"
+        )
+    if any(m.port in (saddle, q) for m in s.marks):
+        raise FlowError(f"marked points on saddle {saddle} would split the witness")
+    C, D = t.vertex_of(saddle), t.vertex_of(q)
+    ell, a_p = s.lengths[saddle], s.port_start(saddle)
+    targets, deltas = {}, {}
+    for vertex, start in ((C, a_p), (D, s.port_start(q))):
+        L = s.circumference(vertex)
+        targets[vertex] = (-2 * start - ell) % L
+        deltas[vertex] = (targets[vertex] - s.twists[vertex]) % L
+    twists = {**s.twists, **targets}
     aligned = build(s.skeleton, s.lengths, s.heights, twists, s.marks)
-    witness = _locate_witness(aligned, C, D, s.port_start(saddle), ell)
+    witness = _locate_witness(aligned, C, D, a_p, ell)
     return StandardPosition((saddle, q), (C, D), deltas, aligned, witness)
-
-
-def transverse_standard_position(
-    s: HyperellipticSurface, saddle: int
-) -> TransverseStandardPosition:
-    """Align the shared saddle while leaving the first cylinder untouched.
-
-    The alignment direction absorbs what the first cylinder's twist delta
-    would have been: sigma = delta_C / height(C); the second cylinder then
-    needs only the remainder.
-    """
-    q, C, D, ell, targets = _saddle_alignment_data(s, saddle)
-    sigma = ((targets[C] - s.twists[C]) % s.circumference(C)) / s.heights[C]
-    delta_D = (targets[D] - s.twists[D] - sigma * s.heights[D]) % s.circumference(D)
-    deltas = {C: Fraction(0), D: delta_D}
-    twists = {**s.twists, D: s.twists[D] + delta_D}
-    twisted = build(s.skeleton, s.lengths, s.heights, twists, s.marks)
-    sheared_twists = {v: twisted.twists[v] + sigma * s.heights[v] for v in s.skeleton.vertices}
-    sheared = build(s.skeleton, s.lengths, s.heights, sheared_twists, s.marks)
-    witness = _locate_witness(sheared, C, D, s.port_start(saddle), ell)
-    return TransverseStandardPosition(
-        (saddle, q), (C, D), sigma, (sigma, Fraction(1)), deltas, twisted, sheared, witness
-    )

@@ -16,11 +16,13 @@ With this marking, bottom ``x`` maps to top ``(-x) mod L`` under the
 involution for every twist, which is what makes rotation by pi an involution
 of the glued surface and the whole hyperelliptic bookkeeping twist-free.
 
-Walks over many positions (the corner walk, the vertical flow, both
-collapses) evaluate this convention in integers, written once by
-:func:`_convention`: :func:`_layout` scales every position by ``D``, the lcm
-of the denominators of all lengths, twists and mark offsets, and results
-become ``Fraction`` again, as ``x / D``, only at the API edge.  Every surface
+The convention is written once, in integers, by :func:`_convention`:
+:func:`_layout` scales every position by ``D``, the lcm of the denominators
+of all lengths, twists and mark offsets, and keeps the result on the
+surface.  Every walk over many positions (the corner walk, the vertical
+flow, both collapses, covers) reads that layout, and results become
+``Fraction`` again, as ``x / D``, only at the API edge; the methods
+``port_start`` and ``top_start`` are such views of one seam.  Every surface
 certifies on that layout: the integer kernel :func:`_certify` searches
 alignments with an explicit stack, and :func:`involution_check`,
 :func:`extract_skeleton` and both collapses hand it a layout directly.
@@ -94,29 +96,21 @@ class HyperellipticSurface:
         return sum((self.lengths[p] for p in self.skeleton.ports(v)), Fraction(0))
 
     def port_start(self, p: int) -> Fraction:
-        """Bottom-circle position where the copy of ``p`` begins."""
-        v = self.skeleton.vertex_of(p)
-        a = Fraction(0)
-        for q in self.skeleton.ports(v):
-            if q == p:
-                return a
-            a += self.lengths[q]
-        raise MetricError(f"port {p} missing from vertex {v}")
+        """Bottom-circle position where the copy of ``p`` begins, read off :func:`_layout`."""
+        lay = _layout(self)
+        if p not in lay.seams:
+            raise SkeletonError(f"unknown port {p}")
+        return Fraction(lay.seams[p][0][1], lay.scale)
 
     def top_start(self, p: int) -> Fraction:
-        """Top-circle position where the rotation image of ``p`` begins."""
-        L = self.circumference(self.skeleton.vertex_of(p))
-        return (L - self.port_start(p) - self.lengths[p]) % L
+        """Top-circle position where the rotation image of ``p`` begins, read off :func:`_layout`.
 
-    def seam_sides(self, p: int) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
-        """((vertex above, bottom start), (vertex below, top start)) of seam ``p``."""
+        That image is the top side of the seam of ``p``'s partner (of ``p``
+        itself when self-glued).
+        """
         q = self.skeleton.partner(p)
-        if q is None:
-            q = p
-        return (
-            (self.skeleton.vertex_of(p), self.port_start(p)),
-            (self.skeleton.vertex_of(q), self.top_start(q)),
-        )
+        lay = _layout(self)
+        return Fraction(lay.seams[p if q is None else q][1][1], lay.scale)
 
 
 @dataclass(frozen=True)
@@ -131,10 +125,11 @@ class DisjointSurface:
 class _Layout:
     """The layout convention of one surface, every position multiplied by ``scale``.
 
-    ``seams[p]`` is ``seam_sides(p)`` in ints, in ``all_ports`` order, and
-    ``marks`` are sorted.  For a seam table scaled by :func:`certify_glued`,
-    or reglued by a horizontal collapse, keys are cylinder and seam ids and
-    ``twist`` holds each cylinder's drift.
+    ``seams[p]`` is ((vertex above, bottom start), (vertex below, top start))
+    of seam ``p``, in ``all_ports`` order, and ``marks`` are sorted.  For a
+    seam table scaled by :func:`certify_glued`, or reglued by a horizontal
+    collapse, keys are cylinder and seam ids and ``twist`` holds each
+    cylinder's drift.
     """
 
     scale: int
@@ -158,7 +153,8 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     The layout on ``D``, the lcm of all length, twist and mark offset
     denominators, is built on first use and kept on ``s``; ``extra`` scales it
     by ``lcm(D, extra denominators) // D`` into a fresh layout, not kept.  Read
-    by the corner walk, certification, flow, collapse, covers and canonical metrics.
+    by the corner walk, certification, flow, collapse, covers, canonical metrics
+    and the position views ``port_start`` and ``top_start``.
     """
     lay = _kept(s, "_lay", lambda: _new_layout(s))
     k = math.lcm(lay.scale, *(x.denominator for x in extra)) // lay.scale
@@ -311,16 +307,6 @@ def involution_orbit(s: HyperellipticSurface, mark: Mark) -> tuple[Mark, ...]:
     q = mark.port if q is None else q
     other = Mark(q, s.lengths[mark.port] - mark.offset)
     return (mark,) if other == mark else tuple(sorted((mark, other)))
-
-
-def forget_marked_points(s: HyperellipticSurface) -> HyperellipticSurface:
-    """Drop decoration marks.
-
-    Order-0 corner classes (the structural marked points of a torus
-    presentation, say) are part of the port structure itself; removing one
-    merges saddles and changes the skeleton, which is out of scope here.
-    """
-    return HyperellipticSurface(s.skeleton, s.lengths, s.heights, s.twists, ())
 
 
 def area(s: HyperellipticSurface) -> Fraction:

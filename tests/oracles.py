@@ -197,6 +197,34 @@ def canonical_form_reference(t: HalfTree) -> CanonicalForm:
     )
 
 
+# -- Fraction positions of the layout convention --------------------------------
+# Seam positions summed in ``Fraction`` along each bottom circle, as the surface
+# methods first computed them.  The library writes positions once, in integers,
+# and its ``port_start``/``top_start`` views must equal these.
+
+
+def port_start_fraction(s: HyperellipticSurface, p: int) -> Fraction:
+    """Bottom-circle position where the copy of ``p`` begins: the lengths before it, summed."""
+    ports = s.skeleton.ports(s.skeleton.vertex_of(p))
+    return sum((s.lengths[q] for q in ports[: ports.index(p)]), Fraction(0))
+
+
+def top_start_fraction(s: HyperellipticSurface, p: int) -> Fraction:
+    """Top-circle position where the rotation image of ``p`` begins."""
+    L = s.circumference(s.skeleton.vertex_of(p))
+    return (L - port_start_fraction(s, p) - s.lengths[p]) % L
+
+
+def seam_sides_fraction(s: HyperellipticSurface, p: int) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
+    """((vertex above, bottom start), (vertex below, top start)) of seam ``p``."""
+    q = s.skeleton.partner(p)
+    q = p if q is None else q
+    return (
+        (s.skeleton.vertex_of(p), port_start_fraction(s, p)),
+        (s.skeleton.vertex_of(q), top_start_fraction(s, q)),
+    )
+
+
 def canonical_metric_fraction(s: HyperellipticSurface):
     """``surface.canonical_metric`` in ``Fraction`` arithmetic, one labeling at a time.
 
@@ -213,7 +241,7 @@ def canonical_metric_fraction(s: HyperellipticSurface):
         heights = [None] * len(s.skeleton.vertices)
         twists = [None] * len(s.skeleton.vertices)
         for v, nv in lab.vertex_map.items():
-            shift = s.port_start(s.skeleton.ports(v)[lab.rotation[v]])
+            shift = port_start_fraction(s, s.skeleton.ports(v)[lab.rotation[v]])
             heights[nv] = s.heights[v]
             twists[nv] = (s.twists[v] + 2 * shift) % s.circumference(v)
         marks = tuple(sorted((lab.port_map[m.port], m.offset) for m in s.marks))
@@ -392,13 +420,13 @@ def unlabeled_trees(n: int) -> dict[str, dict[int, list[int]]]:
 
 # -- Fraction reference for the vertical flow and the corner walk -------------
 # Every table and step in ``Fraction``.  The geometry sums each bottom circle
-# once and reads top sides off ``seam_sides`` once per seam; steps read those
-# tables.  The library walks the same lattice in integers and must agree with
-# these exactly.
+# once and reads top sides off ``seam_sides_fraction`` once per seam; steps
+# read those tables.  The library walks the same lattice in integers and must
+# agree with these exactly.
 
 
 class FractionGeometry:
-    """Indexed circle layouts of one surface in ``Fraction``, from its own layout methods."""
+    """Indexed circle layouts of one surface in ``Fraction``, from the positions above."""
 
     def __init__(self, s: HyperellipticSurface):
         self.s = s
@@ -422,7 +450,7 @@ class FractionGeometry:
             self.start_of.update(zip(ports, starts))
         tops: dict[int, list[tuple[Fraction, int]]] = {v: [] for v in t.vertices}
         for p in t.all_ports:
-            (_, _), (w, ts) = s.seam_sides(p)
+            (_, _), (w, ts) = seam_sides_fraction(s, p)
             self.below_of[p] = (w, ts)
             tops[w].append((ts, p))
         for v, entries in tops.items():
@@ -482,7 +510,10 @@ def trace_vertical_fraction(s: HyperellipticSurface, start: tuple[int, Fraction]
 
     ``start`` is (cylinder, bottom-circle offset).  The offset must avoid
     saddle endpoints and marked points: trajectories out of distinguished
-    points are prongs, not flow lines.
+    points are prongs, not flow lines.  Two walks that only a raw surface
+    whose paired lengths differ can take stop early: a step that lands past
+    the end of its circle raises :class:`FlowError`, and a return to a crossing
+    other than the start, which would cycle to the step bound, raises there.
     """
     geo = FractionGeometry(s)
     v, x = start
@@ -494,6 +525,7 @@ def trace_vertical_fraction(s: HyperellipticSurface, start: tuple[int, Fraction]
     if x in geo.bottom_mark_positions[v]:
         raise FlowError(f"start ({v}, {x}) lies on a marked point")
     crossings: list[tuple[int, Fraction]] = [(v, x)]
+    seen = {(v, x)}
     length = Fraction(0)
     limit = geo.step_limit()
     cur_v, cur_x = v, x
@@ -503,8 +535,13 @@ def trace_vertical_fraction(s: HyperellipticSurface, start: tuple[int, Fraction]
         if outcome[0] != "cross":
             return Trajectory((v, x), False, tuple(crossings), length, outcome)
         _, cur_v, cur_x = outcome
+        if cur_x >= geo.L[cur_v]:
+            raise FlowError("vertical step lands past the end of its circle")
         if (cur_v, cur_x) == (v, x):
             return Trajectory((v, x), True, tuple(crossings), length)
+        if (cur_v, cur_x) in seen:
+            break
+        seen.add((cur_v, cur_x))
         crossings.append((cur_v, cur_x))
     raise RuntimeError("vertical trace exceeded the rational step bound")
 
@@ -603,7 +640,7 @@ def locate_witness_by_decomposition(
 
 
 def corner_classes_fraction(s: HyperellipticSurface) -> list[tuple]:
-    """The corner walk in ``Fraction``, positions from ``port_start``/``top_start``."""
+    """The corner walk in ``Fraction``, positions from ``port_start_fraction``/``top_start_fraction``."""
     parent: dict = {}
 
     def find(x):
@@ -625,7 +662,7 @@ def corner_classes_fraction(s: HyperellipticSurface) -> list[tuple]:
         q = p if q is None else q
         v, w = t.vertex_of(p), t.vertex_of(q)
         Lv, Lw = s.circumference(v), s.circumference(w)
-        a, ts = s.port_start(p), s.top_start(q)
+        a, ts = port_start_fraction(s, p), top_start_fraction(s, q)
         ell = s.lengths[p]
         union((v, "b", a), (w, "t", ts))
         union((v, "b", (a + ell) % Lv), (w, "t", (ts + ell) % Lw))
@@ -981,10 +1018,10 @@ def vertical_collapse_per_component(s: HyperellipticSurface, sp, proportions) ->
 
 # -- Fraction reference for the covering checks --------------------------------
 # The branch and equivariance checks of ``cover`` as first written: positions
-# from ``port_start`` and ``circumference``, offsets and halves in ``Fraction``,
-# classes from the Fraction corner walk in profile order.  The library runs
-# both checks on one integer scale and must agree with these, message for
-# message and in order.
+# from ``port_start_fraction`` and ``circumference``, offsets and halves in
+# ``Fraction``, classes from the Fraction corner walk in profile order.  The
+# library runs both checks on one integer scale and must agree with these,
+# message for message and in order.
 
 
 def _profile_classes_fraction(s: HyperellipticSurface) -> list[tuple]:
@@ -1043,9 +1080,9 @@ def equivariance_failures_fraction(source, base, cyl_map, offsets) -> list[str]:
         v = source.skeleton.vertex_of(p)
         w = cyl_map[v]
         L = base.circumference(w)
-        pos = (source.port_start(p) + source.lengths[p] / 2 - offsets[v]) % L
+        pos = (port_start_fraction(source, p) + source.lengths[p] / 2 - offsets[v]) % L
         ok = any(
-            (base.port_start(q) + base.lengths[q] / 2) % L == pos
+            (port_start_fraction(base, q) + base.lengths[q] / 2) % L == pos
             for q in base.skeleton.ports(w)
             if base.skeleton.partner(q) is None
         )
@@ -1344,7 +1381,7 @@ def verify_colored_tree_lemma_reference(
 
 # -- Fraction reference for horizontal collapse ---------------------------------
 # ``horizontal_collapse`` as first written: expand the surface into its
-# ``Fraction`` seam table (here from ``seam_sides``), scan every seam per
+# ``Fraction`` seam table (here from ``seam_sides_fraction``), scan every seam per
 # deleted cylinder, and certify the reglued table through ``certify_glued``.  The library runs on the
 # integer layout and must agree with this by ``repr``, refusals included.
 
@@ -1357,7 +1394,7 @@ def horizontal_collapse_fraction(
     t = s.skeleton
     gs = GluedSurface(
         cylinders={v: (s.circumference(v), s.heights[v], s.twists[v]) for v in t.vertices},
-        seams={p: Seam(p, *s.seam_sides(p), s.lengths[p]) for p in t.all_ports},
+        seams={p: Seam(p, *seam_sides_fraction(s, p), s.lengths[p]) for p in t.all_ports},
         marks=tuple(sorted((m.port, m.offset) for m in s.marks)),
     )
 

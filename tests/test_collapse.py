@@ -319,6 +319,24 @@ class TestVerticalCollapse:
             assert len(surfaces) == len(res.surfaces.components)
         assert len(res.surfaces.components) == 1 and res.surfaces.components[0].marks
 
+    def test_exact_proportions_are_taken_as_given(self, monkeypatch, horned_path3):
+        made = []
+
+        class Counting(F):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return F(*args, **kwargs)
+
+        monkeypatch.setattr(flattree.collapse, "Fraction", Counting)
+        sp = singleton_partitions(horned_path3.skeleton)[1]
+        res = vertical_collapse(horned_path3, sp, [F(1, 3), F(2, 5), F(3, 4), F(1, 2)])
+        assert made == []
+        # ints and strings are still read exactly
+        assert repr(vertical_collapse(horned_path3, sp, ["1/3", "2/5", F(3, 4), F(1, 2)])) == repr(res)
+        assert repr(vertical_collapse(horned_path3, sp, [0, 0, 0, 0])) == repr(
+            vertical_collapse(horned_path3, sp, [F(0)] * 4)
+        )
+
 
 class TestHorizontalCollapse:
     def test_middle_deletion_joins_the_outer_cylinders(self, path3):

@@ -463,9 +463,8 @@ def blueprint_degree(b):
 
 def both_failure_lists(source, base, cyl_map, offsets, degree):
     """(kernel, oracle) pairs of (branch failures, equivariance failures)."""
-    got = cover._cover_failures(
-        source, base, cover._scaled(source, base, offsets), cyl_map, degree
-    )
+    scaled = cover._scaled(source, base, offsets, surface._layout(source))
+    got = cover._cover_failures(source, base, scaled, cyl_map, degree)
     want = (
         oracles.branch_failures_fraction(source, base, cyl_map, offsets, degree),
         oracles.equivariance_failures_fraction(source, base, cyl_map, offsets),

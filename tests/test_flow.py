@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import oracles
 import pytest
 from test_halftree import stubbed_path as stubbed_path_skeleton
-from test_surface import stubbed_path
+from test_surface import inconsistent_raw_surfaces, stubbed_path
 
 from flattree import (
     FlowError,
@@ -30,7 +30,6 @@ from flattree import (
     standard_position,
     surfaces_isomorphic,
     trace_vertical,
-    transverse_standard_position,
     validate,
     vertical_decomposition,
     weierstrass_points,
@@ -248,24 +247,16 @@ class TestFractionReference:
 
     def test_inconsistent_raw_surfaces_fail_both_checks_like_the_reference(self):
         # paired ports of different lengths: the return map is no interval bijection
-        rng = random.Random(0)
         messages = set()
-        for n in range(2, 6):
-            for t in enumerate_halftrees(n):
-                for seed in range(3):
-                    s = random_metric(t, seed)
-                    lengths = dict(s.lengths)
-                    p = rng.choice(t.all_ports)
-                    lengths[p] += F(rng.randint(1, 3), 2)
-                    raw = HyperellipticSurface(t, lengths, s.heights, s.twists, s.marks)
-                    try:
-                        want = repr(oracles.vertical_decomposition_fraction(raw))
-                    except AssertionError:
-                        with pytest.raises(FlowError) as exc:
-                            vertical_decomposition(raw)
-                        messages.add(str(exc.value))
-                    else:
-                        assert repr(vertical_decomposition(raw)) == want
+        for raw in inconsistent_raw_surfaces(5):
+            try:
+                want = repr(oracles.vertical_decomposition_fraction(raw))
+            except AssertionError:
+                with pytest.raises(FlowError) as exc:
+                    vertical_decomposition(raw)
+                messages.add(str(exc.value))
+            else:
+                assert repr(vertical_decomposition(raw)) == want
         assert messages == {"interval map failed to be a bijection", "interval orbit changed width"}
         # one saddle whose two copies disagree (1 and 3/2): two intervals share an image
         t = HalfTree({0: [0], 1: [1]}, [(0, 1)])
@@ -295,30 +286,21 @@ class TestFractionReference:
                 assert repr(trace_vertical(s, start)) == repr(want)
 
     def test_trace_on_inconsistent_raw_surfaces_refuses_landings_off_the_circle(self):
-        # the reference keeps walking from a landing past the end of a circle
-        rng = random.Random(0)
-        for n in range(2, 7):
-            for t in enumerate_halftrees(n):
-                for seed in range(3):
-                    s = random_metric(t, seed)
-                    lengths = dict(s.lengths)
-                    p = rng.choice(t.all_ports)
-                    lengths[p] += F(rng.randint(1, 3), 2)
-                    raw = HyperellipticSurface(t, lengths, s.heights, s.twists, s.marks)
-                    for start in ((v, x) for v in t.vertices for x in (F(1, 7), F(1, 3), F(5, 11))):
-                        try:
-                            want = oracles.trace_vertical_fraction(raw, start)
-                        except FlowError as exc:
-                            with pytest.raises(FlowError, match=re.escape(str(exc))):
-                                trace_vertical(raw, start)
-                            continue
-                        except RuntimeError:  # the reference's step bound
-                            want = None
-                        if want and all(x < raw.circumference(v) for v, x in want.crossings):
-                            assert repr(trace_vertical(raw, start)) == repr(want)
-                        else:
-                            with pytest.raises(FlowError):
-                                trace_vertical(raw, start)
+        # paired ports of different lengths: a step may land past the end of its
+        # circle, or the walk may cycle without closing
+        for raw in inconsistent_raw_surfaces(6):
+            for start in ((v, x) for v in raw.skeleton.vertices for x in (F(1, 7), F(1, 3), F(5, 11))):
+                try:
+                    want = oracles.trace_vertical_fraction(raw, start)
+                except FlowError as exc:
+                    with pytest.raises(FlowError, match=re.escape(str(exc))):
+                        trace_vertical(raw, start)
+                    continue
+                except RuntimeError:  # the reference's step bound
+                    with pytest.raises(FlowError, match="exceeded the rational step bound"):
+                        trace_vertical(raw, start)
+                    continue
+                assert repr(trace_vertical(raw, start)) == repr(want)
 
 
 @pytest.fixture
@@ -507,11 +489,8 @@ class TestStandardPosition:
 
         monkeypatch.setattr(flow, "vertical_decomposition", decomposition)
         monkeypatch.setattr(flow, "_return_map", counted_return_map)
-        for align in (standard_position, transverse_standard_position):
-            before = dict(calls)
-            align(path3_surface, 0)
-            assert calls["decomposition"] == before["decomposition"] == 0
-            assert calls["return map"] == before["return map"] + 1
+        standard_position(path3_surface, 0)
+        assert calls == {"decomposition": 0, "return map": 1}
 
     def test_deep_path_under_the_default_recursion_limit(self):
         t = stubbed_path_skeleton(10**4)
@@ -519,10 +498,9 @@ class TestStandardPosition:
         s = build(t, metric.lengths, metric.heights, {v: F(0) for v in t.vertices})
         start = time.perf_counter()
         for p, q in (t.edges()[0], t.edges()[-1]):
-            for align in (standard_position, transverse_standard_position):
-                pos = align(s, p)
-                assert pos.vertical.width == s.lengths[p]
-                assert pos.vertical.core == s.heights[t.vertex_of(p)] + s.heights[t.vertex_of(q)]
+            pos = standard_position(s, p)
+            assert pos.vertical.width == s.lengths[p]
+            assert pos.vertical.core == s.heights[t.vertex_of(p)] + s.heights[t.vertex_of(q)]
         assert time.perf_counter() - start < 5
 
 
@@ -569,37 +547,12 @@ class TestWitnessReference:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_both_alignments_match_the_decomposition(self, n):
+        # each full edge is aligned from both of its ports
         for name, s, p in witness_cases(n):
-            a_p, ell = s.port_start(p), s.lengths[p]
+            a_p, ell = oracles.port_start_fraction(s, p), s.lengths[p]
             std = standard_position(s, p)
-            tv = transverse_standard_position(s, p)
-            for pos, surface in ((std, std.surface), (tv, tv.sheared)):
-                want = oracles.locate_witness_by_decomposition(surface, *pos.cylinders, a_p, ell)
-                assert repr(pos.vertical) == repr(want), name
-
-
-class TestTransverse:
-    def test_first_cylinder_fixed(self, path3_surface):
-        tv = transverse_standard_position(path3_surface, 0)
-        assert tv.deltas[0] == 0
-        assert tv.surface.twists[0] == path3_surface.twists[0]
-
-    def test_direction_absorbs_first_delta(self, path3_surface):
-        std = standard_position(path3_surface, 0)
-        tv = transverse_standard_position(path3_surface, 0)
-        assert tv.sigma == std.deltas[0] / path3_surface.heights[0]
-        assert tv.direction == (tv.sigma, F(1))
-
-    def test_sheared_witness_shape(self, path3_surface):
-        tv = transverse_standard_position(path3_surface, 0)
-        assert tv.vertical.width == path3_surface.lengths[0]
-        assert tv.vertical.core == path3_surface.heights[0] + path3_surface.heights[1]
-
-    def test_already_vertical_means_zero_sigma(self, path3_surface):
-        std = standard_position(path3_surface, 0)
-        tv = transverse_standard_position(std.surface, 0)
-        assert tv.sigma == 0
-        assert tv.sheared == std.surface
+            want = oracles.locate_witness_by_decomposition(std.surface, *std.cylinders, a_p, ell)
+            assert repr(std.vertical) == repr(want), name
 
 
 class TestProportion:

@@ -219,6 +219,10 @@ _KERNEL_NAMES = {
     "_lay",
     "_cert",
     "_walk",
+    # the surface methods that read positions off the kept layout
+    "port_start",
+    "top_start",
+    "seam_sides",
 }
 
 
@@ -256,9 +260,10 @@ def test_kernel_guard_sees_each_kind_of_reference():
             "c = getattr(s, '_cert')",
             '"""A docstring that mentions _layout and _walk."""',
             "layout = lower(s)",
+            "a, b = s.port_start(p), s.top_start(p)",
         ]
     )
-    assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5]
+    assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5, 8]
 
 
 def _unused_imports(tree: ast.AST) -> list[str]:

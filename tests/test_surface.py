@@ -33,7 +33,6 @@ from flattree import (
     dilate_class,
     enumerate_halftrees,
     extract_skeleton,
-    forget_marked_points,
     involution_check,
     involution_orbit,
     lower,
@@ -176,6 +175,30 @@ class TestBuild:
         assert s.twists[0] == F(twist) % F(5, 2)
 
 
+def swept_surfaces(n: int):
+    """Each ``n``-port class at seeds 0 and 1: plain, marked, then sheared and dilated on a seeded class."""
+    for t in enumerate_halftrees(n):
+        for seed in (0, 1):
+            s = random_metric(t, seed)
+            rng = random.Random(f"{seed}:{t!r}")
+            p = rng.choice(t.all_ports)
+            marked = with_marks(s, involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
+            some = rng.sample(t.vertices, max(1, len(t.vertices) // 2))
+            sheared = shear_class(marked, some, F(rng.randint(1, 9), rng.randint(1, 5)))
+            dilated = dilate_class(sheared, some, F(rng.randint(1, 9), rng.randint(1, 5)))
+            yield from (s, marked, sheared, dilated)
+
+
+def assert_positions_are_the_fraction_ones(s: HyperellipticSurface) -> None:
+    """``port_start``, ``top_start`` and the kept layout's seams equal the oracle's ``Fraction`` sums."""
+    lay = surface._layout(s)
+    for p in s.skeleton.all_ports:
+        assert s.port_start(p) == oracles.port_start_fraction(s, p), (s, p)
+        assert s.top_start(p) == oracles.top_start_fraction(s, p), (s, p)
+        sides = tuple((v, F(x, lay.scale)) for v, x in lay.seams[p])
+        assert sides == oracles.seam_sides_fraction(s, p), (s, p)
+
+
 class TestGeometry:
     def test_circumference_and_starts(self, path3_surface):
         s = path3_surface
@@ -197,20 +220,20 @@ class TestGeometry:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_area_is_the_fraction_sum(self, n):
         # the integer sum against circumference times height, summed in Fraction
-        for t in enumerate_halftrees(n):
-            for seed in (0, 1):
-                s = random_metric(t, seed)
-                rng = random.Random(f"{seed}:{t!r}")
-                p = rng.choice(t.all_ports)
-                marked = with_marks(s, involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
-                some = rng.sample(t.vertices, max(1, len(t.vertices) // 2))
-                sheared = shear_class(marked, some, F(rng.randint(1, 9), rng.randint(1, 5)))
-                dilated = dilate_class(sheared, some, F(rng.randint(1, 9), rng.randint(1, 5)))
-                for x in (s, marked, sheared, dilated):
-                    assert area(x) == oracles.area_fraction(x), x
+        for x in swept_surfaces(n):
+            assert area(x) == oracles.area_fraction(x), x
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_position_views_are_the_fraction_positions(self, n):
+        for x in swept_surfaces(n):
+            assert_positions_are_the_fraction_ones(x)
+
+    def test_position_views_on_inconsistent_raw_surfaces(self):
+        for raw in (*inconsistent_raw_surfaces(6), raw_path3(lengths=(2, 3, 3, 3))):
+            assert_positions_are_the_fraction_ones(raw)
 
     def test_seam_sides(self, path3_surface):
-        (above, below) = path3_surface.seam_sides(0)
+        (above, below) = oracles.seam_sides_fraction(path3_surface, 0)
         assert above == (0, F(0))
         # partner of 0 is port 1 on vertex 1: top copy starts at 7/2 - 0 - 2
         assert below == (1, F(3, 2))
@@ -339,6 +362,22 @@ def raw_path3(lengths=(2, 2, 3, 3), heights=(1, 1, 1), marks=()):
     )
 
 
+def inconsistent_raw_surfaces(max_ports: int):
+    """Each class of 2..``max_ports`` ports at seeds 0..2 with one port lengthened, made without :func:`build`.
+
+    The lengthened port no longer matches its partner, so nothing closes up.
+    """
+    rng = random.Random(0)
+    for n in range(2, max_ports + 1):
+        for t in enumerate_halftrees(n):
+            for seed in range(3):
+                s = random_metric(t, seed)
+                lengths = dict(s.lengths)
+                p = rng.choice(t.all_ports)
+                lengths[p] += F(rng.randint(1, 3), 2)
+                yield HyperellipticSurface(t, lengths, s.heights, s.twists, s.marks)
+
+
 class TestInvolution:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_reports_ok(self, n):
@@ -398,13 +437,13 @@ def relabeled_rebuild(s: HyperellipticSurface, rng: random.Random) -> Hyperellip
         r = rng.randrange(len(plist))
         ports_of[vids[v]] = [pids[p] for p in plist[r:] + plist[:r]]
         heights[vids[v]] = s.heights[v]
-        twists[vids[v]] = s.twists[v] + 2 * s.port_start(plist[r])
+        twists[vids[v]] = s.twists[v] + 2 * oracles.port_start_fraction(s, plist[r])
     skeleton = HalfTree(ports_of, [(pids[p], pids[q]) for p, q in t.edges()])
     return build(skeleton, {pids[p]: x for p, x in s.lengths.items()}, heights, twists)
 
 
 def fraction_layout(s: HyperellipticSurface, scale: int) -> surface._Layout:
-    """The layout of ``s`` on ``scale``, every entry read off the ``Fraction`` layout methods."""
+    """The layout of ``s`` on ``scale``, every entry read off the ``Fraction`` positions of the oracle."""
     t = s.skeleton
 
     def at(x: F) -> int:
@@ -418,7 +457,7 @@ def fraction_layout(s: HyperellipticSurface, scale: int) -> surface._Layout:
         {v: at(s.circumference(v)) for v in t.vertices},
         {v: at(x) for v, x in s.twists.items()},
         {p: at(x) for p, x in s.lengths.items()},
-        {p: tuple((u, at(x)) for u, x in s.seam_sides(p)) for p in t.all_ports},
+        {p: tuple((u, at(x)) for u, x in oracles.seam_sides_fraction(s, p)) for p in t.all_ports},
         tuple(sorted((m.port, at(m.offset)) for m in s.marks)),
     )
 
@@ -458,6 +497,15 @@ class TestKeptData:
                 assert [id(x) for x in builds] == [id(s), id(other)]
                 assert [id(lay) for lay in certified] == [id(surface._layout(s))]
                 assert [id(lay) for lay in walked] == [id(surface._layout(s))]
+
+    def test_position_views_build_no_layout_once_it_is_kept(self, monkeypatch, path3_surface):
+        s = replace(path3_surface)  # a fresh object, nothing kept yet
+        surface._layout(s)
+        builds = self.counting(monkeypatch, "_new_layout")
+        for p in s.skeleton.all_ports:
+            s.port_start(p)
+            s.top_start(p)
+        assert builds == []
 
     def test_kept_values_are_invisible(self, path3_surface):
         s = with_marks(path3_surface, involution_orbit(path3_surface, Mark(0, F(1, 3))))
@@ -631,7 +679,7 @@ class TestGluedCertification:
                 s = random_metric(t, seed)
                 gs = lower(s)
                 # the integer layout reproduces the per-port Fraction positions
-                seams = {p: Seam(p, *s.seam_sides(p), s.lengths[p]) for p in t.all_ports}
+                seams = {p: Seam(p, *oracles.seam_sides_fraction(s, p), s.lengths[p]) for p in t.all_ports}
                 assert repr(gs.seams) == repr(seams)
                 cylinders = {
                     v: (s.circumference(v), s.heights[v], s.twists[v]) for v in t.vertices
@@ -822,7 +870,7 @@ class TestIsomorphism:
     def test_marks_distinguish(self, path3_surface):
         marked = with_marks(path3_surface, involution_orbit(path3_surface, Mark(0, F(1, 2))))
         assert not surfaces_isomorphic(path3_surface, marked)
-        assert surfaces_isomorphic(path3_surface, forget_marked_points(marked))
+        assert surfaces_isomorphic(path3_surface, replace(marked, marks=()))
 
     def test_canonical_metric_stable(self, path3_surface):
         assert canonical_metric(path3_surface) == canonical_metric(path3_surface)
