@@ -41,6 +41,7 @@ from .deform import (
     CylinderPartition,
     DeformError,
     SaddlePartition,
+    _validate_saddle_partition,
     check_candidate,
     cochain_to_json,
     dilate_class,
@@ -373,14 +374,11 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         _emit(_dump(horizontal_collapse_report(result)), args.output)
         return EXIT_OK
     if args.saddle_classes:
-        groups = [
-            _int_list(chunk, "--saddle-classes")
-            for chunk in args.saddle_classes.split(";")
-        ]
-        sp = SaddlePartition.of(groups)
+        sp = SaddlePartition.of(_int_list(g, "--saddle-classes") for g in args.saddle_classes.split(";"))
     else:
         _, sp = singleton_partitions(s.skeleton)
     wanted = _proportion_map(args.proportions)
+    _validate_saddle_partition(s.skeleton, sp)
     keys = [group[0] for group in sp.classes]
     unknown = set(wanted) - set(keys)
     if unknown:
@@ -436,6 +434,11 @@ def _suite_lemmas(args: argparse.Namespace) -> list[dict]:
     ]
 
 
+def _entry(name: str, fails: list[str], detail: str) -> dict:
+    """One verify check, ok when nothing failed; it lists the first ten failures."""
+    return {"name": name, "ok": not fails, "detail": detail, "failures": fails[:10]}
+
+
 def _suite_roundtrip(args: argparse.Namespace) -> list[dict]:
     skeleton_fail: list[str] = []
     profile_fail: list[str] = []
@@ -459,18 +462,12 @@ def _suite_roundtrip(args: argparse.Namespace) -> list[dict]:
                     weier_fail.append(tag)
                 if not involution_check(s).ok:
                     involution_fail.append(tag)
-    def entry(name: str, fails: list[str]) -> dict:
-        return {
-            "name": name,
-            "ok": not fails,
-            "detail": f"{cases} surfaces",
-            "failures": fails[:10],
-        }
+    detail = f"{cases} surfaces"
     return [
-        entry("skeleton_roundtrip", skeleton_fail),
-        entry("singularity_profile", profile_fail),
-        entry("weierstrass_count", weier_fail),
-        entry("involution", involution_fail),
+        _entry("skeleton_roundtrip", skeleton_fail, detail),
+        _entry("singularity_profile", profile_fail, detail),
+        _entry("weierstrass_count", weier_fail, detail),
+        _entry("involution", involution_fail, detail),
     ]
 
 
@@ -517,18 +514,11 @@ def _suite_collapse(args: argparse.Namespace) -> list[dict]:
                     forest_fail.append(f"{tag} delete {v}")
                 if res.area_before - res.area_after != res.deleted_area:
                     area_fail.append(f"{tag} delete {v} (horizontal)")
-    def entry(name: str, fails: list[str], count: int) -> dict:
-        return {
-            "name": name,
-            "ok": not fails,
-            "detail": f"{count} collapses",
-            "failures": fails[:10],
-        }
     return [
-        entry("vertical_certification", vertical_fail, v_cases),
-        entry("horizontal_certification", horizontal_fail, h_cases),
-        entry("regluing_forest", forest_fail, h_cases),
-        entry("area_accounting", area_fail, v_cases + h_cases),
+        _entry("vertical_certification", vertical_fail, f"{v_cases} collapses"),
+        _entry("horizontal_certification", horizontal_fail, f"{h_cases} collapses"),
+        _entry("regluing_forest", forest_fail, f"{h_cases} collapses"),
+        _entry("area_accounting", area_fail, f"{v_cases + h_cases} collapses"),
     ]
 
 
@@ -555,9 +545,7 @@ def _suite_cover(args: argparse.Namespace) -> list[dict]:
         except _DOMAIN_ERRORS as exc:
             fails.append(str(exc))
             detail = "construction failed"
-        checks.append(
-            {"name": f"roundtrip:{name}", "ok": not fails, "detail": detail, "failures": fails}
-        )
+        checks.append(_entry(f"roundtrip:{name}", fails, detail))
     big = pullback(builtin_blueprints()["triple-wrap"])
     g = stratum_of(big.skeleton).genus
     checks.append(
@@ -822,7 +810,3 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

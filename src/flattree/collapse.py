@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .deform import DeformError, SaddlePartition
+from .deform import SaddlePartition, _validate_saddle_partition
 from .halftree import _find
 from .surface import (
     CertifyResult,
@@ -37,6 +37,7 @@ from .surface import (
     _glued,
     _Layout,
     _layout,
+    _seam_marks,
     certify_glued,
     fraction_to_string,
     surface_to_json,
@@ -109,10 +110,7 @@ def vertical_collapse(
     would pinch its own cylinder rather than split the surface.
     """
     t = s.skeleton
-    keys = {obj[0] for obj in t.edge_objects()}
-    flat = {e for g in sp.classes for e in g}
-    if flat != keys:
-        raise DeformError("saddle classes do not cover the edge objects exactly")
+    _validate_saddle_partition(t, sp)
     props: dict[int, Fraction] = {}
     for i, group in enumerate(sp.classes):
         p = _exact(proportions[i])
@@ -157,8 +155,8 @@ def vertical_collapse(
     cert = _certify(forest, s.heights)
     if not cert.ok:
         raise CollapseError(f"collapsed surface failed certification: {cert.failures[0]}")
-    before = _area(lay.circumference, lay.scale, s.heights, t.vertices)
-    after = _area(forest.circumference, forest.scale, s.heights, list(new_ports))
+    before = _area(lay, s.heights, t.vertices)
+    after = _area(forest, s.heights, list(new_ports))
     return VerticalCollapseResult(
         surfaces=DisjointSurface(cert.components, tuple(notices)),
         collapsed_area=before - after,
@@ -264,10 +262,7 @@ def horizontal_collapse(
     lay = _layout(s)
     D, L, drift, length, seams = lay.scale, lay.circumference, lay.twist, lay.length, lay.seams
     bottoms, tops = _circles(lay)
-
-    seam_marks: dict[int, list[int]] = {}
-    for p, u in lay.marks:
-        seam_marks.setdefault(p, []).append(u)
+    seam_marks = _seam_marks(lay)
 
     new_seams = {
         sid: sides
@@ -377,8 +372,8 @@ def horizontal_collapse(
     cert = _certify(reglued, s.heights)
     if not cert.ok:
         raise CollapseError(f"reglued surface failed certification: {cert.failures[0]}")
-    kept_area = _area(L, D, s.heights, kept)
-    deleted_area = _area(L, D, s.heights, sorted(chosen))
+    kept_area = _area(lay, s.heights, kept)
+    deleted_area = _area(lay, s.heights, sorted(chosen))
     return HorizontalCollapseResult(
         surfaces=DisjointSurface(cert.components, tuple(notices)),
         certification=cert,

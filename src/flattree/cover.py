@@ -33,12 +33,13 @@ from .halftree import HalfTree, SkeletonError, stratum_of
 from .surface import (
     HyperellipticSurface,
     MetricError,
-    area,
+    _area,
     _fixed_classes,
     _json_label,
     _Layout,
     _corner_walk,
     _layout,
+    _on,
     _profile_classes,
     build,
     fraction_from_string,
@@ -233,7 +234,7 @@ def _scaled(
     scales = (lay_s.scale, _layout(base).scale)  # each its own lcm of denominators
     D = 2 * math.lcm(*scales, *(x.denominator for x in offsets.values()))
     unit = (Fraction(1, D),)
-    off = {v: x.numerator * (D // x.denominator) for v, x in offsets.items()}
+    off = {v: _on(x, D) for v, x in offsets.items()}
     return _layout(source, unit), _layout(base, unit), off
 
 
@@ -352,8 +353,8 @@ def quotient(
             "candidate partitions fail verification: " + "; ".join(report.failures)
         )
     t = s.skeleton
-    cyl_idx = {v: i for i, group in enumerate(cp.classes) for v in group}
-    saddle_idx = {e: i for i, group in enumerate(sp.classes) for e in group}
+    cyl_idx = cp.class_of()
+    saddle_idx = sp.class_of()
     port_class = {p: saddle_idx[t.edge_object_of(p)[0]] for p in t.all_ports}
 
     endpoints: dict[int, frozenset[int]] = {}
@@ -458,7 +459,7 @@ def quotient(
         for e in group
     }
     residual = _chi_residual(t, base_skeleton, report.wraps, degree)
-    scaled = _scaled(s, base, offsets, lay)
+    scaled = lay_s, lay_b, _ = _scaled(s, base, offsets, lay)
     branch, equivariance = _cover_failures(s, base, scaled, cylinder_map, degree)
     problems = branch + equivariance
     if residual != 0:
@@ -480,7 +481,7 @@ def quotient(
         wraps=dict(report.wraps),
         candidate=report,
         residual=residual,
-        area_ratio=area(s) / area(base),
+        area_ratio=_area(lay_s, s.heights, t.vertices) / _area(lay_b, base.heights, base.skeleton.vertices),
         source_half_edges=source_half_edges,
         base_stratum=stratum.label,
         rel=rel,
@@ -605,11 +606,9 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
     else:
         checks["involution_equivariance"] = False
 
-    if area(source) != result.degree * area(base):
-        fail(
-            "area_multiplicative",
-            f"area {area(source)} != degree {result.degree} x {area(base)}",
-        )
+    area_s, area_b = _area(lay_s, source.heights, t.vertices), _area(lay_b, base.heights, bt.vertices)
+    if area_s != result.degree * area_b:
+        fail("area_multiplicative", f"area {area_s} != degree {result.degree} x {area_b}")
 
     return CoverVerdict(ok=not failures, checks=checks, failures=tuple(failures))
 

@@ -194,37 +194,30 @@ def relative_flow(s: HyperellipticSurface, amount: Fraction) -> HyperellipticSur
 
 
 @dataclass(frozen=True)
-class CylinderPartition:
-    """A grouping of the cylinders into nonempty classes."""
+class _Partition:
+    """Classes of members, each class and the tuple of classes sorted."""
 
     classes: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def of(groups: Iterable[Iterable[int]]) -> "CylinderPartition":
-        return CylinderPartition(
-            tuple(sorted(tuple(sorted(set(g))) for g in groups))
-        )
+    @classmethod
+    def of(cls, groups: Iterable[Iterable[int]]):
+        return cls(tuple(sorted(tuple(sorted(set(g))) for g in groups)))
 
     def class_of(self) -> dict[int, int]:
-        return {v: i for i, group in enumerate(self.classes) for v in group}
+        """Each member's class index."""
+        return {x: i for i, group in enumerate(self.classes) for x in group}
 
 
-@dataclass(frozen=True)
-class SaddlePartition:
+class CylinderPartition(_Partition):
+    """A grouping of the cylinders into nonempty classes."""
+
+
+class SaddlePartition(_Partition):
     """A grouping of the edge objects (saddle orbits) into classes.
 
     Members are edge keys: the least port of each edge object.  Keeping
     classes on whole objects makes involution-invariance automatic.
     """
-
-    classes: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(groups: Iterable[Iterable[int]]) -> "SaddlePartition":
-        return SaddlePartition(tuple(sorted(tuple(sorted(set(g))) for g in groups)))
-
-    def class_of(self) -> dict[int, int]:
-        return {e: i for i, group in enumerate(self.classes) for e in group}
 
 
 def singleton_partitions(t: HalfTree) -> tuple[CylinderPartition, SaddlePartition]:
@@ -260,25 +253,20 @@ def partitions_from_json(data: object) -> tuple[CylinderPartition, SaddlePartiti
     )
 
 
-def _validate_partitions(
-    s: HyperellipticSurface, cp: CylinderPartition, sp: SaddlePartition
-) -> None:
-    t = s.skeleton
-    flat = [v for g in cp.classes for v in g]
+def _validate_classes(classes: tuple[tuple[int, ...], ...], members: Iterable[int], kind: str, whole: str):
+    """Refuse ``kind`` classes that overlap, miss or exceed ``members`` (the ``whole``), or are empty."""
+    flat = [x for g in classes for x in g]
     if len(flat) != len(set(flat)):
-        raise DeformError("cylinder classes overlap")
-    if set(flat) != set(t.vertices):
-        raise DeformError("cylinder classes do not cover the cylinders exactly")
-    if any(not g for g in cp.classes):
-        raise DeformError("empty cylinder class")
-    keys = [obj[0] for obj in t.edge_objects()]
-    sflat = [e for g in sp.classes for e in g]
-    if len(sflat) != len(set(sflat)):
-        raise DeformError("saddle classes overlap")
-    if set(sflat) != set(keys):
-        raise DeformError("saddle classes do not cover the edge objects exactly")
-    if any(not g for g in sp.classes):
-        raise DeformError("empty saddle class")
+        raise DeformError(f"{kind} classes overlap")
+    if set(flat) != set(members):
+        raise DeformError(f"{kind} classes do not cover the {whole} exactly")
+    if any(not g for g in classes):
+        raise DeformError(f"empty {kind} class")
+
+
+def _validate_saddle_partition(t: HalfTree, sp: SaddlePartition) -> None:
+    """The saddle half of the partition check: ``sp`` must partition the edge keys of ``t``."""
+    _validate_classes(sp.classes, [obj[0] for obj in t.edge_objects()], "saddle", "edge objects")
 
 
 @dataclass(frozen=True)
@@ -287,14 +275,13 @@ class CandidateReport:
 
     ``checks`` maps the condition tag (a..f) to pass/fail; ``failures``
     carries one message per violation.  Derived data used by the quotient
-    construction: the cyclic class sequence around each cylinder, its period,
-    the wrap count (ports over period), and per cylinder class the canonical
-    one-period boundary pattern with its circumference.
+    construction: the period of the cyclic class sequence around each
+    cylinder, the wrap count (ports over period), and per cylinder class the
+    canonical one-period boundary pattern with its circumference.
     """
 
     checks: dict[str, bool]
     failures: tuple[str, ...]
-    class_sequence: dict[int, tuple[int, ...]]
     period: dict[int, int]
     wraps: dict[int, int]
     base_pattern: dict[int, tuple[tuple[int, Fraction], ...]]
@@ -324,8 +311,9 @@ def check_candidate(
     patterns agree within each class, exhibiting every member as a wrapping
     of one base cylinder.
     """
-    _validate_partitions(s, cp, sp)
     t = s.skeleton
+    _validate_classes(cp.classes, t.vertices, "cylinder", "cylinders")
+    _validate_saddle_partition(t, sp)
     cyl_class = cp.class_of()
     saddle_class = sp.class_of()
     port_class = {p: saddle_class[t.edge_object_of(p)[0]] for p in t.all_ports}
@@ -391,9 +379,7 @@ def check_candidate(
         for v in group:
             if not wraps[v]:
                 continue
-            full = tuple(
-                (port_class[p], s.lengths[p]) for p in t.ports(v)
-            )
+            full = tuple((port_class[p], s.lengths[p]) for p in t.ports(v))
             m = period[v]
             patterns.add(_min_rotation(full)[:m])
         if len(patterns) != 1:
@@ -410,7 +396,6 @@ def check_candidate(
     return CandidateReport(
         checks=checks,
         failures=tuple(failures),
-        class_sequence=class_sequence,
         period=period,
         wraps=wraps,
         base_pattern=base_pattern,

@@ -27,7 +27,7 @@ from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Iterable
 
-from .surface import HyperellipticSurface, _circles, _layout, build
+from .surface import HyperellipticSurface, _circles, _layout, _on, _seam_marks, build
 
 
 class FlowError(ValueError):
@@ -128,19 +128,17 @@ def _return_map(s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
     verts = sorted(lay.circumference)
     offs = [0, *accumulate(lay.circumference[v] for v in verts)]
     off = dict(zip(verts, offs))
-    marks: dict[int, list[int]] = {}  # seam -> its corner's offset 0, then its marks
-    for p, u in lay.marks:
-        marks.setdefault(p, [0]).append(u)
+    marks = _seam_marks(lay)
     sources: dict[int, tuple] = {}
     for p, ((v, a), (w, b)) in lay.seams.items():
         sources[off[v] + a] = ("zero", (w, "t", b))
-        for u in marks.get(p, (0,))[1:]:
+        for u in marks.get(p, ()):
             sources[off[v] + a + u] = ("mark", (p, u))
     starts, pieces = [], []
     _, tops_of = _circles(lay)
     for v, o in off.items():
         L, tops = lay.circumference[v], tops_of[v]
-        tw, h = lay.twist[v] % L, s.heights[v].numerator * H // s.heights[v].denominator
+        tw, h = lay.twist[v] % L, _on(s.heights[v], H)
         # top corners and marks, the line point each is glued to, and where returns leave its circle
         ys, glued, out, cuts = [], [], [], {0}
         for (b, p), (nb, _) in zip(tops, [*tops[1:], (L, None)]):
@@ -148,7 +146,7 @@ def _return_map(s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
             leave = b + lay.circumference[u] - a
             if leave < nb:
                 cuts.add((leave - tw) % L)
-            for m in marks.get(p, (0,)):
+            for m in (0, *marks.get(p, ())):  # its corner, then its marks
                 ys.append(b + m)
                 glued.append(off[u] + a + m)
                 out.append(leave)
@@ -175,7 +173,7 @@ def trace_vertical(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Traj
     x = Fraction(x)
     D, H, verts, offs, starts, pieces, sources = _return_map(s, (x,))
     o, end = offs[verts.index(v) : verts.index(v) + 2]
-    g = o + x.numerator * (D // x.denominator) % (end - o)
+    g = o + _on(x, D) % (end - o)
     x = Fraction(g - o, D)
     if g in sources:
         what = "singular corner" if sources[g][0] == "zero" else "marked point"
@@ -324,8 +322,8 @@ def _locate_witness(
     """
     scale, _, verts, offs, starts, pieces, _ = _return_map(surface)
     ends = starts[1:] + offs[-1:]
-    g = offs[verts.index(C)] + a_p.numerator * (scale // a_p.denominator)
-    w = ell.numerator * (scale // ell.denominator)
+    g = offs[verts.index(C)] + _on(a_p, scale)
+    w = _on(ell, scale)
     walk = [g]
     for _ in range(offs[-1] // w):
         j = bisect_right(starts, g) - 1
@@ -361,13 +359,15 @@ def standard_position(s: HyperellipticSurface, saddle: int) -> StandardPosition:
     if any(m.port in (saddle, q) for m in s.marks):
         raise FlowError(f"marked points on saddle {saddle} would split the witness")
     C, D = t.vertex_of(saddle), t.vertex_of(q)
-    ell, a_p = s.lengths[saddle], s.port_start(saddle)
-    targets, deltas = {}, {}
-    for vertex, start in ((C, a_p), (D, s.port_start(q))):
-        L = s.circumference(vertex)
-        targets[vertex] = (-2 * start - ell) % L
-        deltas[vertex] = (targets[vertex] - s.twists[vertex]) % L
+    lay, targets, deltas = _layout(s), {}, {}
+    for p in (saddle, q):
+        (vertex, start), _ = lay.seams[p]
+        L = lay.circumference[vertex]
+        target = (-2 * start - lay.length[saddle]) % L
+        targets[vertex] = Fraction(target, lay.scale)
+        deltas[vertex] = Fraction((target - lay.twist[vertex]) % L, lay.scale)
     twists = {**s.twists, **targets}
     aligned = build(s.skeleton, s.lengths, s.heights, twists, s.marks)
-    witness = _locate_witness(aligned, C, D, a_p, ell)
+    a_p = Fraction(lay.seams[saddle][0][1], lay.scale)
+    witness = _locate_witness(aligned, C, D, a_p, s.lengths[saddle])
     return StandardPosition((saddle, q), (C, D), deltas, aligned, witness)

@@ -20,13 +20,13 @@ The convention is written once, in integers, by :func:`_convention`:
 :func:`_layout` scales every position by ``D``, the lcm of the denominators
 of all lengths, twists and mark offsets, and keeps the result on the
 surface.  Every walk over many positions (the corner walk, the vertical
-flow, both collapses, covers) reads that layout, and results become
-``Fraction`` again, as ``x / D``, only at the API edge; the methods
-``port_start`` and ``top_start`` are such views of one seam.  Every surface
-certifies on that layout: the integer kernel :func:`_certify` searches
-alignments with an explicit stack, and :func:`involution_check`,
-:func:`extract_skeleton` and both collapses hand it a layout directly.
-:func:`certify_glued` scales a foreign seam table once into the same shape.
+flow, both collapses, covers, :func:`area`) reads that layout, and results
+become ``Fraction`` again, as ``x / D``, only at the API edge; the methods
+``port_start`` and ``top_start`` are such views of one seam.  :func:`_on` is
+the one scaler and :func:`_circles` the one circle table.  Every surface
+certifies on that layout with the integer kernel :func:`_certify`, which
+:func:`involution_check`, :func:`extract_skeleton` and both collapses call
+directly; :func:`certify_glued` scales a foreign seam table once into it.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     The layout on ``D``, the lcm of all length, twist and mark offset
     denominators, is built on first use and kept on ``s``; ``extra`` scales it
     by ``lcm(D, extra denominators) // D`` into a fresh layout, not kept.  Read
-    by the corner walk, certification, flow, collapse, covers, canonical metrics
-    and the position views ``port_start`` and ``top_start``.
+    by the corner walk, certification, flow, collapse, covers, canonical metrics,
+    :func:`area` and the position views ``port_start`` and ``top_start``.
     """
     lay = _kept(s, "_lay", lambda: _new_layout(s))
     k = math.lcm(lay.scale, *(x.denominator for x in extra)) // lay.scale
@@ -168,17 +168,18 @@ def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
     )
 
 
+def _on(x: Fraction, D: int) -> int:
+    """``x * D`` as an int, for an ``x`` whose denominator divides ``D``: the one scaler."""
+    return x.numerator * (D // x.denominator)
+
+
 def _new_layout(s: HyperellipticSurface) -> _Layout:
     t = s.skeleton
     values = [*s.lengths.values(), *s.twists.values(), *(m.offset for m in s.marks)]
     D = math.lcm(*(x.denominator for x in values))
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (D // x.denominator)
-
-    length = {p: scaled(x) for p, x in s.lengths.items()}
-    twist = {v: scaled(x) for v, x in s.twists.items()}
-    marks = tuple(sorted((m.port, scaled(m.offset)) for m in s.marks))
+    length = {p: _on(x, D) for p, x in s.lengths.items()}
+    twist = {v: _on(x, D) for v, x in s.twists.items()}
+    marks = tuple(sorted((m.port, _on(m.offset, D)) for m in s.marks))
     return _convention(t, {v: t.ports(v) for v in t.vertices}, D, length, twist, marks)
 
 
@@ -209,16 +210,28 @@ def _convention(
 
 
 def _circles(lay: _Layout) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
-    """Per cylinder, the ``(start, seam)`` lists of its bottom and top circles, sorted by start."""
+    """Per cylinder, the ``(start, seam)`` lists of its bottom and top circles, stably sorted by start.
+
+    Sides on cylinders that ``lay`` lacks go to a list no one reads; :func:`_certify` reports them.
+    """
     bottoms = {v: [] for v in lay.circumference}
     tops = {v: [] for v in lay.circumference}
+    unknown: list[tuple[int, int]] = []
     for p, ((v, a), (w, b)) in lay.seams.items():
-        bottoms[v].append((a, p))
-        tops[w].append((b, p))
+        bottoms.get(v, unknown).append((a, p))
+        tops.get(w, unknown).append((b, p))
     for table in (bottoms, tops):
         for segs in table.values():
-            segs.sort()
+            segs.sort(key=itemgetter(0))
     return bottoms, tops
+
+
+def _seam_marks(lay: _Layout) -> dict[int, list[int]]:
+    """The ascending mark offsets of ``lay`` on each seam that carries marks."""
+    marks: dict[int, list[int]] = {}
+    for p, u in lay.marks:
+        marks.setdefault(p, []).append(u)
+    return marks
 
 
 def _exact(x: object) -> Fraction:
@@ -275,8 +288,8 @@ def build(
     for v in skeleton.vertices:
         tw = _exact(twists.get(v, 0))
         d = math.lcm(tw.denominator, *(lens[p].denominator for p in skeleton.ports(v)))
-        n = tw.numerator * (d // tw.denominator)
-        L = sum(lens[p].numerator * (d // lens[p].denominator) for p in skeleton.ports(v))
+        n = _on(tw, d)
+        L = sum(_on(lens[p], d) for p in skeleton.ports(v))
         tws[v] = tw if 0 <= n < L else Fraction(n % L, d)
     mark_list = tuple(sorted(Mark(m.port, _exact(m.offset)) for m in marks))
     mark_set = set(mark_list)
@@ -310,19 +323,16 @@ def involution_orbit(s: HyperellipticSurface, mark: Mark) -> tuple[Mark, ...]:
 
 
 def area(s: HyperellipticSurface) -> Fraction:
-    """Total area, one integer sum over the lcm of the length and height denominators."""
-    t = s.skeleton
-    D = math.lcm(*(x.denominator for x in s.lengths.values()))
-    scaled = {p: x.numerator * (D // x.denominator) for p, x in s.lengths.items()}
-    L = {v: sum(scaled[p] for p in t.ports(v)) for v in t.vertices}
-    return _area(L, D, s.heights, t.vertices)
+    """Total area, one integer sum over the circumferences of the kept layout."""
+    return _area(_layout(s), s.heights, s.skeleton.vertices)
 
 
-def _area(L: Mapping[int, int], D: int, heights: Mapping[int, Fraction], cylinders: Sequence[int]) -> Fraction:
-    """Area of ``cylinders``, circumferences ``L`` over ``D``: ``sum(h_v * L_v)`` in ints, then one ``Fraction``."""
+def _area(lay: _Layout, heights: Mapping[int, Fraction], cylinders: Sequence[int]) -> Fraction:
+    """Area of ``cylinders`` of ``lay``: ``sum(h_v * L_v)`` in ints, then one ``Fraction``."""
     H = math.lcm(*(heights[v].denominator for v in cylinders))
-    total = sum(L[v] * heights[v].numerator * (H // heights[v].denominator) for v in cylinders)
-    return Fraction(total, D * H)
+    L = lay.circumference
+    total = sum(L[v] * _on(heights[v], H) for v in cylinders)
+    return Fraction(total, lay.scale * H)
 
 
 def random_metric(
@@ -627,20 +637,16 @@ def certify_glued(gs: GluedSurface) -> CertifyResult:
         *(x.denominator for sm in gs.seams.values() for x in (sm.above[1], sm.below[1], sm.length)),
         *(x.denominator for _, x in gs.marks),
     )
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (D // x.denominator)
-
     lay = _Layout(
         scale=D,
-        circumference={c: scaled(circ) for c, (circ, _, _) in cyls.items()},
-        twist={c: scaled(drift) for c, (_, _, drift) in cyls.items()},
-        length={sid: scaled(sm.length) for sid, sm in gs.seams.items()},
+        circumference={c: _on(circ, D) for c, (circ, _, _) in cyls.items()},
+        twist={c: _on(drift, D) for c, (_, _, drift) in cyls.items()},
+        length={sid: _on(sm.length, D) for sid, sm in gs.seams.items()},
         seams={
-            sid: ((sm.above[0], scaled(sm.above[1])), (sm.below[0], scaled(sm.below[1])))
+            sid: ((sm.above[0], _on(sm.above[1], D)), (sm.below[0], _on(sm.below[1], D)))
             for sid, sm in gs.seams.items()
         },
-        marks=tuple((sid, scaled(u)) for sid, u in gs.marks),
+        marks=tuple((sid, _on(u, D)) for sid, u in gs.marks),
     )
     return _certify(lay, {c: h for c, (_, h, _) in cyls.items()})
 
@@ -660,23 +666,17 @@ def _certify(lay: _Layout, heights: Mapping[int, Fraction]) -> CertifyResult:
         return CertifyResult(False, (), {}, {}, (failure,))
 
     # each circle must be tiled exactly by the seams that start on it
-    bottoms: dict[int, list[tuple[int, int]]] = {c: [] for c in L}
-    tops: dict[int, list[tuple[int, int]]] = {c: [] for c in L}
+    bottoms, tops = _circles(lay)
     failures: list[str] = []
     for sid, sides in seams.items():
         if length[sid] <= 0:
             failures.append(f"seam {sid} has nonpositive length")
-        for (cyl, start), table in zip(sides, (bottoms, tops)):
-            if cyl not in L:
-                failures.append(f"seam {sid} references unknown cylinder {cyl}")
-            else:
-                table[cyl].append((start, sid))
+        failures += [f"seam {sid} references unknown cylinder {cyl}" for cyl, _ in sides if cyl not in L]
     for cyl, circ in L.items():
         if circ <= 0 or heights[cyl] <= 0:
             failures.append(f"cylinder {cyl} has nonpositive dimensions")
         for table, side in ((bottoms, "bottom"), (tops, "top")):
             segs = table[cyl]
-            segs.sort(key=itemgetter(0))
             pos = 0
             for start, sid in segs:
                 if start != pos:

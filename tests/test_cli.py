@@ -2,8 +2,11 @@
 
 import copy
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,10 +14,12 @@ from pathlib import Path
 import pytest
 
 from flattree import (
+    HalfTree,
     builtin_blueprints,
     fiber_partitions,
     partitions_to_json,
     pullback,
+    random_metric,
     surface_to_json,
     surfaces_isomorphic,
     surface_from_json,
@@ -315,6 +320,16 @@ class TestCollapse:
         assert data["kind"] == "vertical-collapse"
         assert data["certified"] is True
 
+    @pytest.mark.parametrize(
+        "classes, message", [("0;;1", "empty saddle class"), ("0;0,1", "saddle classes overlap")]
+    )
+    def test_saddle_classes_that_are_no_partition_fail_with_1(self, tmp_path, capsys, classes, message):
+        s = random_metric(HalfTree({0: [0, 1], 1: [2], 2: [3]}, [(0, 2), (1, 3)]), 1)
+        src = write(tmp_path, "s.json", surface_to_json(s))
+        rc = main(["collapse", src, "--proportions", "0=1/2", "--saddle-classes", classes])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
     def test_unknown_proportion_key_is_usage_error(self, tmp_path):
         src = write(tmp_path, "s.json", PATH3_SURFACE)
         rc, _ = run("collapse", src, "--proportions", "9=1/2")
@@ -533,6 +548,16 @@ class TestPipeline:
         assert rc == 1
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize(
+        "classes, message", [([[0], [], [2]], "empty saddle class"), ([[0], [0, 2]], "saddle classes overlap")]
+    )
+    def test_vertical_step_refuses_saddle_classes_that_are_no_partition(self, tmp_path, capsys, classes, message):
+        step = {"op": "collapse", "kind": "vertical", "classes": classes, "proportions": ["1/2"] * len(classes)}
+        src = write(tmp_path, "script.json", {"steps": [{"op": "build", "surface": PATH3_SURFACE}, step]})
+        rc = main(["pipeline", src, "--outdir", str(tmp_path / "a")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"step 1 (collapse): {message}\n"
+
     # the three-cylinder path with a stub at each end and one in the middle
     PATH3_STUBBED = {
         "op": "build",
@@ -737,3 +762,17 @@ def test_malformed_inputs_never_escape_as_tracebacks(tmp_path, capsys, monkeypat
 def test_parser_is_built_once():
     # argparse construction is most of a small call's cost; main shares one parser
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_python_dash_m_flattree_is_the_cli(capsys):
+    rc, expected = run("enumerate", "--ports", "3", capsys=capsys)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "flattree", "enumerate", "--ports", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (rc, expected, "")

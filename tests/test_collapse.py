@@ -15,12 +15,14 @@ import flattree.surface
 
 from flattree import (
     CollapseError,
+    DeformError,
     DisjointSurface,
     FlowError,
     GluedSurface,
     HalfTree,
     HyperellipticSurface,
     Mark,
+    SaddlePartition,
     Seam,
     area,
     build,
@@ -121,6 +123,20 @@ class TestCertifyHyperelliptic:
 
 
 class TestVerticalCollapse:
+    @pytest.mark.parametrize(
+        "classes, proportions, message",
+        [
+            ([[0], [0, 1]], [F(1, 2), F(0)], "saddle classes overlap"),
+            ([[0], [], [1]], [F(1, 2), F(0), F(0)], "empty saddle class"),
+        ],
+        ids=["overlap", "empty"],
+    )
+    def test_saddle_classes_must_partition_the_edges(self, classes, proportions, message):
+        # the overlapping pair used to certify with the 1/2 overwritten by the 0
+        s = random_metric(HalfTree({0: [0, 1], 1: [2], 2: [3]}, [(0, 2), (1, 3)]), 1)
+        with pytest.raises(DeformError, match=message):
+            vertical_collapse(s, SaddlePartition.of(classes), proportions)
+
     def test_all_zero_is_identity(self, path3):
         sp = singleton_partitions(path3.skeleton)[1]
         res = vertical_collapse(path3, sp, [F(0)] * len(sp.classes))

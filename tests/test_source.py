@@ -211,6 +211,9 @@ _KERNEL_NAMES = {
     "_new_layout",
     "_convention",
     "_area",
+    "_on",
+    "_circles",
+    "_seam_marks",
     "_certify",
     "_certified",
     "_corner_walk",
@@ -304,3 +307,110 @@ def test_import_guard_sees_each_kind_of_import():
         ]
     )
     assert _unused_imports(ast.parse(snippet)) == ["3:js", "4:Iterator", "7:bisect_left"]
+
+
+def _hand_scalings(tree: ast.AST) -> list[int]:
+    """Lines of ``tree``, outside ``_on``, that scale a fraction by hand.
+
+    That is ``x.numerator * (D // x.denominator)``, with its factors either
+    way round and inside any product, or ``x.numerator * D // x.denominator``.
+    """
+
+    def attr(node: ast.AST, name: str) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == name
+
+    def product(node: ast.AST) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    def has_numerator_factor(node: ast.AST) -> bool:
+        while product(node) and not attr(node.right, "numerator"):
+            node = node.left
+        return attr(node.right, "numerator") if product(node) else attr(node, "numerator")
+
+    def floor_by_denominator(node: ast.AST) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and attr(node.right, "denominator")
+
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_on"
+        for node in ast.walk(fn)
+    }
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in allowed or not isinstance(node, ast.BinOp):
+            continue
+        if product(node) and any(
+            has_numerator_factor(a) and floor_by_denominator(b)
+            for a, b in ((node.left, node.right), (node.right, node.left))
+        ):
+            lines.add(node.lineno)
+        elif floor_by_denominator(node) and product(node.left) and has_numerator_factor(node.left):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def _port_sums(tree: ast.AST) -> list[str]:
+    """``function:line`` of each ``sum`` over a comprehension that runs through ``….ports(…)``."""
+    found = []
+    stack: list[tuple[ast.AST, str | None]] = [(tree, None)]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            _called_name(node) == "sum"
+            and node.args
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+            and any(_called_name(g.iter) == "ports" for g in node.args[0].generators)
+        ):
+            found.append((node.lineno, f"{where}:{node.lineno}"))
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return [entry for _, entry in sorted(found)]
+
+
+# a circumference is summed from the lengths only by the public method and by
+# ``build``'s twist reduction, which runs before a layout exists; every other
+# reader takes it off the layout
+_PORT_SUMS = {("surface.py", "circumference"), ("surface.py", "build")}
+
+
+def test_one_scaler_and_no_length_sum_outside_the_two_owners():
+    # ``surface._on`` is the one place a fraction is put on an integer scale
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _hand_scalings(ast.parse(path.read_text()))
+    ]
+    found += [
+        f"{path.name}:{entry}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for entry in _port_sums(ast.parse(path.read_text()))
+        if (path.name, entry.split(":")[0]) not in _PORT_SUMS
+    ]
+    assert found == []
+
+
+def test_scaling_and_port_sum_guards_see_each_kind():
+    snippet = "\n".join(
+        [
+            "def _on(x, D):",
+            "    return x.numerator * (D // x.denominator)",
+            "def area(s):",
+            "    n = x.numerator * (D // x.denominator)",
+            "    h = s.heights[v].numerator * H // s.heights[v].denominator",
+            "    k = (D // x.denominator) * x.numerator",
+            "    a = L[v] * h.numerator * (H // h.denominator)",
+            "    keep = (p.denominator - p.numerator) * (B // p.denominator)",
+            "    f = x.numerator // x.denominator",
+            "    L = {v: sum(scaled[p] for p in t.ports(v)) for v in t.vertices}",
+            "    return sum([h[v] for v in t.vertices])",
+            "class S:",
+            "    def circumference(self, v):",
+            "        return sum((self.lengths[p] for p in self.skeleton.ports(v)), 0)",
+        ]
+    )
+    tree = ast.parse(snippet)
+    # ``keep`` is ``(1 - p) * B`` on the parts of ``p``, and ``f`` a floor, not scalings
+    assert _hand_scalings(tree) == [4, 5, 6, 7]
+    assert _port_sums(tree) == ["area:10", "circumference:14"]

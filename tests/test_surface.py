@@ -656,6 +656,8 @@ def broken_tables(gs: GluedSurface, rng: random.Random):
         },
     )
     yield replace(gs, seams={k: v for k, v in gs.seams.items() if k != sid})
+    # a side on a cylinder the table lacks: the circle tables leave it out
+    yield replace(gs, seams={**gs.seams, sid: replace(seam, above=(max(gs.cylinders) + 1, seam.above[1]))})
     # a zero-length seam listed first on another seam's start: ties keep table order
     stacked = replace(seam, seam_id=max(sids) + 1, length=F(0))
     yield replace(gs, seams={stacked.seam_id: stacked, **gs.seams})
