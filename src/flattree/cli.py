@@ -810,3 +810,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,8 +12,10 @@ The graph-level sanity check is the half-edge-aware Euler count
 chi = V - E - H/2 with vertex ramification equal to the wrap numbers.  Branch
 behaviour is read off the corner-class projection, whose local degrees must be
 integers summing to the degree over every base class.  That check and the
-involution-equivariance check run in integers, on one scale per (source, base)
-pair: each public call lays out and walks each surface once.
+involution-equivariance check run in integers.  They read each surface's kept
+layout and kept corner classes, and compare the two surfaces on one common
+scale through two integer factors: no cover call lays out or walks a surface
+that has been laid out or walked before.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ from .halftree import HalfTree, SkeletonError, stratum_of
 from .surface import (
     HyperellipticSurface,
     MetricError,
-    _area,
+    _classes,
     _fixed_classes,
     _json_label,
     _Layout,
-    _corner_walk,
     _layout,
     _on,
-    _profile_classes,
+    area,
     build,
     fraction_from_string,
     fraction_to_string,
@@ -170,8 +171,7 @@ def pullback(b: CoverBlueprint) -> HyperellipticSurface:
     offsets = {f.cylinder: Fraction(0) for f in b.fibers}
     wraps = {f.cylinder: f.wrap for f in b.fibers}
     degree = sum(f.wrap for f in b.fibers if f.base == b.base.skeleton.vertices[0])
-    scaled = _scaled(surface, b.base, offsets, _layout(surface))
-    branch, equivariance = _cover_failures(surface, b.base, scaled, cyl_map, degree)
+    branch, equivariance = _cover_failures(surface, b.base, _scaled(surface, b.base, offsets), cyl_map, degree)
     problems = branch + equivariance
     if problems:
         raise CoverError(f"pullback is not a translation covering: {problems[0]}")
@@ -219,51 +219,44 @@ def _chi_residual(
 
 
 def _scaled(
-    source: HyperellipticSurface,
-    base: HyperellipticSurface,
-    offsets: Mapping[int, Fraction],
-    lay_s: _Layout,
-) -> tuple[_Layout, _Layout, dict[int, int]]:
-    """Layouts of ``source`` and ``base`` on one scale, and the offsets on that scale.
+    source: HyperellipticSurface, base: HyperellipticSurface, offsets: Mapping[int, Fraction]
+) -> tuple[_Layout, _Layout, int, int, dict[int, int]]:
+    """The kept layouts of both surfaces, their factors ``ks``, ``kb`` onto one scale ``D``, and the offsets on ``D``.
 
-    ``lay_s`` is ``_layout(source)``, which a caller may already have read the
-    offsets off.  The scale is twice the lcm of the denominators of both
-    surfaces' lengths, twists and marks and of the offsets, so half twists,
-    half circumferences and half lengths are ints as well.
+    ``D`` is twice the lcm of both layout scales and of the offset
+    denominators, so half twists, circumferences and lengths are ints on it.
     """
-    scales = (lay_s.scale, _layout(base).scale)  # each its own lcm of denominators
-    D = 2 * math.lcm(*scales, *(x.denominator for x in offsets.values()))
-    unit = (Fraction(1, D),)
-    off = {v: _on(x, D) for v, x in offsets.items()}
-    return _layout(source, unit), _layout(base, unit), off
+    lay_s, lay_b = _layout(source), _layout(base)
+    D = 2 * math.lcm(lay_s.scale, lay_b.scale, *(x.denominator for x in offsets.values()))
+    return lay_s, lay_b, D // lay_s.scale, D // lay_b.scale, {v: _on(x, D) for v, x in offsets.items()}
 
 
 def _cover_failures(
     source: HyperellipticSurface,
     base: HyperellipticSurface,
-    scaled: tuple[_Layout, _Layout, dict[int, int]],
+    scaled: tuple[_Layout, _Layout, int, int, dict[int, int]],
     cyl_map: Mapping[int, int],
     degree: int,
 ) -> tuple[list[str], list[str]]:
-    """Branch and equivariance failures of the projection, on the layouts of :func:`_scaled`.
+    """Branch and equivariance failures of the projection, on the layouts and factors of :func:`_scaled`.
 
     Branching only over the zeros: every corner class upstairs projects into
     one class downstairs with an integer cone-angle ratio, and the ratios sum
     to the degree over each base class.  Equivariance: core fixed points,
     half-edge midpoints and rotation-fixed corner classes land on their kind.
-    Each surface is walked once; class indices are those of
+    The classes are the kept ones of :func:`surface._classes`, indexed as in
     :func:`singularity_profile`, which also raises here on a broken walk.
+    Positions go onto ``D`` only where the two surfaces meet.
     """
-    lay_s, lay_b, off = scaled
+    lay_s, lay_b, ks, kb, off = scaled
     t, bt = source.skeleton, base.skeleton
-    src = _profile_classes(t, lay_s, _corner_walk(lay_s))[0]
-    dst = _profile_classes(bt, lay_b, _corner_walk(lay_b))[0]
-    where = {c: j for j, g in enumerate(dst) for c in g}
-    Ls, Lb = lay_s.circumference, lay_b.circumference
+    src, dst = _classes(source)[0], _classes(base)[0]
+    where = {(w, side, kb * y): j for j, g in enumerate(dst) for w, side, y in g}
+    Ls, Lb = lay_s.circumference, {w: kb * L for w, L in lay_b.circumference.items()}
 
     def project(v: int, side: str, x: int) -> tuple[int, str, int]:
         w = cyl_map[v]
-        return (w, side, (x - off[v] if side == "b" else x + off[v]) % Lb[w])
+        return (w, side, (ks * x - off[v] if side == "b" else ks * x + off[v]) % Lb[w])
 
     branch: list[str] = []
     totals = [0] * len(dst)
@@ -287,10 +280,11 @@ def _cover_failures(
     equivariance: list[str] = []
     for v in t.vertices:
         w = cyl_map[v]
-        half = -lay_b.twist[w] // 2
+        half = -kb * lay_b.twist[w] // 2
         fixed = {half % Lb[w], (half + Lb[w] // 2) % Lb[w]}
-        x0 = (-lay_s.twist[v] // 2) % Ls[v]
-        for x in (x0, (x0 + Ls[v] // 2) % Ls[v]):
+        L = ks * Ls[v]
+        x0 = (-ks * lay_s.twist[v] // 2) % L
+        for x in (x0, (x0 + L // 2) % L):
             if (x - off[v]) % Lb[w] not in fixed:
                 equivariance.append(
                     f"core fixed point of cylinder {v} projects off the base fixed circle"
@@ -298,11 +292,11 @@ def _cover_failures(
     midpoints: dict[int, set[int]] = {}
     for q in bt.half_edge_ports():
         (w, a), _ = lay_b.seams[q]
-        midpoints.setdefault(w, set()).add((a + lay_b.length[q] // 2) % Lb[w])
+        midpoints.setdefault(w, set()).add((kb * a + kb * lay_b.length[q] // 2) % Lb[w])
     for p in t.half_edge_ports():
         (v, a), _ = lay_s.seams[p]
         w = cyl_map[v]
-        if (a + lay_s.length[p] // 2 - off[v]) % Lb[w] not in midpoints.get(w, ()):
+        if (ks * a + ks * lay_s.length[p] // 2 - off[v]) % Lb[w] not in midpoints.get(w, ()):
             equivariance.append(f"midpoint of self-glued saddle {p} projects off a base midpoint")
     fixed_dst = set(_fixed_classes(lay_b, dst))
     for i in _fixed_classes(lay_s, src):
@@ -459,8 +453,7 @@ def quotient(
         for e in group
     }
     residual = _chi_residual(t, base_skeleton, report.wraps, degree)
-    scaled = lay_s, lay_b, _ = _scaled(s, base, offsets, lay)
-    branch, equivariance = _cover_failures(s, base, scaled, cylinder_map, degree)
+    branch, equivariance = _cover_failures(s, base, _scaled(s, base, offsets), cylinder_map, degree)
     problems = branch + equivariance
     if residual != 0:
         problems.insert(0, f"Riemann-Hurwitz residual {residual}")
@@ -481,7 +474,7 @@ def quotient(
         wraps=dict(report.wraps),
         candidate=report,
         residual=residual,
-        area_ratio=_area(lay_s, s.heights, t.vertices) / _area(lay_b, base.heights, base.skeleton.vertices),
+        area_ratio=area(s) / area(base),
         source_half_edges=source_half_edges,
         base_stratum=stratum.label,
         rel=rel,
@@ -527,8 +520,7 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
         failures.append(msg)
 
     known = set(bt.vertices)
-    scaled = lay_s, lay_b, off = _scaled(source, base, result.offsets, _layout(source))
-    D = lay_s.scale
+    scaled = lay_s, lay_b, ks, kb, off = _scaled(source, base, result.offsets)
     for v in t.vertices:
         w = result.cylinder_map.get(v)
         if w not in known:
@@ -540,12 +532,12 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
         if wrap is None:
             fail("local_isometry", f"cylinder {v} has no wrap")
             continue
-        L = lay_b.circumference[w]
-        if lay_s.circumference[v] != wrap * L:
+        L, Lb = lay_s.circumference[v], lay_b.circumference[w]
+        if ks * L != wrap * kb * Lb:
             fail(
                 "local_isometry",
-                f"cylinder {v} has circumference {Fraction(lay_s.circumference[v], D)}, "
-                f"not {wrap} x {Fraction(L, D)}",
+                f"cylinder {v} has circumference {Fraction(L, lay_s.scale)}, "
+                f"not {wrap} x {Fraction(Lb, lay_b.scale)}",
             )
             continue
         ports, base_ports = t.ports(v), bt.ports(w)
@@ -555,14 +547,14 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
         if v not in off:
             fail("local_isometry", f"cylinder {v} has no offset")
             continue
-        starts = [lay_s.seams[p][0][1] for p in ports]
+        starts = [ks * lay_s.seams[p][0][1] for p in ports]
         if off[v] not in starts:
             fail("local_isometry", f"offset of cylinder {v} is not a saddle start")
             continue
         r = starts.index(off[v])
         for k, p in enumerate(ports[r:] + ports[:r]):
             q = base_ports[k % len(base_ports)]
-            if lay_s.length[p] != lay_b.length[q]:
+            if ks * lay_s.length[p] != kb * lay_b.length[q]:
                 fail("local_isometry", f"saddle {p} changes length over base saddle {q}")
             if result.saddle_map.get(t.edge_object_of(p)[0]) != min(bt.edge_object_of(q)):
                 fail("local_isometry", f"saddle {p} does not map onto base saddle {q}")
@@ -606,7 +598,7 @@ def certify_cover(source: HyperellipticSurface, result: QuotientResult) -> Cover
     else:
         checks["involution_equivariance"] = False
 
-    area_s, area_b = _area(lay_s, source.heights, t.vertices), _area(lay_b, base.heights, bt.vertices)
+    area_s, area_b = area(source), area(base)
     if area_s != result.degree * area_b:
         fail("area_multiplicative", f"area {area_s} != degree {result.degree} x {area_b}")
 

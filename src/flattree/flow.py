@@ -9,9 +9,10 @@ A trajectory stops when it meets a zero or a marked point; decoration marks
 therefore act as vertical barriers and may subdivide what would otherwise be
 a single vertical cylinder.  Widths and areas are unaffected.
 
-:func:`_return_map` lays the bottom circles end to end on one integer line
-and cuts the return map into translation pieces there.  Every walk reads that
-one table: :func:`trace_vertical` steps one point, :func:`vertical_decomposition`
+:func:`_return_map` lays the bottom circles end to end on one integer line,
+on the kept layout's scale, and cuts the return map into translation pieces
+there.  Every walk reads that one table: :func:`trace_vertical` steps one
+point (off the lattice, with a fixed remainder), :func:`vertical_decomposition`
 walks forward from each bottom corner and mark, and :func:`_locate_witness`
 carries a strip.  Exact ``Fraction`` crossings are built only when read.
 """
@@ -110,7 +111,7 @@ class _Crossings(Sequence):
         return repr(self[:])
 
 
-def _return_map(s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
+def _return_map(s: HyperellipticSurface):
     """The first-return map to the bottom circles, on one integer line.
 
     Returns ``(D, H, verts, offs, starts, pieces, sources)``: on the layout
@@ -123,7 +124,7 @@ def _return_map(s: HyperellipticSurface, extra: Iterable[Fraction] = ()):
     offset))``.  ``stop`` is None on a piece whose returns fall past the end
     of their circle, which only an inconsistent raw surface has.
     """
-    lay = _layout(s, extra)
+    lay = _layout(s)
     H = math.lcm(*(h.denominator for h in s.heights.values()))
     verts = sorted(lay.circumference)
     offs = [0, *accumulate(lay.circumference[v] for v in verts)]
@@ -166,34 +167,43 @@ def trace_vertical(s: HyperellipticSurface, start: tuple[int, Fraction]) -> Traj
     ``start`` is (cylinder, bottom-circle offset).  The offset must avoid
     saddle endpoints and marked points: trajectories out of distinguished
     points are prongs, not flow lines.
+
+    The walk reads the return-map table on the kept layout's scale ``D``.  On
+    the scale ``k * D`` that makes the start an int, it is the table's point
+    ``g`` plus a remainder ``0 <= r < k``.  It moves with the piece of ``g``,
+    so ``r`` stays, and it can meet a corner or mark only when ``r == 0``.
     """
     v, x = start
     if v not in s.skeleton.vertices:
         raise FlowError(f"no cylinder {v}")
     x = Fraction(x)
-    D, H, verts, offs, starts, pieces, sources = _return_map(s, (x,))
+    D, H, verts, offs, starts, pieces, sources = _return_map(s)
+    k = x.denominator // math.gcd(x.denominator, D)
     o, end = offs[verts.index(v) : verts.index(v) + 2]
-    g = o + _on(x, D) % (end - o)
-    x = Fraction(g - o, D)
-    if g in sources:
+    y = _on(x, k * D) % (k * (end - o))  # on the scale k * D, from the circle's start
+    g, r, x = o + y // k, y % k, Fraction(y, k * D)
+    if r == 0 and g in sources:
         what = "singular corner" if sources[g][0] == "zero" else "marked point"
         raise FlowError(f"start ({v}, {x}) lies on a {what}")
-    orbit, length, table = [g], 0, (verts, offs, D)
-    # every crossing lands on one of the line's offs[-1] points
-    for _ in range(2 * offs[-1] + 4):
+    orbit, length, hit = [g], 0, None
+    # every crossing lands on one of the line's k * offs[-1] points
+    for _ in range(2 * k * offs[-1] + 4):
         shift, h, stop = pieces[bisect_right(starts, g) - 1]
         length += h
-        if g == stop:
+        if r == 0 and g == stop:
             kind, where = sources[g + shift]
             hit = (kind, where[:-1] + (Fraction(where[-1], D),))
-            return Trajectory((v, x), False, _Crossings(orbit, table)[:], Fraction(length, H), hit)
+            break
         if stop is None:
             raise FlowError("vertical step lands past the end of its circle")
         g += shift
         if g == orbit[0]:
-            return Trajectory((v, x), True, _Crossings(orbit, table)[:], Fraction(length, H))
+            break
         orbit.append(g)
-    raise FlowError("vertical trace exceeded the rational step bound")
+    else:
+        raise FlowError("vertical trace exceeded the rational step bound")
+    crossings = _Crossings([k * u + r for u in orbit], (verts, [k * u for u in offs], k * D))
+    return Trajectory((v, x), hit is None, crossings[:], Fraction(length, H), hit)
 
 
 def vertical_decomposition(s: HyperellipticSurface) -> tuple[VerticalCylinder, ...]:

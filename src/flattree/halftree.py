@@ -17,10 +17,9 @@ A half-tree is immutable, so :func:`validate` keeps its verdict on it and
 :func:`canonical_form` its form; the kept form is shared by every caller and
 must not be mutated.  :func:`canonical_form` ranks the planted subtrees behind
 all ports bottom-up and walks the tree only from its minimizing flags, in
-near-linear time.  No function here recurses per vertex or port, so paths of
-10**4 cylinders need no raised recursion limit; the one recursive helper,
-``_entry_seqs``, is as deep as the port count that :func:`enumerate_halftrees`
-is asked for.
+near-linear time.  No function here recurses, so paths of 10**4 cylinders
+need no raised recursion limit; the entry grammar that
+:func:`enumerate_halftrees` walks, ``_entry_seqs``, is filled bottom-up.
 """
 
 from __future__ import annotations
@@ -565,22 +564,18 @@ def _entry_seqs(budget: int, memo: dict[int, list[tuple]]) -> list[tuple]:
     """Ordered sequences of stub/subtree entries with total port cost ``budget``.
 
     An entry is None (a stub, cost 1) or a tuple of entries (a child vertex,
-    cost 2 plus the cost of its own entries).
+    cost 2 plus the cost of its own entries).  ``memo`` keeps the list for each
+    cost; it is filled bottom-up, from 0 to ``budget``, with no recursion.
     """
-    if budget in memo:
-        return memo[budget]
-    out: list[tuple] = []
-    if budget == 0:
-        out.append(())
-    else:
-        for rest in _entry_seqs(budget - 1, memo):
-            out.append((None,) + rest)
-        for child_cost in range(2, budget + 1):
-            for child_entries in _entry_seqs(child_cost - 2, memo):
-                for rest in _entry_seqs(budget - child_cost, memo):
-                    out.append((child_entries,) + rest)
-    memo[budget] = out
-    return out
+    for b in range(budget + 1):
+        if b in memo:
+            continue
+        out = [()] if b == 0 else [(None,) + rest for rest in memo[b - 1]]
+        for child_cost in range(2, b + 1):
+            for child_entries in memo[child_cost - 2]:
+                out += [(child_entries,) + rest for rest in memo[b - child_cost]]
+        memo[b] = out
+    return memo[budget]
 
 
 def _tree_from_rooted(entries: tuple) -> HalfTree:

@@ -19,14 +19,16 @@ of the glued surface and the whole hyperelliptic bookkeeping twist-free.
 The convention is written once, in integers, by :func:`_convention`:
 :func:`_layout` scales every position by ``D``, the lcm of the denominators
 of all lengths, twists and mark offsets, and keeps the result on the
-surface.  Every walk over many positions (the corner walk, the vertical
-flow, both collapses, covers, :func:`area`) reads that layout, and results
-become ``Fraction`` again, as ``x / D``, only at the API edge; the methods
-``port_start`` and ``top_start`` are such views of one seam.  :func:`_on` is
-the one scaler and :func:`_circles` the one circle table.  Every surface
-certifies on that layout with the integer kernel :func:`_certify`, which
-:func:`involution_check`, :func:`extract_skeleton` and both collapses call
-directly; :func:`certify_glued` scales a foreign seam table once into it.
+surface, never rescaled.  Every walk over many positions (the corner walk,
+the vertical flow, both collapses, covers, :func:`area`) reads that layout,
+and results become ``Fraction`` again, as ``x / D``, only at the API edge;
+the methods ``port_start`` and ``top_start`` are such views of one seam.
+:func:`_on` is the one scaler and :func:`_circles` the one circle table.  The
+corner walk, its sorted classes and the Weierstrass report are kept next to
+the layout.  Every surface certifies on that layout with the integer kernel
+:func:`_certify`, which :func:`involution_check`, :func:`extract_skeleton`
+and both collapses call directly; :func:`certify_glued` scales a foreign
+seam table once into it.
 """
 
 from __future__ import annotations
@@ -147,25 +149,14 @@ def _kept(s: HyperellipticSurface, name: str, make: Callable[[], object]):
     return s.__dict__[name]
 
 
-def _layout(s: HyperellipticSurface, extra: Iterable[Fraction] = ()) -> _Layout:
-    """Integer layout of ``s``, on a scale that also makes each ``extra`` value integral.
+def _layout(s: HyperellipticSurface) -> _Layout:
+    """Integer layout of ``s`` on ``D``, the lcm of all length, twist and mark offset denominators.
 
-    The layout on ``D``, the lcm of all length, twist and mark offset
-    denominators, is built on first use and kept on ``s``; ``extra`` scales it
-    by ``lcm(D, extra denominators) // D`` into a fresh layout, not kept.  Read
-    by the corner walk, certification, flow, collapse, covers, canonical metrics,
-    :func:`area` and the position views ``port_start`` and ``top_start``.
+    Built on first use and kept on ``s``; it is the only layout of ``s``.
+    Read by the corner walk, certification, flow, collapse, covers, canonical
+    metrics, :func:`area` and the position views ``port_start`` and ``top_start``.
     """
-    lay = _kept(s, "_lay", lambda: _new_layout(s))
-    k = math.lcm(lay.scale, *(x.denominator for x in extra)) // lay.scale
-    return lay if k == 1 else _Layout(
-        k * lay.scale,
-        {v: k * x for v, x in lay.circumference.items()},
-        {v: k * x for v, x in lay.twist.items()},
-        {p: k * x for p, x in lay.length.items()},
-        {p: ((v, k * a), (w, k * b)) for p, ((v, a), (w, b)) in lay.seams.items()},
-        tuple((p, k * u) for p, u in lay.marks),
-    )
+    return _kept(s, "_lay", lambda: _new_layout(s))
 
 
 def _on(x: Fraction, D: int) -> int:
@@ -404,9 +395,8 @@ def _corners(s: HyperellipticSurface) -> list[list[tuple[int, str, int]]]:
 def _profile_classes(t: HalfTree, lay: _Layout, walk: Sequence) -> tuple[list[tuple], Stratum]:
     """Sorted corner classes of ``walk``, the corner walk of ``lay``, in profile order, and the stratum.
 
-    Scaling keeps the order of positions, so class ``i`` here is class ``i``
-    of :func:`singularity_profile`.  A class of odd size, or zero orders other
-    than the stratum's, raise :class:`MetricError`.
+    A class of odd size, or zero orders other than the stratum's, raise
+    :class:`MetricError`.
     """
     classes = sorted((tuple(sorted(g)) for g in walk), key=lambda g: (-len(g), g))
     for g in classes:
@@ -422,6 +412,11 @@ def _profile_classes(t: HalfTree, lay: _Layout, walk: Sequence) -> tuple[list[tu
     return classes, expected
 
 
+def _classes(s: HyperellipticSurface) -> tuple[list[tuple], Stratum]:
+    """The corner classes of ``s`` in profile order and layout units, and its stratum, kept on ``s``."""
+    return _kept(s, "_classes", lambda: _profile_classes(s.skeleton, _layout(s), _corners(s)))
+
+
 def singularity_profile(s: HyperellipticSurface) -> SingularityProfile:
     """Walk the corners and read off cone angles.
 
@@ -431,9 +426,8 @@ def singularity_profile(s: HyperellipticSurface) -> SingularityProfile:
     returning; a mismatch would mean the gluing conventions are broken, so it
     raises rather than reports.
     """
-    lay = _layout(s)
-    classes, expected = _profile_classes(s.skeleton, lay, _corners(s))
-    D = lay.scale
+    classes, expected = _classes(s)
+    D = _layout(s).scale
     corner_orders = tuple(len(g) // 2 - 1 for g in classes)
     return SingularityProfile(
         orders=corner_orders + (0,) * len(s.marks),
@@ -482,7 +476,12 @@ def weierstrass_points(s: HyperellipticSurface) -> WeierstrassReport:
     per self-glued saddle, plus every corner class invariant under the
     involution.  The count is compared against ``2g + 2`` and against the
     closed formula ``sum(deg_v + 2) - 2 * #edges + #fixed corner classes``.
+    Kept on ``s``; ``"corner-class"`` indices are those of the raw corner walk.
     """
+    return _kept(s, "_weierstrass", lambda: _weierstrass(s))
+
+
+def _weierstrass(s: HyperellipticSurface) -> WeierstrassReport:
     t = s.skeleton
     lay = _layout(s)
     D2 = 2 * lay.scale
@@ -524,7 +523,7 @@ def involution_check(s: HyperellipticSurface) -> InvolutionReport:
 
     Runs the glued-level certification (which searches for per-cylinder
     alignments and checks global seam consistency) and the Weierstrass count,
-    both on the kept layout, certification and corner walk.  Distances need
+    both kept on ``s`` with the layout and corner walk.  Distances need
     no separate check: inside a cylinder the involution is
     ``j(x, y) = (-tw - x mod L, h - y)``, which only flips the sign of
     differences, so ``min(dx, L - dx)`` and ``|y1 - y2|`` are preserved for

@@ -82,6 +82,28 @@ def _perfect_matchings(items: list[int]):
             yield [(a, b)] + m
 
 
+def entry_seqs_recursive(budget: int, memo: dict[int, list[tuple]]) -> list[tuple]:
+    """The entry grammar of ``halftree._entry_seqs`` by its recursive definition.
+
+    An entry is None (a stub, cost 1) or a tuple of entries (a child vertex,
+    cost 2 plus the cost of its own entries).
+    """
+    if budget in memo:
+        return memo[budget]
+    out: list[tuple] = []
+    if budget == 0:
+        out.append(())
+    else:
+        for rest in entry_seqs_recursive(budget - 1, memo):
+            out.append((None,) + rest)
+        for child_cost in range(2, budget + 1):
+            for child_entries in entry_seqs_recursive(child_cost - 2, memo):
+                for rest in entry_seqs_recursive(budget - child_cost, memo):
+                    out.append((child_entries,) + rest)
+    memo[budget] = out
+    return out
+
+
 def count_halftree_classes(n: int) -> int:
     return len({canonical_form(t).encoding for t in labeled_halftrees(n)})
 

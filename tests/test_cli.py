@@ -764,15 +764,22 @@ def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_python_dash_m_flattree_is_the_cli(capsys):
-    rc, expected = run("enumerate", "--ports", "3", capsys=capsys)
+def python_m(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m <argv>`` in a fresh process, with ``src/`` on the path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "flattree", "enumerate", "--ports", "3"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_flattree_is_the_cli(capsys):
+    rc, expected = run("enumerate", "--ports", "3", capsys=capsys)
+    done = python_m("flattree", "enumerate", "--ports", "3")
     assert (done.returncode, done.stdout, done.stderr) == (rc, expected, "")
+
+
+def test_python_dash_m_flattree_cli_runs_the_command(capsys):
+    # runpy warns that flattree.cli is already imported; the command still runs
+    rc, expected = run("enumerate", "--ports", "3", capsys=capsys)
+    done = python_m("flattree.cli", "enumerate", "--ports", "3")
+    assert rc == 0 and expected
+    assert (done.returncode, done.stdout) == (rc, expected)

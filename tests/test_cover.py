@@ -463,7 +463,7 @@ def blueprint_degree(b):
 
 def both_failure_lists(source, base, cyl_map, offsets, degree):
     """(kernel, oracle) pairs of (branch failures, equivariance failures)."""
-    scaled = cover._scaled(source, base, offsets, surface._layout(source))
+    scaled = cover._scaled(source, base, offsets)
     got = cover._cover_failures(source, base, scaled, cyl_map, degree)
     want = (
         oracles.branch_failures_fraction(source, base, cyl_map, offsets, degree),
@@ -543,42 +543,40 @@ class TestIntegerCheck:
 
 
 class TestWorkPerCall:
-    """Each public cover call walks each surface once and lays it out at most twice."""
+    """Across all the cover calls, each surface is laid out at most once and walked at most once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        layouts, walks, owner = {}, {}, {}
-        real_layout, real_walk = surface._layout, surface._corner_walk
+        """Every surface laid out and every layout walked, held so that no id is reused."""
+        built, walked = [], []
+        real_new_layout, real_walk = surface._new_layout, surface._corner_walk
 
-        def layout(s, extra=()):
-            lay = real_layout(s, extra)
-            layouts[id(s)] = layouts.get(id(s), 0) + 1
-            owner[id(lay)] = id(s)
-            return lay
+        def new_layout(s):
+            built.append(s)
+            return real_new_layout(s)
 
         def walk(lay):
-            walks[owner[id(lay)]] = walks.get(owner[id(lay)], 0) + 1
+            walked.append(lay)
             return real_walk(lay)
 
-        for module in (surface, cover):
-            monkeypatch.setattr(module, "_layout", layout)
-            monkeypatch.setattr(module, "_corner_walk", walk)
-        return layouts, walks
+        monkeypatch.setattr(surface, "_new_layout", new_layout)
+        monkeypatch.setattr(surface, "_corner_walk", walk)
+        return built, walked
 
     def test_each_public_call(self, stock, counts):
-        layouts, walks = counts
+        built, walked = counts
         for name, b in stock.items():
             s = pullback(b)
             cp, sp = fiber_partitions(b)
             r = quotient(s, cp, sp)
-            for call in (lambda: pullback(b), lambda: quotient(s, cp, sp), lambda: certify_cover(s, r)):
-                layouts.clear()
-                walks.clear()
-                call()
-                assert walks and max(walks.values()) == 1, name
-                assert len(walks) == 2 and max(layouts.values()) <= 2, name
-
-
+            for _ in range(2):
+                pullback(b), quotient(s, cp, sp), certify_cover(s, r)
+            # each new pullback and base is laid out and walked, each only once,
+            # and every walk reads the one kept layout of its surface
+            kept = {id(surface._layout(x)) for x in (*built, b.base)}
+            assert walked and len(built) == len({id(x) for x in built}), name
+            assert len(walked) == len({id(lay) for lay in walked}), name
+            assert {id(lay) for lay in walked} <= kept, name
 class TestSerialization:
     def test_blueprint_roundtrip(self, stock):
         for name, b in stock.items():

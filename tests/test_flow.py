@@ -1,5 +1,6 @@
 """Vertical flow: trace semantics, exact decomposition, saddle alignment."""
 
+import math
 import random
 import re
 import time
@@ -301,6 +302,48 @@ class TestFractionReference:
                         trace_vertical(raw, start)
                     continue
                 assert repr(trace_vertical(raw, start)) == repr(want)
+
+
+def off_lattice_starts(s):
+    """Per cylinder, one start before its circle and one past it, at elevenths and thirteenths.
+
+    Every surface traced here has a scale whose primes are 2, 3, 5 and 7
+    (lengths and twists over at most 8, marks at fifths of a length), so both
+    starts are off its lattice and walk with a remainder.
+    """
+    for v in s.skeleton.vertices:
+        yield v, -F(2, 11)
+        yield v, s.circumference(v) + F(1, 13)
+
+
+class TestTraceRemainder:
+    """Starts off the layout's lattice walk the kept table with a remainder, as the reference walks them."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_class_plain_and_marked(self, n):
+        for name, s in class_surfaces(n):
+            for start in off_lattice_starts(s):
+                got = trace_vertical(s, start)
+                assert repr(got) == repr(oracles.trace_vertical_fraction(s, start)), (name, start)
+                assert math.gcd(got.start[1].denominator, 11 * 13) > 1  # off the lattice
+
+    def test_inconsistent_raw_surfaces_fail_with_the_reference_message(self):
+        messages = set()
+        for raw in inconsistent_raw_surfaces(5):
+            for start in off_lattice_starts(raw):
+                try:
+                    want = oracles.trace_vertical_fraction(raw, start)
+                except (FlowError, RuntimeError) as exc:  # RuntimeError: the reference's step bound
+                    with pytest.raises(FlowError) as got:
+                        trace_vertical(raw, start)
+                    assert str(got.value) == str(exc)
+                    messages.add(str(exc))
+                else:
+                    assert repr(trace_vertical(raw, start)) == repr(want)
+        assert messages == {
+            "vertical step lands past the end of its circle",
+            "vertical trace exceeded the rational step bound",
+        }
 
 
 @pytest.fixture

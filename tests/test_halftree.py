@@ -441,6 +441,15 @@ class TestEnumeration:
                 assert validate(t).ok
                 assert t.n_ports == n
 
+    def test_entry_grammar_equals_its_recursive_definition(self):
+        shared, want_shared = {}, {}
+        for n in range(12):
+            want = oracles.entry_seqs_recursive(n, {})
+            assert halftree._entry_seqs(n, {}) == want
+            assert halftree._entry_seqs(n, shared) == oracles.entry_seqs_recursive(n, want_shared) == want
+        # a shared memo hands back the list it keeps
+        assert halftree._entry_seqs(11, shared) is shared[11]
+
     def test_presentation_of_a_deep_entry_sequence(self):
         entries: tuple = ()
         for _ in range(4999):

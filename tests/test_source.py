@@ -38,19 +38,24 @@ def _lowering_calls(tree: ast.AST) -> list[int]:
     )
 
 
-def _seam_certifications(tree: ast.AST) -> list[int]:
-    """Lines of ``tree`` that call ``certify_glued`` outside ``certify_hyperelliptic``."""
+def _calls_outside(tree: ast.AST, name: str, owner: str | None) -> list[int]:
+    """Lines of ``tree`` that call ``name`` outside the function ``owner`` (anywhere, if None)."""
     allowed = {
         id(node)
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == "certify_hyperelliptic"
+        if isinstance(fn, ast.FunctionDef) and fn.name == owner
         for node in ast.walk(fn)
     }
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if _called_name(node) == "certify_glued" and id(node) not in allowed
+        if _called_name(node) == name and id(node) not in allowed
     )
+
+
+def _seam_certifications(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that call ``certify_glued`` outside ``certify_hyperelliptic``."""
+    return _calls_outside(tree, "certify_glued", "certify_hyperelliptic")
 
 
 def test_no_surface_certifies_through_a_seam_table():
@@ -101,9 +106,9 @@ def _recursive_functions(tree: ast.AST) -> list[str]:
 
 
 def test_halftree_does_not_recurse():
-    # trees of 10**4 cylinders run under the default recursion limit
-    # _entry_seqs recurses on the port count, which the enumeration guard bounds
-    assert _self_recursive("halftree.py") == ["_entry_seqs"]
+    # trees of 10**4 cylinders run under the default recursion limit, and the
+    # entry grammar of the enumeration is filled bottom-up
+    assert _self_recursive("halftree.py") == []
 
 
 def test_lemmas_do_not_recurse():
@@ -113,7 +118,6 @@ def test_lemmas_do_not_recurse():
 
 # the only functions that call themselves, each with what bounds its depth
 _RECURSION_BOUNDS = {
-    ("halftree.py", "_entry_seqs"): "the port count, which the enumeration guard bounds",
     ("cli.py", "_jsonable"): "the nesting depth of library output",
 }
 
@@ -204,6 +208,59 @@ def test_kept_form_guard_sees_every_kind_of_write():
     assert _shared_form_writes(ast.parse(snippet), may_keep=True) == [1, 2, 3, 4]
 
 
+# each value a surface keeps has one maker, and every other reader takes it
+# from there: (module, function) may call the kernel, and no other code may
+_KEPT_MAKERS = {
+    "_corner_walk": ("surface.py", "_corners"),
+    "_profile_classes": ("surface.py", "_classes"),
+}
+# the kept layout is the only layout of a surface, and a walk reads it
+_ONE_ARGUMENT = {"_layout", "_return_map"}
+
+
+def _kept_value_misuses(tree: ast.AST, module: str) -> list[int]:
+    """Lines of ``tree`` (the source of ``module``) that remake a kept value or pass a kept reader extra arguments."""
+    lines = set()
+    for name, (home, owner) in _KEPT_MAKERS.items():
+        lines.update(_calls_outside(tree, name, owner if module == home else None))
+    lines.update(
+        node.lineno
+        for node in ast.walk(tree)
+        if _called_name(node) in _ONE_ARGUMENT and (len(node.args) != 1 or node.keywords)
+    )
+    return sorted(lines)
+
+
+def test_kept_values_have_one_maker_and_one_argument_readers():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _kept_value_misuses(ast.parse(path.read_text()), path.name)
+    ]
+    assert found == []
+
+
+def test_kept_value_guard_sees_each_kind():
+    snippet = "\n".join(
+        [
+            "def _corners(s):",
+            "    return _kept(s, '_walk', lambda: _corner_walk(_layout(s)))",
+            "def _classes(s):",
+            "    return _profile_classes(s.skeleton, _layout(s), _corners(s))",
+            "def _cover_failures(source, lay):",
+            "    walk = surface._corner_walk(lay)",
+            "    src = _profile_classes(t, lay, walk)[0]",
+            "    lay = _layout(source, (Fraction(1, 6),))",
+            "    table = flow._return_map(s, extra=())",
+            "    lay, table = _layout(), _return_map(s)",
+        ]
+    )
+    tree = ast.parse(snippet)
+    assert _kept_value_misuses(tree, "surface.py") == [6, 7, 8, 9, 10]
+    # outside surface.py even the makers' own names may not call the kernels
+    assert _kept_value_misuses(tree, "cover.py") == [2, 4, 6, 7, 8, 9, 10]
+
+
 # ``tests/oracles.py`` is the layout-independent convention the integer kernels
 # are checked against, so it may reach no kernel and no value a surface keeps
 _KERNEL_NAMES = {
@@ -218,6 +275,8 @@ _KERNEL_NAMES = {
     "_certified",
     "_corner_walk",
     "_corners",
+    "_classes",
+    "_weierstrass",
     "_kept",
     "_lay",
     "_cert",
@@ -264,9 +323,11 @@ def test_kernel_guard_sees_each_kind_of_reference():
             '"""A docstring that mentions _layout and _walk."""',
             "layout = lower(s)",
             "a, b = s.port_start(p), s.top_start(p)",
+            "classes, stratum = surface._classes(s)",
+            "report = vars(s).get('_weierstrass')",
         ]
     )
-    assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5, 8]
+    assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5, 8, 9, 10]
 
 
 def _unused_imports(tree: ast.AST) -> list[str]:

@@ -498,6 +498,20 @@ class TestKeptData:
                 assert [id(lay) for lay in certified] == [id(surface._layout(s))]
                 assert [id(lay) for lay in walked] == [id(surface._layout(s))]
 
+    def test_involution_check_reads_the_kept_weierstrass_report(self, monkeypatch, path3_surface):
+        s = replace(path3_surface)  # a fresh object, nothing kept yet
+        reports, real = [], surface.WeierstrassReport
+
+        def counted(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(surface, "WeierstrassReport", counted)
+        wr = weierstrass_points(s)
+        rep = involution_check(s)
+        assert len(reports) == 1 and reports[0] is wr and weierstrass_points(s) is wr
+        assert rep.ok and rep.fixed_point_count == wr.count
+
     def test_position_views_build_no_layout_once_it_is_kept(self, monkeypatch, path3_surface):
         s = replace(path3_surface)  # a fresh object, nothing kept yet
         surface._layout(s)
@@ -540,19 +554,18 @@ class TestKeptData:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rescaled_layout_equals_a_fresh_build(self, n):
-        extras = [(), (F(1, 3),), (F(5, 12), F(-7, 8)), (F(1, 35), F(2)), (F(9, 16),)]
+        # the one kept layout, on the lcm of the surface's own denominators,
+        # equals the oracle's on that scale
         for t in enumerate_halftrees(n):
             s = random_metric(t, n)
             marked = with_marks(s, involution_orbit(s, Mark(t.all_ports[0], s.lengths[t.all_ports[0]] / 3)))
             wound = replace(s, twists={v: x - 3 * s.circumference(v) for v, x in s.twists.items()})
             for x in (s, marked, wound):
-                D = surface._layout(x).scale
-                for extra in extras:
-                    scale = math.lcm(D, *(e.denominator for e in extra))
-                    lay = surface._layout(x, extra)
-                    assert lay.scale == scale and lay == fraction_layout(x, scale)
-                    assert (lay is surface._layout(x)) == (scale == D)
-                assert surface._layout(x) == fraction_layout(x, D)
+                values = [*x.lengths.values(), *x.twists.values(), *(m.offset for m in x.marks)]
+                D = math.lcm(*(y.denominator for y in values))
+                lay = surface._layout(x)
+                assert lay.scale == D and lay == fraction_layout(x, D)
+                assert surface._layout(x) is lay
 
     @pytest.mark.parametrize("first", ["involution_check", "extract_skeleton"])
     @pytest.mark.parametrize(
