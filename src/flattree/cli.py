@@ -717,8 +717,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=ENUMERATION_GUARD,
         help=f"refuse --ports above this (default {ENUMERATION_GUARD}, the library guard)",
     )
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.add_argument("--dot", action="store_true", help="one DOT diagram per class")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="structured output")
+    fmt.add_argument("--dot", action="store_true", help="one DOT diagram per class")
     out(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -15,10 +15,13 @@ collapsed into one or two zeros according to the parity of ``n``; see
 
 A half-tree is immutable, so :func:`validate` keeps its verdict on it and
 :func:`canonical_form` its form; the kept form is shared by every caller and
-must not be mutated.  :func:`canonical_form` ranks the planted subtrees behind
-all ports bottom-up and walks the tree only from its minimizing flags, in
-near-linear time.  No function here recurses, so paths of 10**4 cylinders
-need no raised recursion limit; the entry grammar that
+must not be mutated.  :func:`canonical_form` finds the minimizing flags from
+the planted subtrees behind all ports, built bottom-up, and walks the tree only
+from those flags.  Up to ``_STRING_PORTS`` ports it writes each subtree's
+encoding out and compares rotations as strings; the text of all subtrees grows
+as edges x ports, so larger trees rank the subtrees by integer labels instead,
+in near-linear time and memory.  No function here recurses, so paths of 10**4
+cylinders need no raised recursion limit; the entry grammar that
 :func:`enumerate_halftrees` walks, ``_entry_seqs``, is filled bottom-up.
 """
 
@@ -236,14 +239,14 @@ def _diagnose(t: HalfTree) -> SkeletonDiagnostics:
         else:
             parent[a] = b
             comp_edges[b] += comp_edges.pop(a) + 1
-    roots = {_find(parent, v) for v in t.vertices}
-    if len(roots) > 1:
+    size: dict[int, int] = {}  # component root -> vertex count
+    for v in t.vertices:
+        r = _find(parent, v)
+        size[r] = size.get(r, 0) + 1
+    if len(size) > 1:
         failures.append("full-edge graph is disconnected")
-    for r in roots:
-        size = sum(1 for v in t.vertices if _find(parent, v) == r)
-        if comp_edges[r] != size - 1:
-            failures.append("full-edge graph contains a cycle")
-            break
+    if any(comp_edges[r] != n - 1 for r, n in size.items()):
+        failures.append("full-edge graph contains a cycle")
     return SkeletonDiagnostics(False, tuple(failures)) if failures else _VALID
 
 
@@ -313,18 +316,19 @@ _END = 1 << _LABEL_BITS
 _STUB = _END + 1
 # most entries an aligned label range of size 2**j may keep: (6/5)**j
 _ROOM = tuple(6**j // 5**j for j in range(_LABEL_BITS + 1))
+# Trees with at most this many ports compare their encodings as strings.  The
+# text of every planted subtree grows as edges x ports (about 250 MB for a path
+# of 10**4 cylinders), so larger trees order the subtrees by integer labels.
+_STRING_PORTS = 1024
 
 
-def _planted_classes(t: HalfTree, index: dict[int, int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """Class id of the planted subtree behind every port, and each class's children.
+def _entered(t: HalfTree) -> list[int]:
+    """The port at which each planted subtree is entered, every one after those it holds.
 
     The subtree behind a paired port ``p`` is the far side of its edge, entered
     at ``q = partner(p)``; its children are the other ports of ``q``'s vertex,
-    clockwise from ``q``.  Class 0 is the half-edge.  A paired port's class is
-    interned by the tuple of its children's classes, so equal subtrees share
-    one id and every id exceeds its children's.  Rooting the tree at its first
-    vertex, the edges pointing away from the root are classed leaves first and
-    the others root first, so each class finds its children already classed.
+    clockwise from ``q``.  Rooting the tree at its first vertex, the edges
+    pointing away from the root come leaves first and the others root first.
     """
     ports, pair, vertex_of = t._ports, t._pair, t._vertex_of
     entry: dict[int, int] = {}  # non-root vertex -> its port towards the root
@@ -336,14 +340,65 @@ def _planted_classes(t: HalfTree, index: dict[int, int]) -> tuple[dict[int, int]
             if q is not None and p != back:
                 entry[vertex_of[q]] = q
                 queue.append(vertex_of[q])
-    # the port each subtree is entered at: away from the root, then towards it
     entered = [entry[w] for w in reversed(queue[1:])]
     entered += [pair[entry[w]] for w in queue[1:]]
+    return entered
+
+
+def _tokens(t: HalfTree, index: dict[int, int]) -> dict[int, str]:
+    """The token of every port: ``-`` for a half-edge, else ``(`` + its subtree's tokens + ``)``.
+
+    The encoding from a flag is then its vertex's tokens read from that index
+    on, and the tokens form a prefix code.
+    """
+    ports, pair, vertex_of = t._ports, t._pair, t._vertex_of
+    token = {p: "-" for p in vertex_of if p not in pair}
+    of = token.__getitem__
+    for q in _entered(t):
+        plist = ports[vertex_of[q]]
+        i = index[q]
+        token[pair[q]] = "(" + "".join(map(of, plist[i + 1 :] + plist[:i])) + ")"
+    return token
+
+
+def _least_token_flags(t: HalfTree, token: dict[int, str]) -> tuple[str, list[tuple[int, int]]]:
+    """The least encoding and every flag ``(vertex, index)`` that writes it, in that order.
+
+    The tokens form a prefix code, so the least encoding begins with the least
+    token, and only the flags at that token are read.
+    """
+    first = min(token.values())
+    best = ""
+    winners: list[tuple[int, int]] = []
+    for v in t.vertices:
+        seq = list(map(token.__getitem__, t._ports[v]))
+        if first not in seq:
+            continue
+        for i, x in enumerate(seq):
+            if x != first:
+                continue
+            code = "".join(seq[i:] + seq[:i])
+            if not winners or code < best:
+                best, winners = code, []
+            if code == best:
+                winners.append((v, i))
+    return best, winners
+
+
+def _planted_classes(t: HalfTree, index: dict[int, int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """Class id of the planted subtree behind every port, and each class's children.
+
+    Class 0 is the half-edge.  A paired port's class is interned by the tuple
+    of its children's classes, so equal subtrees share one id and every id
+    exceeds its children's.  Subtrees are classed in :func:`_entered` order,
+    so each class finds its children already classed.
+    """
+    ports, pair, vertex_of = t._ports, t._pair, t._vertex_of
     cls = {p: 0 for p in vertex_of if p not in pair}
     of = cls.__getitem__
     kids: list[tuple[int, ...]] = [()]
     ids: dict[tuple[int, ...], int] = {}
-    for q in entered:
+    for q in _entered(t):
         plist = ports[vertex_of[q]]
         i = index[q]
         key = tuple(map(of, plist[i + 1 :] + plist[:i]))
@@ -498,6 +553,29 @@ def _walk(t: HalfTree, index: dict[int, int], root: int, start: int) -> tuple[li
     return tokens, vorder, porder, rotation
 
 
+def _tree_from_encoding(code: str) -> HalfTree:
+    """The presentation an encoding writes, numbered in preorder as :func:`_tree_from_rooted` does."""
+    ports_of: dict[int, list[int]] = {0: []}
+    pairs: list[tuple[int, int]] = []
+    stack = [ports_of[0]]
+    next_port = 0
+    for c in code:
+        if c == ")":
+            stack.pop()
+            continue
+        stack[-1].append(next_port)
+        next_port += 1
+        if c == "(":
+            pairs.append((next_port - 1, next_port))
+            child = [next_port]
+            next_port += 1
+            ports_of[len(ports_of)] = child
+            stack.append(child)
+    t = HalfTree(ports_of, pairs)
+    t._verdict = _VALID  # the tree of a valid encoding
+    return t
+
+
 def canonical_form(t: HalfTree) -> CanonicalForm:
     """Lexicographically least planar encoding over all starting flags.
 
@@ -508,13 +586,18 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
     group; ``labelings`` lists one relabeling per minimizing flag, in
     (vertex, index) order.
 
-    No walk is made per flag.  The planted subtree behind every port gets a
-    class id bottom-up (Aho, Hopcroft and Ullman 1974), the classes get
-    integer labels in the order of their encodings (where ``)`` sorts between
-    ``(`` and ``-``), each vertex's label sequence is cut at its least rotation
-    (Booth 1980), and only the minimizing flags are walked.  Cost: near-linear
-    in the port count for bounded degree (a vertex of degree d costs O(d^2)),
-    plus one O(n) walk per automorphism, and no recursion.
+    No walk is made per flag; only the minimizing flags are walked, and the
+    planted subtree behind every port is built bottom-up first (Aho, Hopcroft
+    and Ullman 1974).  Up to ``_STRING_PORTS`` ports, each port gets its
+    subtree's encoding as a string and the rotations of each vertex that begin
+    with the least one are compared as strings.  The text of all subtrees grows
+    as edges x ports, so a larger tree gives each subtree a class id instead,
+    labels the classes by integers in the order of their encodings (where
+    ``)`` sorts between ``(`` and ``-``) and cuts each vertex's label sequence
+    at its least rotation (Booth 1980): near-linear in the port count for
+    bounded degree (a vertex of degree d costs O(d^2)).  Either way the
+    relabeled tree is read off the least encoding, each automorphism costs one
+    O(n) walk, and nothing recurses.
 
     The form is worked out once and kept on the tree (a failure is never
     kept), so every later call returns the same object: callers share it and
@@ -527,30 +610,25 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
         raise SkeletonError(f"cannot canonicalize an invalid skeleton: {diag.first}")
     # validate() rules out an empty skeleton and bare vertices, so there is a flag
     index = {p: i for plist in t._ports.values() for i, p in enumerate(plist)}
-    cls, kids = _planted_classes(t, index)
-    walks = [_walk(t, index, v, i) for v, i in _least_flags(t, cls, _order_labels(kids))]
-    labelings = tuple(
-        CanonicalLabeling(
-            vertex_map={ov: nv for nv, ov in enumerate(vorder)},
-            port_map={op: np for np, op in enumerate(porder)},
-            rotation=rotation,
-        )
-        for _, vorder, porder, rotation in walks
-    )
-    lab = labelings[0]
-    ports_of: dict[int, list[int]] = {}
-    for ov in t.vertices:
-        r = lab.rotation[ov]
-        plist = t.ports(ov)
-        rotated = plist[r:] + plist[:r]
-        ports_of[lab.vertex_map[ov]] = [lab.port_map[p] for p in rotated]
-    relabeled = HalfTree(ports_of, [(lab.port_map[p], lab.port_map[q]) for p, q in t.edges()])
-    relabeled._verdict = _VALID  # isomorphic to t
+    if t.n_ports <= _STRING_PORTS:
+        encoding, flags = _least_token_flags(t, _tokens(t, index))
+        walks = [_walk(t, index, v, i) for v, i in flags]
+    else:
+        cls, kids = _planted_classes(t, index)
+        walks = [_walk(t, index, v, i) for v, i in _least_flags(t, cls, _order_labels(kids))]
+        encoding = "".join(walks[0][0])
     t._canonical = CanonicalForm(
-        encoding="".join(walks[0][0]),
+        encoding=encoding,
         automorphisms=len(walks),
-        relabeled=relabeled,
-        labelings=labelings,
+        relabeled=_tree_from_encoding(encoding),
+        labelings=tuple(
+            CanonicalLabeling(
+                vertex_map={ov: nv for nv, ov in enumerate(vorder)},
+                port_map={op: np for np, op in enumerate(porder)},
+                rotation=rotation,
+            )
+            for _, vorder, porder, rotation in walks
+        ),
     )
     return t._canonical
 

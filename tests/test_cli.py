@@ -80,6 +80,14 @@ class TestEnumerate:
         assert out.count("graph class") == 2
         assert "shape=point" in out
 
+    def test_json_and_dot_together_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--ports", "3", "--json", "--dot"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_zero_ports_is_usage_error(self):
         rc, _ = run("enumerate", "--ports", "0")
         assert rc == 2

@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -106,6 +107,22 @@ class TestValidate:
     def test_fixtures_pass(self):
         for t in (single(1), single(3), path3(), stub_pair()):
             assert validate(t).ok
+
+    def test_components_are_sized_in_one_pass(self, monkeypatch):
+        calls = 0
+        find = halftree._find
+
+        def counting(parent, x):
+            nonlocal calls
+            calls += 1
+            return find(parent, x)
+
+        monkeypatch.setattr(halftree, "_find", counting)
+        n = 2000
+        verdict = validate(HalfTree({v: [v] for v in range(n)}))
+        assert verdict.failures == ("full-edge graph is disconnected",)
+        # a rescan of every vertex per component would make n * n calls
+        assert calls <= 3 * n
 
     def test_verdict_is_kept_on_the_tree(self, monkeypatch):
         walks = []
@@ -322,6 +339,8 @@ class TestCanonicalFormAgainstReference:
         monkeypatch.setattr(halftree, "_END", 1 << bits)
         monkeypatch.setattr(halftree, "_STUB", (1 << bits) + 1)
         monkeypatch.setattr(halftree, "_ROOM", tuple(6**j // 5**j for j in range(bits + 1)))
+        # these trees are under the string bound; the labels are what is checked
+        monkeypatch.setattr(halftree, "_STRING_PORTS", 0)
         rng = random.Random(bits)
         trees = [path(120), stubbed_path(60), *(random_halftree(rng, 60, 20) for _ in range(8))]
         for t in trees:
@@ -350,9 +369,71 @@ class TestCanonicalFormAgainstReference:
         ],
     )
     def test_symmetric_trees(self, t, automorphisms):
+        t = copy.copy(t)  # the parametrized tree is shared, and would keep its form
         assert canonical_form(t).automorphisms == automorphisms
         assert agrees_with_reference(t)
         assert agrees_with_reference(relabel(t, random.Random(automorphisms)))
+
+
+class TestLabelPathAgainstReference(TestCanonicalFormAgainstReference):
+    """The same cases with every tree over the string bound, so on integer labels."""
+
+    @pytest.fixture(autouse=True)
+    def label_path(self, monkeypatch):
+        monkeypatch.setattr(halftree, "_STRING_PORTS", 0)
+
+    test_order_labels_follow_encodings = None  # forces the label path itself
+
+
+class TestCanonicalFormPaths:
+    """Trees up to ``_STRING_PORTS`` ports compare strings, larger ones rank labels."""
+
+    def test_trees_up_to_the_bound_compare_strings(self, monkeypatch):
+        longest = path(halftree._STRING_PORTS // 2 + 1)
+        assert longest.n_ports == halftree._STRING_PORTS
+        small = [single(1), path3(), stub_pair(), *enumerate_halftrees(7)]
+        monkeypatch.setattr(halftree, "_planted_classes", None)
+        monkeypatch.setattr(halftree, "_order_labels", None)
+        for t in small:
+            assert agrees_with_reference(t), t
+        cf = canonical_form(longest)
+        k = len(longest.vertices) - 1
+        assert (cf.automorphisms, cf.encoding) == (2, "(" * k + ")" * k)
+
+    @pytest.mark.parametrize("make", [path, stubbed_path])
+    def test_deep_trees_rank_labels_in_bounded_memory(self, monkeypatch, make):
+        n = 10**4
+        t = make(n)
+        assert validate(t).ok
+        monkeypatch.setattr(halftree, "_tokens", None)
+        monkeypatch.setattr(halftree, "_least_token_flags", None)
+        tracemalloc.start()
+        try:
+            cf = canonical_form(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 10-13 MiB; the token text of either tree would take about 250 MB
+        assert peak < 64 * 2**20
+        if make is path:
+            assert (cf.automorphisms, cf.encoding) == (2, "(" * (n - 1) + ")" * (n - 1))
+        else:
+            assert (cf.automorphisms, len(cf.encoding), cf.encoding.count("-")) == (1, 3 * n - 2, n)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_both_paths_agree_around_the_bound(self, monkeypatch, offset):
+        ports = halftree._STRING_PORTS + offset
+        rng = random.Random(ports)
+        for _ in range(3):
+            n_vertices = rng.randint(2, ports // 2)
+            t = random_halftree(rng, n_vertices, ports - 2 * (n_vertices - 1))
+            assert t.n_ports == ports
+            forms = [repr(canonical_form(copy.copy(t)))]
+            for bound in (0, ports):  # labels, then strings
+                monkeypatch.setattr(halftree, "_STRING_PORTS", bound)
+                forms.append(repr(canonical_form(copy.copy(t))))
+            monkeypatch.undo()
+            assert forms[0] == forms[1] == forms[2]
 
 
 class TestKeptCanonicalForm:

@@ -281,6 +281,9 @@ _KERNEL_NAMES = {
     "_lay",
     "_cert",
     "_walk",
+    # the string path of canonical_form
+    "_tokens",
+    "_least_token_flags",
     # the surface methods that read positions off the kept layout
     "port_start",
     "top_start",
@@ -325,9 +328,11 @@ def test_kernel_guard_sees_each_kind_of_reference():
             "a, b = s.port_start(p), s.top_start(p)",
             "classes, stratum = surface._classes(s)",
             "report = vars(s).get('_weierstrass')",
+            "token = halftree._tokens(t, index)",
+            "code, flags = _least_token_flags(t, token)",
         ]
     )
-    assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5, 8, 9, 10]
+    assert _kernel_references(ast.parse(snippet)) == [1, 2, 3, 4, 5, 8, 9, 10, 11, 12]
 
 
 def _unused_imports(tree: ast.AST) -> list[str]:
