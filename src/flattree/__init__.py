@@ -26,24 +26,20 @@ from .halftree import (
 from .surface import (
     CertifyResult,
     DisjointSurface,
-    GluedSurface,
     HyperellipticSurface,
     InvolutionReport,
     Mark,
     MetricError,
-    Seam,
     SingularityProfile,
     WeierstrassReport,
     area,
     build,
     canonical_metric,
-    certify_glued,
     extract_skeleton,
     fraction_from_string,
     fraction_to_string,
     involution_check,
     involution_orbit,
-    lower,
     random_metric,
     singularity_profile,
     surface_from_json,
@@ -114,6 +110,6 @@ from .lemmas import (
     verify_colored_tree_lemma,
     verify_interval_lemma,
 )
-from .cli import SCHEMA_NAMES, load_schema, main as cli_main
+from .cli import SCHEMA_NAMES, load_schema
 
 __version__ = "0.1.0"

@@ -187,10 +187,6 @@ def _load_surface(path: str):
     return surface_from_json(data)
 
 
-def _load_partitions(path: str) -> tuple[CylinderPartition, SaddlePartition]:
-    return partitions_from_json(_load_json(path))
-
-
 def candidate_report_to_json(r: CandidateReport) -> dict:
     return {
         "ok": r.ok,
@@ -321,7 +317,7 @@ def cmd_deform(args: argparse.Namespace) -> int:
     if args.check:
         if not args.partitions:
             raise UsageError("--check needs --partitions")
-        cp, sp = _load_partitions(args.partitions)
+        cp, sp = partitions_from_json(_load_json(args.partitions))
         report = check_candidate(s, cp, sp)
         _emit(_dump(candidate_report_to_json(report)), args.output)
         return EXIT_OK if report.ok else EXIT_FAIL
@@ -391,7 +387,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     s = _load_surface(args.input)
-    cp, sp = _load_partitions(args.partitions)
+    cp, sp = partitions_from_json(_load_json(args.partitions))
     result = quotient(s, cp, sp)
     verdict = certify_cover(s, result)
     payload = quotient_to_json(result)

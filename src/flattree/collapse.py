@@ -18,15 +18,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .deform import SaddlePartition, _validate_saddle_partition
 from .halftree import _find
 from .surface import (
     CertifyResult,
     DisjointSurface,
-    GluedSurface,
     HyperellipticSurface,
     _area,
     _certified,
@@ -34,11 +32,9 @@ from .surface import (
     _circles,
     _convention,
     _exact,
-    _glued,
     _Layout,
     _layout,
     _seam_marks,
-    certify_glued,
     fraction_to_string,
     surface_to_json,
 )
@@ -48,35 +44,25 @@ class CollapseError(ValueError):
     """A degeneration precondition failed."""
 
 
-def certify_hyperelliptic(
-    obj: HyperellipticSurface | GluedSurface | DisjointSurface,
-) -> CertifyResult:
-    """Certify that a surface (in any representation) is rotation-symmetric.
+def certify_hyperelliptic(obj: HyperellipticSurface | DisjointSurface) -> CertifyResult:
+    """Certify that a surface, or each component of a disjoint union, is rotation-symmetric.
 
     Per cylinder, the top boundary pattern must be the reversed bottom
     pattern; globally the seam alignments must cohere and the reglued diagram
-    must be a half-tree.  Disjoint unions are certified componentwise and the
-    verdicts concatenated.
+    must be a half-tree.  The verdicts of the components are concatenated.
     """
     if isinstance(obj, HyperellipticSurface):
         return _certified(obj)
-    if isinstance(obj, GluedSurface):
-        return certify_glued(obj)
-    if isinstance(obj, DisjointSurface):
-        components: list[HyperellipticSurface] = []
-        failures: list[str] = []
-        involution: dict[int, int] = {}
-        alignments: dict[int, Fraction] = {}
-        ok = True
-        for comp in obj.components:
-            res = _certified(comp)
-            ok = ok and res.ok
-            components.extend(res.components)
-            failures.extend(res.failures)
-            involution.update(res.seam_involution)
-            alignments.update(res.alignments)
-        return CertifyResult(ok, tuple(components), involution, alignments, tuple(failures))
-    raise TypeError(f"cannot certify {type(obj).__name__}")
+    if not isinstance(obj, DisjointSurface):
+        raise TypeError(f"cannot certify {type(obj).__name__}")
+    results = [_certified(comp) for comp in obj.components]
+    return CertifyResult(
+        all(r.ok for r in results),
+        tuple(c for r in results for c in r.components),
+        {sid: tid for r in results for sid, tid in r.seam_involution.items()},
+        {c: kappa for r in results for c, kappa in r.alignments.items()},
+        tuple(f for r in results for f in r.failures),
+    )
 
 
 # -- vertical collapse --------------------------------------------------------
@@ -113,7 +99,10 @@ def vertical_collapse(
     _validate_saddle_partition(t, sp)
     props: dict[int, Fraction] = {}
     for i, group in enumerate(sp.classes):
-        p = _exact(proportions[i])
+        try:
+            p = _exact(proportions[i])
+        except (KeyError, IndexError):
+            raise CollapseError(f"no proportion for saddle class {i}") from None
         if not 0 <= p <= 1:
             raise CollapseError(f"proportion {p} for class {group} outside [0, 1]")
         for e in group:
@@ -204,16 +193,11 @@ class HorizontalCollapseResult:
     area_before: Fraction
     area_after: Fraction
     deleted_area: Fraction
-    _seam_table: Callable[[], GluedSurface] = field(repr=False, compare=False)
+    _reglued: _Layout = field(repr=False, compare=False)
 
     @property
     def notices(self) -> tuple[str, ...]:
         return self.surfaces.notices
-
-    @cached_property
-    def glued(self) -> GluedSurface:
-        """The reglued seam table in ``Fraction``, built on first access."""
-        return self._seam_table()
 
 
 def _deleted_set_preconditions(s: HyperellipticSurface, delete: Iterable[int]) -> set[int]:
@@ -383,7 +367,7 @@ def horizontal_collapse(
         area_before=kept_area + deleted_area,
         area_after=kept_area,
         deleted_area=deleted_area,
-        _seam_table=partial(_glued, reglued, s.heights),
+        _reglued=reglued,
     )
 
 

@@ -25,10 +25,9 @@ and results become ``Fraction`` again, as ``x / D``, only at the API edge;
 the methods ``port_start`` and ``top_start`` are such views of one seam.
 :func:`_on` is the one scaler and :func:`_circles` the one circle table.  The
 corner walk, its sorted classes and the Weierstrass report are kept next to
-the layout.  Every surface certifies on that layout with the integer kernel
-:func:`_certify`, which :func:`involution_check`, :func:`extract_skeleton`
-and both collapses call directly; :func:`certify_glued` scales a foreign
-seam table once into it.
+the layout.  Certification is one integer kernel, :func:`_certify`: every
+surface certifies on its own layout, and each collapse on the one layout it
+builds from that; no other representation of a surface exists here.
 """
 
 from __future__ import annotations
@@ -128,10 +127,9 @@ class _Layout:
     """The layout convention of one surface, every position multiplied by ``scale``.
 
     ``seams[p]`` is ((vertex above, bottom start), (vertex below, top start))
-    of seam ``p``, in ``all_ports`` order, and ``marks`` are sorted.  For a
-    seam table scaled by :func:`certify_glued`, or reglued by a horizontal
-    collapse, keys are cylinder and seam ids and ``twist`` holds each
-    cylinder's drift.
+    of seam ``p``, in ``all_ports`` order, and ``marks`` are sorted.  In the
+    layout a horizontal collapse reglues, keys are surviving cylinders and
+    new seam ids, and ``twist`` holds each cylinder's flow drift.
     """
 
     scale: int
@@ -334,7 +332,12 @@ def random_metric(
     Paired ports share one length draw, keeping the metric involution-valid;
     twists are drawn beyond one circumference and rely on normalization.
     """
-    rng = random.Random(f"{seed}:{canonical_form(skeleton).encoding}")
+    try:
+        encoding = canonical_form(skeleton).encoding
+    except SkeletonError:
+        # canonical_form has validated it and kept the verdict; report it as build does
+        raise SkeletonError(f"invalid skeleton: {validate(skeleton).first}") from None
+    rng = random.Random(f"{seed}:{encoding}")
 
     def frac() -> Fraction:
         return Fraction(rng.randint(1, max_numerator), rng.randint(1, max_denominator))
@@ -543,62 +546,12 @@ def involution_check(s: HyperellipticSurface) -> InvolutionReport:
     )
 
 
-# -- glued representation ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Seam:
-    """One saddle connection of a glued surface.
-
-    ``above`` is (cylinder over the seam, start on its bottom circle);
-    ``below`` is (cylinder under the seam, start on its top circle).  Points
-    are identified by equal offsets from the two start positions.
-    """
-
-    seam_id: int
-    above: tuple[int, Fraction]
-    below: tuple[int, Fraction]
-    length: Fraction
-
-
-@dataclass(frozen=True)
-class GluedSurface:
-    """Explicit cylinder-and-seam table, as :func:`certify_glued` reads one.
-
-    ``cylinders`` maps id -> (circumference, height, flow drift); the drift
-    plays the twist's role: vertical flow sends bottom ``x`` to top
-    ``(x + drift) mod L``.
-    """
-
-    cylinders: dict[int, tuple[Fraction, Fraction, Fraction]]
-    seams: dict[int, Seam]
-    marks: tuple[tuple[int, Fraction], ...] = ()
-
-
-def _glued(lay: _Layout, heights: Mapping[int, Fraction]) -> GluedSurface:
-    """The seam table of an integer layout: every position over ``lay.scale``."""
-    D = lay.scale
-    return GluedSurface(
-        cylinders={
-            v: (Fraction(L, D), heights[v], Fraction(lay.twist[v], D))
-            for v, L in lay.circumference.items()
-        },
-        seams={
-            p: Seam(p, (v, Fraction(a, D)), (w, Fraction(b, D)), Fraction(lay.length[p], D))
-            for p, ((v, a), (w, b)) in lay.seams.items()
-        },
-        marks=tuple((p, Fraction(u, D)) for p, u in lay.marks),
-    )
-
-
-def lower(s: HyperellipticSurface) -> GluedSurface:
-    """Expand a surface into its explicit seam table (seam ids = port ids)."""
-    return _glued(_layout(s), s.heights)
+# -- certification -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CertifyResult:
-    """Outcome of glued-surface certification.
+    """Outcome of certifying one layout.
 
     When ``ok``, each connected component has been re-expressed as a built
     surface and the seam involution is recorded; otherwise ``failures`` names
@@ -613,50 +566,18 @@ class CertifyResult:
     failures: tuple[str, ...]
 
 
-def certify_glued(gs: GluedSurface) -> CertifyResult:
-    """Decide whether a seam table is a disjoint union of rotation-symmetric surfaces.
-
-    Per cylinder, candidate alignments ``kappa`` (bottom ``x`` pairs with top
-    ``(kappa - x) mod L``) are those matching the bottom partition onto the
-    top partition with lengths reversed and marks onto marks.  A backtracking
-    pass then forces every seam's two induced images to agree; the first
-    consistent assignment in ascending ``kappa`` order wins, which makes
-    certification of a lowered surface reproduce its twists exactly.
-
-    This entry point is for foreign tables, such as a hand-written or edited
-    :class:`GluedSurface`.  It only scales the table once to integers, like
-    :func:`_layout`: ``D`` is the lcm of the denominators of all
-    circumferences, drifts, seam starts, lengths and mark offsets.  The
-    search itself is the integer kernel :func:`_certify`, which a built
-    surface reaches directly through its own layout.
-    """
-    cyls = gs.cylinders
-    D = math.lcm(
-        *(x.denominator for circ, _, drift in cyls.values() for x in (circ, drift)),
-        *(x.denominator for sm in gs.seams.values() for x in (sm.above[1], sm.below[1], sm.length)),
-        *(x.denominator for _, x in gs.marks),
-    )
-    lay = _Layout(
-        scale=D,
-        circumference={c: _on(circ, D) for c, (circ, _, _) in cyls.items()},
-        twist={c: _on(drift, D) for c, (_, _, drift) in cyls.items()},
-        length={sid: _on(sm.length, D) for sid, sm in gs.seams.items()},
-        seams={
-            sid: ((sm.above[0], _on(sm.above[1], D)), (sm.below[0], _on(sm.below[1], D)))
-            for sid, sm in gs.seams.items()
-        },
-        marks=tuple((sid, _on(u, D)) for sid, u in gs.marks),
-    )
-    return _certify(lay, {c: h for c, (_, h, _) in cyls.items()})
-
-
 def _certify(lay: _Layout, heights: Mapping[int, Fraction]) -> CertifyResult:
-    """The certification of :func:`certify_glued`, on one integer layout.
+    """Decide whether a layout is a disjoint union of rotation-symmetric surfaces.
 
     Cylinders are the keys of ``lay.circumference``, ``lay.twist`` is each
-    cylinder's flow drift and ``heights`` its height.  Positions become
-    ``Fraction`` again, over ``lay.scale``, only in the alignments, the
-    rebuilt components and failure text.
+    cylinder's flow drift and ``heights`` its height.  Per cylinder, candidate
+    alignments ``kappa`` (bottom ``x`` pairs with top ``(kappa - x) mod L``)
+    match the bottom partition onto the top one with lengths reversed and
+    marks onto marks.  A backtracking pass then forces every seam's two
+    induced images to agree; the first consistent assignment in ascending
+    ``kappa`` order wins, so certifying a built surface reproduces its twists
+    exactly.  Positions become ``Fraction`` again, over ``lay.scale``, only in
+    the alignments, the rebuilt components and failure text.
     """
     D = lay.scale
     L, drifts, length, seams, marks = lay.circumference, lay.twist, lay.length, lay.seams, lay.marks

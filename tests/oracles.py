@@ -11,6 +11,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,13 +28,10 @@ from flattree.halftree import (
 from flattree.surface import (
     CertifyResult,
     DisjointSurface,
-    GluedSurface,
     HyperellipticSurface,
     Mark,
     MetricError,
-    Seam,
     build,
-    certify_glued,
 )
 
 
@@ -725,11 +723,53 @@ def weierstrass_points_fraction(s: HyperellipticSurface) -> tuple[tuple, ...]:
     points.extend(("corner-class", i, classes[i][0]) for i in fixed)
     return tuple(points)
 
-# -- Fraction reference for glued certification --------------------------------
-# ``certify_glued`` as first written: every position a ``Fraction`` and a
-# recursive backtracking search, one level per cylinder.  The library runs the
-# same search on integers with an explicit stack and must agree with this,
-# result and failure text.
+# -- Fraction seam tables and their certification --------------------------------
+# A seam table lists every cylinder and saddle of a surface with ``Fraction``
+# positions summed here, apart from the library's one integer layout; tests
+# lift that layout to a table and compare it with :func:`seam_table_fraction`.
+#
+# :func:`certify_glued_fraction` is certification as first written: every
+# position a ``Fraction`` and a recursive backtracking search, one level per
+# cylinder.  The library runs the same search on integers with an explicit
+# stack and must agree with this, result and failure text.
+
+
+@dataclass(frozen=True)
+class Seam:
+    """One saddle connection of a seam table.
+
+    ``above`` is (cylinder over the seam, start on its bottom circle);
+    ``below`` is (cylinder under the seam, start on its top circle).  Points
+    are identified by equal offsets from the two start positions.
+    """
+
+    seam_id: int
+    above: tuple[int, Fraction]
+    below: tuple[int, Fraction]
+    length: Fraction
+
+
+@dataclass(frozen=True)
+class GluedSurface:
+    """A seam table: cylinder id -> (circumference, height, flow drift), seams and marks.
+
+    The drift plays the twist's role: vertical flow sends bottom ``x`` to top
+    ``(x + drift) mod L``.
+    """
+
+    cylinders: dict[int, tuple[Fraction, Fraction, Fraction]]
+    seams: dict[int, Seam]
+    marks: tuple[tuple[int, Fraction], ...] = ()
+
+
+def seam_table_fraction(s: HyperellipticSurface) -> GluedSurface:
+    """The seam table of ``s`` (seam ids = port ids), every position summed in ``Fraction``."""
+    t = s.skeleton
+    return GluedSurface(
+        cylinders={v: (s.circumference(v), s.heights[v], s.twists[v]) for v in t.vertices},
+        seams={p: Seam(p, *seam_sides_fraction(s, p), s.lengths[p]) for p in t.all_ports},
+        marks=tuple(sorted((m.port, m.offset) for m in s.marks)),
+    )
 
 
 class _Missing:
@@ -1403,22 +1443,18 @@ def verify_colored_tree_lemma_reference(
 
 # -- Fraction reference for horizontal collapse ---------------------------------
 # ``horizontal_collapse`` as first written: expand the surface into its
-# ``Fraction`` seam table (here from ``seam_sides_fraction``), scan every seam per
-# deleted cylinder, and certify the reglued table through ``certify_glued``.  The library runs on the
-# integer layout and must agree with this by ``repr``, refusals included.
+# ``Fraction`` seam table, scan every seam per deleted cylinder, and certify
+# the reglued table with :func:`certify_glued_fraction`.  The library runs on
+# the integer layout and must agree with this by ``repr``, refusals included,
+# and its reglued layout, lifted to a table, must equal the reglued table.
 
 
 def horizontal_collapse_fraction(
     s: HyperellipticSurface, delete: Iterable[int]
-) -> collapse.HorizontalCollapseResult:
-    """Reference horizontal collapse on the explicit ``Fraction`` seam table."""
+) -> tuple[collapse.HorizontalCollapseResult, GluedSurface]:
+    """Reference horizontal collapse on the explicit ``Fraction`` seam table, and the reglued table."""
     chosen = collapse._deleted_set_preconditions(s, delete)
-    t = s.skeleton
-    gs = GluedSurface(
-        cylinders={v: (s.circumference(v), s.heights[v], s.twists[v]) for v in t.vertices},
-        seams={p: Seam(p, *seam_sides_fraction(s, p), s.lengths[p]) for p in t.all_ports},
-        marks=tuple(sorted((m.port, m.offset) for m in s.marks)),
-    )
+    gs = seam_table_fraction(s)
 
     seam_marks: dict[int, list[Fraction]] = {}
     for m in s.marks:
@@ -1557,13 +1593,13 @@ def horizontal_collapse_fraction(
         seams=new_seams,
         marks=tuple(sorted(new_marks)),
     )
-    cert = certify_glued(reglued)
+    cert = certify_glued_fraction(reglued)
     if not cert.ok:
         raise collapse.CollapseError(f"reglued surface failed certification: {cert.failures[0]}")
     out = DisjointSurface(cert.components, tuple(notices))
     after = sum((area_fraction(comp) for comp in cert.components), Fraction(0))
     deleted_area = sum((gs.cylinders[c][0] * gs.cylinders[c][1] for c in chosen), Fraction(0))
-    return collapse.HorizontalCollapseResult(
+    result = collapse.HorizontalCollapseResult(
         surfaces=out,
         certification=cert,
         gluings=tuple(gluings),
@@ -1572,5 +1608,6 @@ def horizontal_collapse_fraction(
         area_before=area_fraction(s),
         area_after=after,
         deleted_area=deleted_area,
-        _seam_table=lambda: reglued,
+        _reglued=None,  # the library's integer layout, which this reference never builds
     )
+    return result, reglued

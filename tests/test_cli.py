@@ -168,6 +168,20 @@ class TestBuild:
         rc, _ = run("build", src)
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["build", "pipeline"])
+    def test_invalid_skeleton_is_reported_as_the_input(self, tmp_path, capsys, command):
+        # two cylinders and no pair: the full-edge graph is disconnected
+        skeleton = {"vertices": [{"id": 0, "ports": [0]}, {"id": 1, "ports": [1]}], "pairs": []}
+        if command == "build":
+            rc = main(["build", write(tmp_path, "skel.json", skeleton), "--seed", "1"])
+        else:
+            script = {"steps": [{"op": "build", "skeleton": skeleton, "seed": 1}]}
+            rc = main(["pipeline", write(tmp_path, "script.json", script), "--outdir", str(tmp_path / "a")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "invalid skeleton: full-edge graph is disconnected" in err
+        assert "canonicalize" not in err
+
 
 class TestProfile:
     def test_profile_fields(self, tmp_path):

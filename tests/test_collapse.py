@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
+import seam_tables
 from test_halftree import path as path_skeleton
 
 import flattree.collapse
@@ -18,19 +19,16 @@ from flattree import (
     DeformError,
     DisjointSurface,
     FlowError,
-    GluedSurface,
     HalfTree,
     HyperellipticSurface,
     Mark,
     SaddlePartition,
-    Seam,
     area,
     build,
     canonical_form,
     certify_hyperelliptic,
     enumerate_halftrees,
     horizontal_collapse,
-    lower,
     random_metric,
     singleton_partitions,
     singularity_profile,
@@ -97,9 +95,6 @@ class TestCertifyHyperelliptic:
     def test_any_built_surface_passes(self, path3):
         assert certify_hyperelliptic(path3).ok
 
-    def test_glued_representation_passes(self, path3):
-        assert certify_hyperelliptic(lower(path3)).ok
-
     def test_disjoint_union_concatenates(self, path3, horned_path3):
         d = DisjointSurface((path3, horned_path3), ())
         res = certify_hyperelliptic(d)
@@ -107,15 +102,18 @@ class TestCertifyHyperelliptic:
         assert len(res.components) == 2
 
     def test_cycle_diagram_fails(self):
+        # two cylinders glued to each other along both their circles
+        Seam = oracles.Seam
         seams = {
             0: Seam(0, (0, F(0)), (1, F(0)), F(1)),
             1: Seam(1, (0, F(1)), (1, F(1)), F(1)),
             2: Seam(2, (1, F(0)), (0, F(0)), F(1)),
             3: Seam(3, (1, F(1)), (0, F(1)), F(1)),
         }
-        gs = GluedSurface({0: (F(2), F(1), F(0)), 1: (F(2), F(1), F(0))}, seams, ())
-        res = certify_hyperelliptic(gs)
+        gs = oracles.GluedSurface({0: (F(2), F(1), F(0)), 1: (F(2), F(1), F(0))}, seams, ())
+        res = seam_tables.certify_table(gs)
         assert not res.ok
+        assert repr(res) == repr(oracles.certify_glued_fraction(gs))
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
@@ -136,6 +134,15 @@ class TestVerticalCollapse:
         s = random_metric(HalfTree({0: [0, 1], 1: [2], 2: [3]}, [(0, 2), (1, 3)]), 1)
         with pytest.raises(DeformError, match=message):
             vertical_collapse(s, SaddlePartition.of(classes), proportions)
+
+    @pytest.mark.parametrize("proportions", [{0: F(0)}, [F(0)]], ids=["mapping", "sequence"])
+    def test_missing_proportion_names_its_class(self, proportions):
+        # these used to raise a bare KeyError: 1 and IndexError
+        t = next(t for t in enumerate_halftrees(3) if len(t.vertices) == 2)
+        sp = singleton_partitions(t)[1]
+        assert len(sp.classes) == 2
+        with pytest.raises(CollapseError, match="no proportion for saddle class 1$"):
+            vertical_collapse(random_metric(t, 1), sp, proportions)
 
     def test_all_zero_is_identity(self, path3):
         sp = singleton_partitions(path3.skeleton)[1]
@@ -469,32 +476,15 @@ class TestHorizontalCollapse:
             layouts.append(args)
             return layout(*args)
 
-        def refuse(*args):
-            raise AssertionError("horizontal collapse went through a Fraction seam table")
-
         monkeypatch.setattr(flattree.collapse, "_layout", counted)
-        monkeypatch.setattr(flattree.collapse, "certify_glued", refuse)
-        monkeypatch.setattr(flattree.surface, "lower", refuse)
         s = with_marks(path3, involution_orbit(path3, Mark(0, F(1, 4))))
         res = horizontal_collapse(s, {1})
         assert res.certification.ok
         assert len(layouts) == 1
-        assert repr(res.glued) == repr(oracles.horizontal_collapse_fraction(s, {1}).glued)
-
-    def test_seam_table_is_built_on_first_access(self, monkeypatch, path3):
-        tables = []
-        glued = flattree.collapse._glued
-
-        def counted(*args):
-            tables.append(args)
-            return glued(*args)
-
-        monkeypatch.setattr(flattree.collapse, "_glued", counted)
-        res = horizontal_collapse(path3, {1})
-        assert tables == []
-        assert res.glued is res.glued
-        assert len(tables) == 1
-        assert "glued" not in repr(res)
+        # the result keeps its reglued integer layout, out of its repr and ==
+        assert "_reglued" not in repr(res)
+        table = seam_tables.lift(res._reglued, s.heights)
+        assert repr(table) == repr(oracles.horizontal_collapse_fraction(s, {1})[1])
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_single_deletions_always_certify(self, n):
@@ -544,16 +534,23 @@ def reference_sweep_surfaces(n):
                         pass
 
 
-def collapse_outcome(collapse, s, delete) -> tuple:
-    """("result", repr, result) of an accepted collapse, ("refused", message, None) of a refused one.
+def lifted_collapse(s, delete) -> tuple:
+    """``horizontal_collapse`` and its reglued layout lifted to a ``Fraction`` seam table."""
+    res = horizontal_collapse(s, delete)
+    return res, seam_tables.lift(res._reglued, s.heights)
 
-    The repr covers the seam table ``glued`` too, which the result's own repr leaves out.
+
+def collapse_outcome(collapse, s, delete) -> tuple:
+    """("result", repr, (result, table)) of an accepted collapse, ("refused", message, None) of a refused one.
+
+    ``collapse`` returns the result and its reglued seam table, and the repr
+    covers both: the result's own repr leaves the table out.
     """
     try:
-        res = collapse(s, delete)
+        res, table = collapse(s, delete)
     except CollapseError as exc:
         return "refused", str(exc), None
-    return "result", repr((res, res.glued)), res
+    return "result", repr((res, table)), (res, table)
 
 
 @functools.cache
@@ -563,7 +560,7 @@ def reference_sweep(n):
     for s in reference_sweep_surfaces(n):
         vertices = s.skeleton.vertices
         for delete in [(c,) for c in vertices] + list(itertools.combinations(vertices, 2)):
-            got = collapse_outcome(horizontal_collapse, s, delete)
+            got = collapse_outcome(lifted_collapse, s, delete)
             want = collapse_outcome(oracles.horizontal_collapse_fraction, s, delete)
             cases.append((f"{s!r} - {delete}", got, want))
     return cases
@@ -588,8 +585,8 @@ class TestHorizontalCollapseReference:
 
     def test_sweep_reaches_marked_and_split_results(self):
         results = [got[2] for n in (6, 7) for _, got, _ in reference_sweep(n) if got[2]]
-        assert any(r.glued.marks for r in results)
-        assert any(len(r.surfaces.components) > 1 for r in results)
+        assert any(table.marks for _, table in results)
+        assert any(len(r.surfaces.components) > 1 for r, _ in results)
 
     def test_deep_path_every_other_cylinder(self):
         # ten times the default recursion limit; a seam scan per deleted cylinder is quadratic

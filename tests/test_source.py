@@ -1,6 +1,7 @@
 """Static checks on the library source."""
 
 import ast
+import re
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "flattree"
@@ -29,15 +30,6 @@ def _called_name(node: ast.AST) -> str | None:
     return None
 
 
-def _lowering_calls(tree: ast.AST) -> list[int]:
-    """Lines of ``tree`` that call ``lower`` on a surface (``str.lower()`` takes no argument)."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if _called_name(node) == "lower" and (node.args or node.keywords)
-    )
-
-
 def _calls_outside(tree: ast.AST, name: str, owner: str | None) -> list[int]:
     """Lines of ``tree`` that call ``name`` outside the function ``owner`` (anywhere, if None)."""
     allowed = {
@@ -53,41 +45,56 @@ def _calls_outside(tree: ast.AST, name: str, owner: str | None) -> list[int]:
     )
 
 
-def _seam_certifications(tree: ast.AST) -> list[int]:
-    """Lines of ``tree`` that call ``certify_glued`` outside ``certify_hyperelliptic``."""
-    return _calls_outside(tree, "certify_glued", "certify_hyperelliptic")
+def _unnamed_exports(init: ast.AST, modules: list[ast.AST], bench: list[ast.AST], readme: str) -> list[str]:
+    """Names ``init`` imports that no module, benchmark script or README names.
 
-
-def test_no_surface_certifies_through_a_seam_table():
-    # every surface, and the reglued layout of a horizontal collapse, certifies
-    # on an integer layout (``_certify(lay, heights)``): no module lowers a
-    # surface to a ``Fraction`` seam table, and collapse.py hands ``certify_glued``
-    # only the foreign tables that reach ``certify_hyperelliptic``
-    found = [
-        f"{path.name}:{line}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for line in _lowering_calls(ast.parse(path.read_text()))
+    A module or benchmark script names one as an ``ast`` name, attribute or
+    imported alias; the README names one as a whole word.
+    """
+    exported = [
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
     ]
-    collapse = ast.parse((SOURCE / "collapse.py").read_text())
-    found += [f"collapse.py:{line}" for line in _seam_certifications(collapse)]
-    assert found == []
+    named = set(re.findall(r"\w+", readme))
+    for tree in [*modules, *bench]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias) and tree in bench:
+                named.add(node.asname or node.name)
+    return sorted(name for name in exported if name not in named)
 
 
-def test_seam_table_guard_sees_each_call():
-    snippet = "\n".join(
-        [
-            "gs = lower(s)",
-            "cert = certify_glued(surface.lower(s))",
-            "name = name.lower()",
-            "def certify_hyperelliptic(obj):",
-            "    return certify_glued(obj)",
-            "def horizontal_collapse(s):",
-            "    return certify_glued(table)",
-        ]
+def test_every_public_name_has_a_reader():
+    # no public API that nothing uses: each name ``flattree`` exports is read
+    # by another module of the package, driven by the benchmark, or documented
+    modules = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"]
+    bench = [ast.parse(path.read_text()) for path in sorted((SOURCE.parents[1] / "perfbench").glob("*.py"))]
+    assert modules and bench
+    readme = (SOURCE.parents[1] / "README.md").read_text()
+    init = ast.parse((SOURCE / "__init__.py").read_text())
+    assert _unnamed_exports(init, modules, bench, readme) == []
+
+
+def test_public_name_guard_sees_each_kind_of_reader():
+    init = ast.parse(
+        "\n".join(
+            [
+                "from .surface import build, area, with_marks, lower",
+                "from .cover import pullback, quotient_to_json",
+                "from .cli import SCHEMA_NAMES, main as cli_main",
+            ]
+        )
     )
-    tree = ast.parse(snippet)
-    assert _lowering_calls(tree) == [1, 2]
-    assert _seam_certifications(tree) == [2, 7]
+    module = ast.parse("from .surface import lower\ns = build(t, lengths)\nx = surface.area(s)")
+    bench = ast.parse("from flattree import pullback\nimport flattree as ft\nft.quotient_to_json(r)")
+    readme = "Use `with_marks(s, marks)`; `flattree.SCHEMA_NAMES` lists the schemas; `cli_main_x` is no name."
+    # an import in a module is no reader: ``lower`` is only imported there
+    assert _unnamed_exports(init, [module], [bench], readme) == ["cli_main", "lower"]
 
 
 def _self_recursive(name: str) -> list[str]:

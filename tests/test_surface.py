@@ -1,4 +1,4 @@
-"""Surface layer: build validation, corner walk, involution, glued certification."""
+"""Surface layer: build validation, corner walk, involution, certification."""
 
 import copy
 import json
@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
+import seam_tables
 from test_halftree import path as plain_path_skeleton
 from test_halftree import relabel
 from test_halftree import stubbed_path as stubbed_path_skeleton
@@ -19,23 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flattree import (
-    GluedSurface,
     HalfTree,
     Mark,
     MetricError,
-    Seam,
     SkeletonError,
     area,
     build,
     canonical_form,
     canonical_metric,
-    certify_glued,
     dilate_class,
     enumerate_halftrees,
     extract_skeleton,
     involution_check,
     involution_orbit,
-    lower,
     random_metric,
     relative_deformation,
     shear_class,
@@ -67,6 +64,11 @@ def unit_surface(t: HalfTree, twist=0):
         {v: F(1) for v in t.vertices},
         {v: F(twist) for v in t.vertices},
     )
+
+
+def certify_lowered(s: HyperellipticSurface):
+    """The kernel's verdict on the oracle's seam table of ``s``, read as a foreign table."""
+    return seam_tables.certify_table(oracles.seam_table_fraction(s))
 
 
 @pytest.fixture
@@ -397,7 +399,7 @@ class TestInvolution:
         ],
     )
     def test_broken_raw_surface_fails(self, raw, failure):
-        rep, cert = involution_check(raw), certify_glued(lower(raw))
+        rep, cert = involution_check(raw), certify_lowered(raw)
         assert not rep.ok
         assert cert.failures[0].startswith(failure)
         assert rep.failures[: len(cert.failures)] == cert.failures
@@ -417,13 +419,19 @@ class TestInvolution:
         assert builds == [s]
 
     def test_surfaces_certify_without_a_seam_table(self, monkeypatch, star3_surface):
-        def refuse(*args):
-            raise AssertionError("a built surface went through a Fraction seam table")
+        # a built surface certifies once, on its own kept layout
+        seen = []
+        certify = surface._certify
 
-        monkeypatch.setattr(surface, "lower", refuse)
-        monkeypatch.setattr(surface, "certify_glued", refuse)
-        assert involution_check(star3_surface).ok
-        assert extract_skeleton(star3_surface) == star3_surface.skeleton
+        def counted(lay, heights):
+            seen.append(lay)
+            return certify(lay, heights)
+
+        monkeypatch.setattr(surface, "_certify", counted)
+        s = replace(star3_surface)  # a fresh object, nothing kept yet
+        assert involution_check(s).ok
+        assert extract_skeleton(s) == s.skeleton
+        assert len(seen) == 1 and seen[0] is surface._layout(s)
 
 
 def relabeled_rebuild(s: HyperellipticSurface, rng: random.Random) -> HyperellipticSurface:
@@ -578,7 +586,7 @@ class TestKeptData:
     )
     def test_failed_certification_reads_alike_in_either_order(self, first, raw, failure):
         raw = replace(raw)  # nothing kept from other tests
-        cert = certify_glued(lower(replace(raw)))
+        cert = certify_lowered(replace(raw))
 
         def extracted() -> str:
             with pytest.raises(MetricError) as exc:
@@ -610,7 +618,7 @@ def test_certification_of_a_deep_path():
     # ten times the default recursion limit: nothing here may recurse per cylinder
     start = time.perf_counter()
     s = stubbed_path(10**4)
-    cert = certify_glued(lower(s))
+    cert = certify_lowered(s)
     assert cert.ok, cert.failures
     assert cert.components == (s,)
     assert extract_skeleton(s) == s.skeleton
@@ -649,7 +657,7 @@ def test_canonicalization_of_a_deep_path(kind):
     assert time.perf_counter() - start < 20
 
 
-def broken_tables(gs: GluedSurface, rng: random.Random):
+def broken_tables(gs: oracles.GluedSurface, rng: random.Random):
     """Seeded damage to a valid seam table, one defect per table."""
     sids = sorted(gs.seams)
     sid = rng.choice(sids)
@@ -692,17 +700,12 @@ class TestGluedCertification:
         for t in enumerate_halftrees(n):
             for seed in (0, 1):
                 s = random_metric(t, seed)
-                gs = lower(s)
+                gs = oracles.seam_table_fraction(s)
                 # the integer layout reproduces the per-port Fraction positions
-                seams = {p: Seam(p, *oracles.seam_sides_fraction(s, p), s.lengths[p]) for p in t.all_ports}
-                assert repr(gs.seams) == repr(seams)
-                cylinders = {
-                    v: (s.circumference(v), s.heights[v], s.twists[v]) for v in t.vertices
-                }
-                assert repr(gs.cylinders) == repr(cylinders)
+                assert repr(seam_tables.lift(surface._layout(s), s.heights)) == repr(gs)
                 corners = sorted(oracles.corner_classes_fraction(s), key=lambda g: (-len(g), g))
                 assert repr(singularity_profile(s).corner_classes) == repr(tuple(corners))
-                cert = certify_glued(gs)
+                cert = seam_tables.certify_table(gs)
                 assert cert.ok, cert.failures
                 assert cert.components == (s,)
                 assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
@@ -717,9 +720,10 @@ class TestGluedCertification:
             for p in rng.sample(t.all_ports, min(2, n)):
                 marks.extend(involution_orbit(s, Mark(p, s.lengths[p] * F(rng.randint(1, 6), 7))))
             s = with_marks(s, set(marks))
-            gs = lower(s)
+            gs = oracles.seam_table_fraction(s)
             assert repr(gs.marks) == repr(tuple((m.port, m.offset) for m in s.marks))
-            cert = certify_glued(gs)
+            assert repr(seam_tables.lift(surface._layout(s), s.heights)) == repr(gs)
+            cert = seam_tables.certify_table(gs)
             assert cert.ok, cert.failures
             assert cert.components == (s,)
             assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
@@ -730,34 +734,34 @@ class TestGluedCertification:
         refused = 0
         for t in enumerate_halftrees(n):
             for seed in (0, 1):
-                for gs in broken_tables(lower(random_metric(t, seed)), random.Random(seed)):
-                    cert = certify_glued(gs)
+                for gs in broken_tables(oracles.seam_table_fraction(random_metric(t, seed)), random.Random(seed)):
+                    cert = seam_tables.certify_table(gs)
                     assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
                     refused += not cert.ok
         assert refused > 0
 
     def test_roundtrip_keeps_marks(self, path3_surface):
         s = with_marks(path3_surface, involution_orbit(path3_surface, Mark(0, F(1, 3))))
-        cert = certify_glued(lower(s))
+        cert = certify_lowered(s)
         assert cert.ok
         assert cert.components[0].marks == s.marks
 
     def test_involution_table_matches_pairing(self, star3_surface):
-        cert = certify_glued(lower(star3_surface))
+        cert = certify_lowered(star3_surface)
         t = star3_surface.skeleton
         for p in t.all_ports:
             q = t.partner(p)
             assert cert.seam_involution[p] == (p if q is None else q)
 
     def test_corrupted_pairing_names_saddle_pair(self, star3_surface):
-        gs = lower(star3_surface)
+        gs = oracles.seam_table_fraction(star3_surface)
         s3, s4 = gs.seams[3], gs.seams[4]
-        bad = GluedSurface(
+        bad = oracles.GluedSurface(
             gs.cylinders,
             {**gs.seams, 3: replace(s3, below=s4.below), 4: replace(s4, below=s3.below)},
             gs.marks,
         )
-        res = certify_glued(bad)
+        res = seam_tables.certify_table(bad)
         assert not res.ok
         assert "saddle pair (4, 3)" in res.failures[0]
 
@@ -769,22 +773,22 @@ class TestGluedCertification:
             {0: F(1), 1: F(1)},
             {0: 0, 1: 0},
         )
-        gs = lower(s)
+        gs = oracles.seam_table_fraction(s)
         s0, s4 = gs.seams[0], gs.seams[4]
-        bad = GluedSurface(
+        bad = oracles.GluedSurface(
             gs.cylinders,
             {**gs.seams, 0: replace(s0, below=s4.below), 4: replace(s4, below=s0.below)},
         )
-        res = certify_glued(bad)
+        res = seam_tables.certify_table(bad)
         assert not res.ok
         assert "cycle" in res.failures[0]
 
     def test_broken_tiling_fails(self, star3_surface):
-        gs = lower(star3_surface)
-        bad = GluedSurface(
+        gs = oracles.seam_table_fraction(star3_surface)
+        bad = oracles.GluedSurface(
             gs.cylinders, {**gs.seams, 2: replace(gs.seams[2], length=F(7, 2))}, gs.marks
         )
-        res = certify_glued(bad)
+        res = seam_tables.certify_table(bad)
         assert not res.ok
         assert any("circle of cylinder" in f for f in res.failures)
 
@@ -792,13 +796,13 @@ class TestGluedCertification:
         # rotating the top circle of the centre of a symmetric star makes its
         # least candidate alignment wrong; only the leaves can tell
         t = HalfTree({0: [0, 1, 2], 1: [3], 2: [4], 3: [5]}, [(0, 3), (1, 4), (2, 5)])
-        gs = lower(unit_surface(t))
+        gs = oracles.seam_table_fraction(unit_surface(t))
         turned = {
             sid: replace(sm, below=(0, (sm.below[1] + 1) % 3)) if sm.below[0] == 0 else sm
             for sid, sm in gs.seams.items()
         }
         turned_gs = replace(gs, seams=turned)
-        cert = certify_glued(turned_gs)
+        cert = seam_tables.certify_table(turned_gs)
         assert cert.ok, cert.failures
         assert cert.alignments[0] == 1
         assert repr(cert) == repr(oracles.certify_glued_fraction(turned_gs))
@@ -806,9 +810,9 @@ class TestGluedCertification:
     def test_two_components(self):
         sa = build(HalfTree({0: [0]}, []), {0: F(2)}, {0: F(1)}, {0: F(1, 2)})
         sb = build(HalfTree({1: [1]}, []), {1: F(3)}, {1: F(2)}, {1: F(0)})
-        ga, gb = lower(sa), lower(sb)
-        both = GluedSurface({**ga.cylinders, **gb.cylinders}, {**ga.seams, **gb.seams})
-        res = certify_glued(both)
+        ga, gb = oracles.seam_table_fraction(sa), oracles.seam_table_fraction(sb)
+        both = oracles.GluedSurface({**ga.cylinders, **gb.cylinders}, {**ga.seams, **gb.seams})
+        res = seam_tables.certify_table(both)
         assert res.ok
         assert res.components == (sa, sb)
 
