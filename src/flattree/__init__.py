@@ -95,8 +95,6 @@ from .cover import (
     CoverVerdict,
     FiberCylinder,
     QuotientResult,
-    blueprint_from_json,
-    blueprint_to_json,
     builtin_blueprints,
     certify_cover,
     fiber_partitions,

@@ -61,6 +61,7 @@ from .halftree import (
     enumerate_halftrees,
     halftree_from_json,
     halftree_to_dot,
+    halftree_to_json,
     stratum_of,
 )
 from .lemmas import (
@@ -91,7 +92,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 SCHEMA_NAMES = (
-    "blueprint",
     "candidate_report",
     "cochain",
     "collapse_report",
@@ -225,10 +225,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 {
                     "encoding": canonical_form(t).encoding,
                     "stratum": stratum_of(t).label,
-                    "vertices": [
-                        {"id": v, "ports": list(t.ports(v))} for v in t.vertices
-                    ],
-                    "pairs": [list(e) for e in t.edges()],
+                    **halftree_to_json(t),
                 }
                 for t in classes
             ],
@@ -643,7 +640,7 @@ def _run_step(surface, step: dict):
         if "surface" in step:
             out = surface_from_json(step["surface"])
         elif "skeleton" in step:
-            out = random_metric(halftree_from_json(step["skeleton"]), int(step.get("seed", 0)))
+            out = random_metric(halftree_from_json(step["skeleton"]), _label(step.get("seed", 0), "seed"))
         else:
             raise DeformError("build step needs 'surface' or 'skeleton'")
         return out, surface_to_json(out)

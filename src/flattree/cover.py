@@ -37,15 +37,12 @@ from .surface import (
     MetricError,
     _classes,
     _fixed_classes,
-    _json_label,
     _Layout,
     _layout,
     _on,
     area,
     build,
-    fraction_from_string,
     fraction_to_string,
-    surface_from_json,
     surface_to_json,
 )
 
@@ -684,60 +681,6 @@ def builtin_blueprints() -> dict[str, CoverBlueprint]:
 
 
 # -- serialization ------------------------------------------------------------
-
-
-def blueprint_to_json(b: CoverBlueprint) -> dict:
-    lifts = _blueprint_lifts(b)
-    return {
-        "base": surface_to_json(b.base),
-        "fibers": [
-            {
-                "cylinder": f.cylinder,
-                "base": f.base,
-                "wrap": f.wrap,
-                "twist": fraction_to_string(Fraction(f.twist)),
-                "ports": list(f.ports),
-            }
-            for f in b.fibers
-        ],
-        "lifts": {str(fp): p for fp, p in sorted(lifts.items())},
-        "pairs": [list(pq) for pq in b.pairs],
-    }
-
-
-def _json_list(x: object, where: str, size: int | None = None) -> list:
-    """``x`` when it is a JSON array (of ``size`` items, if given); a string is refused."""
-    if not isinstance(x, list):
-        raise CoverError(f"{where} must be a list, not {type(x).__name__}")
-    if size is not None and len(x) != size:
-        raise CoverError(f"{where} must have {size} items, not {len(x)}")
-    return x
-
-
-def blueprint_from_json(data: object) -> CoverBlueprint:
-    if not isinstance(data, dict):
-        raise CoverError("blueprint JSON must be an object")
-    try:
-        base = surface_from_json(data["base"])
-        fibers = tuple(
-            FiberCylinder(
-                cylinder=_json_label(f["cylinder"], "fiber 'cylinder'"),
-                base=_json_label(f["base"], "fiber 'base'"),
-                wrap=_json_label(f["wrap"], "fiber 'wrap'"),
-                twist=fraction_from_string(f["twist"]),
-                ports=tuple(_json_label(x, "fiber 'ports'") for x in _json_list(f["ports"], "fiber 'ports'")),
-            )
-            for f in _json_list(data["fibers"], "'fibers'")
-        )
-        pairs = tuple(
-            (_json_label(p, "pairs"), _json_label(q, "pairs"))
-            for p, q in (_json_list(pq, "pair", 2) for pq in _json_list(data["pairs"], "'pairs'"))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CoverError(f"malformed blueprint JSON: {exc}") from exc
-    b = CoverBlueprint(base=base, fibers=fibers, pairs=pairs)
-    _blueprint_lifts(b)
-    return b
 
 
 def quotient_to_json(r: QuotientResult) -> dict:

@@ -754,15 +754,18 @@ def halftree_from_json(data: object) -> HalfTree:
     for entry in vertices:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("id"), int)
+            or type(entry.get("id")) is not int
             or not isinstance(entry.get("ports"), list)
         ):
             raise SkeletonError(f"malformed vertex entry {entry!r}")
+        for p in entry["ports"]:
+            if type(p) is not int:
+                raise SkeletonError(f"port id {p!r} is not an integer")
         if entry["id"] in ports_of:
             raise SkeletonError(f"vertex {entry['id']} listed twice")
         ports_of[entry["id"]] = entry["ports"]
     for pq in pairs:
-        if not isinstance(pq, list) or len(pq) != 2 or not all(isinstance(x, int) for x in pq):
+        if not isinstance(pq, list) or len(pq) != 2 or not all(type(x) is int for x in pq):
             raise SkeletonError(f"pair {pq!r} is not a list of two port ids")
     return HalfTree(ports_of, pairs)
 

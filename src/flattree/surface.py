@@ -57,7 +57,7 @@ class MetricError(ValueError):
 
 
 def fraction_from_string(s: object) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise MetricError(f"rational value must be a string like '3/4', got {s!r}")

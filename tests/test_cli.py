@@ -618,6 +618,9 @@ class TestPipeline:
                 {"op": "collapse", "kind": "vertical", "classes": [[0], [None], [3], [4], [6]], "proportions": ["0"] * 5},
                 "classes",
             ),
+            ({**PATH3_STUBBED, "seed": 1.9}, "seed"),
+            ({**PATH3_STUBBED, "seed": True}, "seed"),
+            ({**PATH3_STUBBED, "seed": "x"}, "seed"),
         ],
     )
     def test_non_integer_labels_are_refused(self, tmp_path, capsys, step, key):

@@ -13,8 +13,6 @@ from flattree import (
     FiberCylinder,
     HalfTree,
     area,
-    blueprint_from_json,
-    blueprint_to_json,
     build,
     builtin_blueprints,
     certify_cover,
@@ -577,75 +575,9 @@ class TestWorkPerCall:
             assert walked and len(built) == len({id(x) for x in built}), name
             assert len(walked) == len({id(lay) for lay in walked}), name
             assert {id(lay) for lay in walked} <= kept, name
+
+
 class TestSerialization:
-    def test_blueprint_roundtrip(self, stock):
-        for name, b in stock.items():
-            data = blueprint_to_json(b)
-            again = blueprint_from_json(data)
-            assert surfaces_isomorphic(again.base, b.base), name
-            assert again.fibers == b.fibers, name
-            assert again.pairs == b.pairs, name
-
-    def test_blueprint_json_shape(self, stock):
-        data = blueprint_to_json(stock["ramified-star"])
-        assert set(data) == {"base", "fibers", "lifts", "pairs"}
-        assert data["lifts"]["40"] == 1
-        assert data["fibers"][2]["twist"] == "3"
-
-    def test_malformed_blueprint_json(self):
-        with pytest.raises(CoverError, match="must be an object"):
-            blueprint_from_json([1, 2])
-        with pytest.raises(CoverError, match="malformed"):
-            blueprint_from_json({"base": {}, "fibers": [{}], "pairs": []})
-
-    @pytest.mark.parametrize("key", ["cylinder", "base", "wrap", "ports", "pairs"])
-    @pytest.mark.parametrize("spoil", [lambda x: x + 0.9, lambda x: True], ids=["float", "bool"])
-    def test_non_integer_labels_are_refused(self, stock, key, spoil):
-        # int() would read 3.9 as 3 and True as 1
-        if key == "pairs":
-            data = blueprint_to_json(stock["ramified-star"])
-            data["pairs"][0][0] = spoil(data["pairs"][0][0])
-        else:
-            data = blueprint_to_json(stock["triple-wrap"])
-            fiber = data["fibers"][0]
-            if key == "ports":
-                fiber["ports"][0] = spoil(fiber["ports"][0])
-            else:
-                fiber[key] = spoil(fiber[key])
-        with pytest.raises(CoverError, match="is not an integer"):
-            blueprint_from_json(data)
-
-    @pytest.mark.parametrize("key", ["fibers", "ports", "pairs", "pair"])
-    def test_strings_are_refused_where_lists_belong(self, stock, key):
-        # iterating a string would read "012345678" as the ports 0..8 and "34" as a pair
-        data = blueprint_to_json(stock["ramified-star"] if key.startswith("pair") else stock["triple-wrap"])
-        if key == "fibers":
-            data["fibers"] = str(data["fibers"])
-        elif key == "ports":
-            data["fibers"][0]["ports"] = "012345678"
-        elif key == "pairs":
-            data["pairs"] = "".join(f"{p}{q}" for p, q in data["pairs"])
-        else:
-            data["pairs"][0] = "34"
-        with pytest.raises(CoverError, match="must be a list, not str"):
-            blueprint_from_json(data)
-
-    @pytest.mark.parametrize("size", [0, 1, 3])
-    def test_pairs_need_exactly_two_labels(self, stock, size):
-        data = blueprint_to_json(stock["ramified-star"])
-        data["pairs"][0] = (data["pairs"][0] * 2)[:size]
-        with pytest.raises(CoverError, match=f"pair must have 2 items, not {size}"):
-            blueprint_from_json(data)
-
-    def test_numeric_string_labels_are_read_as_integers(self, stock):
-        b = stock["triple-wrap"]
-        data = blueprint_to_json(b)
-        fiber = data["fibers"][0]
-        for key in ("cylinder", "base", "wrap"):
-            fiber[key] = str(fiber[key])
-        fiber["ports"] = [str(x) for x in fiber["ports"]]
-        assert blueprint_from_json(data).fibers == b.fibers
-
     def test_quotient_json_embeds_verification(self, stock):
         import json
 

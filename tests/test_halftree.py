@@ -586,6 +586,9 @@ class TestSerialization:
             {"vertices": [{"id": 0, "ports": [0, 1]}], "pairs": [5]},
             {"vertices": [{"id": 0, "ports": [0, 1]}], "pairs": [[0]]},
             {"vertices": [{"id": 0, "ports": [0, 1]}], "pairs": [[[0], [1]]]},
+            {"vertices": [{"id": True, "ports": [0]}], "pairs": []},
+            {"vertices": [{"id": 0, "ports": [False, 1]}], "pairs": []},
+            {"vertices": [{"id": 0, "ports": [0]}, {"id": 1, "ports": [1]}], "pairs": [[False, 1]]},
         ],
     )
     def test_malformed(self, data):

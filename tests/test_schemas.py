@@ -1,6 +1,7 @@
 """Every artifact format validates against its shipped schema."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ from jsonschema import Draft202012Validator
 
 from flattree import (
     SCHEMA_NAMES,
-    blueprint_to_json,
     builtin_blueprints,
     cochain_to_json,
     fiber_partitions,
@@ -64,6 +64,12 @@ class TestShippedSchemas:
         with pytest.raises(KeyError):
             load_schema("bogus")
 
+    def test_schema_files_match_the_names(self):
+        # a schema file that no name reaches, or a name with no file, fails here
+        folder = resources.files("flattree").joinpath("schemas")
+        stems = [f.name.removesuffix(".json") for f in folder.iterdir() if f.name.endswith(".json")]
+        assert sorted(stems) == sorted(SCHEMA_NAMES)
+
 
 class TestLibraryArtifacts:
     def test_halftree_and_surface(self, path3):
@@ -85,7 +91,6 @@ class TestLibraryArtifacts:
 
     def test_blueprint_and_quotient(self):
         for b in builtin_blueprints().values():
-            check("blueprint", blueprint_to_json(b))
             s = pullback(b)
             check("quotient", quotient_to_json(quotient(s, *fiber_partitions(b))))
 

@@ -943,8 +943,9 @@ class TestSurfaceSerialization:
         assert fraction_from_string(5) == F(5)
         with pytest.raises(MetricError, match="bad rational"):
             fraction_from_string("1/0")
-        with pytest.raises(MetricError, match="rational value"):
-            fraction_from_string(0.5)
+        for x in (0.5, True, False):
+            with pytest.raises(MetricError, match="rational value"):
+                fraction_from_string(x)
 
     def test_missing_sections_rejected(self, path3_surface):
         data = surface_to_json(path3_surface)
