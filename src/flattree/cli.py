@@ -562,8 +562,12 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    suites = _SUITES[args.suite]
+    if args.ports_max > ENUMERATION_GUARD and {_suite_roundtrip, _suite_collapse} & set(suites):
+        # refused before the ports under the guard are swept, with enumerate_halftrees' message
+        raise SkeletonError(f"n={ENUMERATION_GUARD + 1} above enumeration guard {ENUMERATION_GUARD}")
     checks: list[dict] = []
-    for suite in _SUITES[args.suite]:
+    for suite in suites:
         checks.extend(suite(args))
     failures = sum(1 for c in checks if not c["ok"])
     payload = {

@@ -15,14 +15,16 @@ collapsed into one or two zeros according to the parity of ``n``; see
 
 A half-tree is immutable, so :func:`validate` keeps its verdict on it and
 :func:`canonical_form` its form; the kept form is shared by every caller and
-must not be mutated.  :func:`canonical_form` finds the minimizing flags from
-the planted subtrees behind all ports, built bottom-up, and walks the tree only
-from those flags.  Up to ``_STRING_PORTS`` ports it writes each subtree's
-encoding out and compares rotations as strings; the text of all subtrees grows
-as edges x ports, so larger trees rank the subtrees by integer labels instead,
-in near-linear time and memory.  No function here recurses, so paths of 10**4
-cylinders need no raised recursion limit; the entry grammar that
-:func:`enumerate_halftrees` walks, ``_entry_seqs``, is filled bottom-up.
+must not be mutated.  :func:`canonical_form` gives each port a token for the
+planted subtree behind it, built bottom-up, and walks the tree only from the
+flags whose tokens read least.  Its one fork is the token: the subtree's
+encoding as a string up to ``_STRING_PORTS`` ports (that text grows as edges x
+ports), else an integer label ranking the subtree's class, in memory linear in
+the ports for bounded degree; the ranking inserts each class into one sorted
+list, so its time is quadratic in the class count in the worst case.  No
+function here recurses, so paths of 10**4 cylinders need no raised recursion
+limit; the entry grammar that :func:`enumerate_halftrees` walks,
+``_entry_seqs``, is filled bottom-up.
 """
 
 from __future__ import annotations
@@ -361,14 +363,16 @@ def _tokens(t: HalfTree, index: dict[int, int]) -> dict[int, str]:
     return token
 
 
-def _least_token_flags(t: HalfTree, token: dict[int, str]) -> tuple[str, list[tuple[int, int]]]:
-    """The least encoding and every flag ``(vertex, index)`` that writes it, in that order.
+def _least_token_flags(t: HalfTree, token: Mapping[int, object]) -> list[tuple[int, int]]:
+    """Every flag ``(vertex, index)`` whose encoding is least, in that order.
 
-    The tokens form a prefix code, so the least encoding begins with the least
-    token, and only the flags at that token are read.
+    The encoding from a flag is its vertex's tokens read from that index on.
+    The tokens form a prefix code, so token lists compare as their joined
+    encodings do: the least encoding begins with the least token, and only the
+    rotations that start there are compared.
     """
     first = min(token.values())
-    best = ""
+    best: list | None = None
     winners: list[tuple[int, int]] = []
     for v in t.vertices:
         seq = list(map(token.__getitem__, t._ports[v]))
@@ -377,12 +381,12 @@ def _least_token_flags(t: HalfTree, token: dict[int, str]) -> tuple[str, list[tu
         for i, x in enumerate(seq):
             if x != first:
                 continue
-            code = "".join(seq[i:] + seq[:i])
-            if not winners or code < best:
-                best, winners = code, []
-            if code == best:
+            rot = seq[i:] + seq[:i]
+            if best is None or rot < best:
+                best, winners = rot, []
+            if rot == best:
                 winners.append((v, i))
-    return best, winners
+    return winners
 
 
 def _planted_classes(t: HalfTree, index: dict[int, int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
@@ -489,33 +493,6 @@ def _least_rotation(seq: list[int]) -> int:
     return k
 
 
-def _least_flags(t: HalfTree, cls: dict[int, int], label: list[int]) -> list[tuple[int, int]]:
-    """Every flag ``(vertex, index)`` whose encoding is least, in that order.
-
-    The encoding from a flag is its vertex's tokens read from that index on, so
-    it is a rotation of the vertex's label sequence; a vertex with a least
-    rotation of period ``p`` contributes every ``p``-th index.  Only vertices
-    holding the least token overall can win.
-    """
-    token = {p: label[c] for p, c in cls.items()}
-    seqs = [[token[p] for p in t._ports[v]] for v in t.vertices]
-    first = min(map(min, seqs))
-    best: list[int] | None = None
-    winners: list[tuple[int, int]] = []
-    for v, seq in zip(t.vertices, seqs):
-        if first not in seq:
-            continue
-        k = _least_rotation(seq)
-        rot = seq[k:] + seq[:k]
-        if best is None or rot < best:
-            best, winners = rot, []
-        if rot == best:
-            d = len(rot)
-            period = next(p for p in range(1, d + 1) if d % p == 0 and rot[p:] == rot[: d - p])
-            winners.extend((v, i) for i in range(k % period, d, period))
-    return winners
-
-
 def _walk(t: HalfTree, index: dict[int, int], root: int, start: int) -> tuple[list[str], list[int], list[int], dict[int, int]]:
     """Planar depth-first walk from one flag, with an explicit stack.
 
@@ -586,18 +563,19 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
     group; ``labelings`` lists one relabeling per minimizing flag, in
     (vertex, index) order.
 
-    No walk is made per flag; only the minimizing flags are walked, and the
-    planted subtree behind every port is built bottom-up first (Aho, Hopcroft
-    and Ullman 1974).  Up to ``_STRING_PORTS`` ports, each port gets its
-    subtree's encoding as a string and the rotations of each vertex that begin
-    with the least one are compared as strings.  The text of all subtrees grows
-    as edges x ports, so a larger tree gives each subtree a class id instead,
-    labels the classes by integers in the order of their encodings (where
-    ``)`` sorts between ``(`` and ``-``) and cuts each vertex's label sequence
-    at its least rotation (Booth 1980): near-linear in the port count for
-    bounded degree (a vertex of degree d costs O(d^2)).  Either way the
-    relabeled tree is read off the least encoding, each automorphism costs one
-    O(n) walk, and nothing recurses.
+    No walk is made per flag.  Each port gets a token for the planted subtree
+    behind it, built bottom-up (Aho, Hopcroft and Ullman 1974); the token lists
+    of each vertex's rotations that begin with the least token are compared,
+    which the prefix code orders as their encodings, and only the minimizing
+    flags are walked.  The one fork is the token: up to ``_STRING_PORTS`` ports
+    it is the subtree's encoding as a string.  That text grows as edges x ports,
+    so a larger tree labels the subtree classes by integers in the order of
+    their encodings (``)`` sorts between ``(`` and ``-``).  Its memory is
+    linear in the ports for bounded degree, but its time is quadratic in the
+    class count in the worst case (each class is inserted into one sorted
+    list).  A vertex of degree d costs O(d^2) in the search and the ranking.
+    The encoding is read off the first walk and the relabeled tree off the
+    encoding; each automorphism costs one O(n) walk, and nothing recurses.
 
     The form is worked out once and kept on the tree (a failure is never
     kept), so every later call returns the same object: callers share it and
@@ -611,12 +589,13 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
     # validate() rules out an empty skeleton and bare vertices, so there is a flag
     index = {p: i for plist in t._ports.values() for i, p in enumerate(plist)}
     if t.n_ports <= _STRING_PORTS:
-        encoding, flags = _least_token_flags(t, _tokens(t, index))
-        walks = [_walk(t, index, v, i) for v, i in flags]
+        token: Mapping[int, object] = _tokens(t, index)
     else:
         cls, kids = _planted_classes(t, index)
-        walks = [_walk(t, index, v, i) for v, i in _least_flags(t, cls, _order_labels(kids))]
-        encoding = "".join(walks[0][0])
+        label = _order_labels(kids)
+        token = {p: label[c] for p, c in cls.items()}
+    walks = [_walk(t, index, v, i) for v, i in _least_token_flags(t, token)]
+    encoding = "".join(walks[0][0])
     t._canonical = CanonicalForm(
         encoding=encoding,
         automorphisms=len(walks),

@@ -43,8 +43,7 @@ counts, details, first counterexamples) do not depend on these shortcuts.
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .halftree import _find
@@ -60,25 +59,9 @@ class LemmaReport:
     holds: bool
     counterexample: dict | None
     details: dict[str, int]
-    elapsed_seconds: float
-
-    def summary(self) -> str:
-        verdict = "holds" if self.holds else "FAILS"
-        return (
-            f"{self.lemma}: {verdict} over {self.cases_checked} cases "
-            f"(bounds {self.bounds}, {self.elapsed_seconds:.2f}s)"
-        )
 
     def to_json(self) -> dict:
-        # elapsed time deliberately excluded: CLI output must be reproducible
-        return {
-            "lemma": self.lemma,
-            "bounds": dict(self.bounds),
-            "cases_checked": self.cases_checked,
-            "holds": self.holds,
-            "counterexample": self.counterexample,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 def _completion_counts(rows: int, top: int, blocked: int) -> list[list[int]]:
@@ -326,7 +309,6 @@ def verify_interval_lemma(max_n: int = 8) -> LemmaReport:
     system; its ``cycle_edge`` comes from :func:`_max_graph_is_forest`, so the
     report is that of a plain all-pairs scan in lexicographic order.
     """
-    t0 = time.perf_counter()
     cases = 0
     systems_by_n: dict[str, int] = {}
     counterexample = None
@@ -350,7 +332,6 @@ def verify_interval_lemma(max_n: int = 8) -> LemmaReport:
         holds=counterexample is None,
         counterexample=counterexample,
         details=systems_by_n,
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
@@ -479,7 +460,6 @@ def verify_balls_lemma(max_n: int = 10, max_m: int = 4) -> LemmaReport:
     number of completions goes into ``cases_checked``.  Leaves that survive
     run the full gap test and the periodicity test, in lexicographic order.
     """
-    t0 = time.perf_counter()
     completions = _completion_counts(max(max_n, 0), max_m, 0)
     cases = 0
     hypothesis_held = 0
@@ -504,7 +484,6 @@ def verify_balls_lemma(max_n: int = 10, max_m: int = 4) -> LemmaReport:
         holds=counterexample is None,
         counterexample=counterexample,
         details={"hypothesis_held": hypothesis_held},
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
@@ -618,7 +597,6 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
     (:func:`neighbor_sets_homogeneous` on the closed neighborhoods), the
     prefix's exact number of completions goes into ``cases_checked``.
     """
-    t0 = time.perf_counter()
     completions = _completion_counts(max(max_vertices, 0), max_colors, 1)
     cases = 0
     hypothesis_held = 0
@@ -674,7 +652,6 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
         holds=counterexample is None,
         counterexample=counterexample,
         details={"trees": trees_seen, "hypothesis_held": hypothesis_held},
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 

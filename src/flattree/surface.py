@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
@@ -56,11 +57,17 @@ class MetricError(ValueError):
     """Raised when metric data violates a surface precondition."""
 
 
+# the schemas' rational literal; ``Fraction`` would also expand exponents
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def fraction_from_string(s: object) -> Fraction:
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise MetricError(f"rational value must be a string like '3/4', got {s!r}")
+    if _RATIONAL.fullmatch(s) is None:
+        raise MetricError(f"bad rational literal {s!r}: expected an integer or 'p/q'")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1352,7 +1352,6 @@ def verify_interval_lemma_reference(max_n: int = 8) -> lemmas.LemmaReport:
         holds=counterexample is None,
         counterexample=counterexample,
         details=systems_by_n,
-        elapsed_seconds=0.0,
     )
 
 
@@ -1377,7 +1376,6 @@ def verify_balls_lemma_reference(max_n: int = 10, max_m: int = 4) -> lemmas.Lemm
         holds=counterexample is None,
         counterexample=counterexample,
         details={"hypothesis_held": hypothesis_held},
-        elapsed_seconds=0.0,
     )
 
 
@@ -1437,7 +1435,6 @@ def verify_colored_tree_lemma_reference(
         holds=counterexample is None,
         counterexample=counterexample,
         details={"trees": trees_seen, "hypothesis_held": hypothesis_held},
-        elapsed_seconds=0.0,
     )
 
 

@@ -424,6 +424,7 @@ class TestVerify:
             "--balls-n", "6", "--balls-m", "3",
             "--tree-vertices", "5", "--tree-colors", "3",
             "--interval-n", "5",
+            "--ports-max", "13",  # enumerates nothing, so above the guard is no error
             "--output", str(out),
         )
         assert rc == 0
@@ -467,6 +468,15 @@ class TestVerify:
         run("verify", "cover", "--output", str(a))
         run("verify", "cover", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("suite", ["roundtrip", "collapse", "all"])
+    def test_ports_above_the_guard_are_refused_before_any_work(self, monkeypatch, capsys, suite):
+        def no_surfaces(*args):
+            raise AssertionError("a surface was built before the refusal")
+
+        monkeypatch.setattr(cli, "random_metric", no_surfaces)
+        assert main(["verify", suite, "--ports-max", "13"]) == 1
+        assert capsys.readouterr().err == "error: n=13 above enumeration guard 12\n"
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -406,7 +406,6 @@ class TestCanonicalFormPaths:
         t = make(n)
         assert validate(t).ok
         monkeypatch.setattr(halftree, "_tokens", None)
-        monkeypatch.setattr(halftree, "_least_token_flags", None)
         tracemalloc.start()
         try:
             cf = canonical_form(t)

@@ -355,7 +355,6 @@ class TestReports:
         js = rep.to_json()
         assert js["holds"] is True
         assert "elapsed" not in js and "elapsed_seconds" not in js
-        assert "forest" in rep.summary()
 
     def test_all_reports_serializable(self):
         import json

@@ -20,6 +20,31 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _float_uses(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that name ``float`` or hold a float literal."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and type(node.value) is float)
+    )
+
+
+def test_no_floats():
+    # every quantity is exact: a Fraction, an int or a string
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _float_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_float_guard_sees_each_kind():
+    snippet = "\n".join(["x: float", "y = 0.5", "z = float(s)", "w = 1e3", "n = 5", "s = 'float'"])
+    assert _float_uses(ast.parse(snippet)) == [1, 2, 3, 4]
+
+
 def _called_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Call):
         func = node.func
@@ -288,7 +313,7 @@ _KERNEL_NAMES = {
     "_lay",
     "_cert",
     "_walk",
-    # the string path of canonical_form
+    # the string token maker and the flag search of canonical_form
     "_tokens",
     "_least_token_flags",
     # the surface methods that read positions off the kept layout

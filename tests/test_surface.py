@@ -943,6 +943,10 @@ class TestSurfaceSerialization:
         assert fraction_from_string(5) == F(5)
         with pytest.raises(MetricError, match="bad rational"):
             fraction_from_string("1/0")
+        # only the schema literal -?[0-9]+(/[0-9]+)?: an exponent would be expanded
+        for x in ("1.5", " 1", "+1", "1\n", "\u0661", "1/-2", "", "/2", "1e100000000"):
+            with pytest.raises(MetricError, match="bad rational literal"):
+                fraction_from_string(x)
         for x in (0.5, True, False):
             with pytest.raises(MetricError, match="rational value"):
                 fraction_from_string(x)
