@@ -530,10 +530,27 @@ def _walk(t: HalfTree, index: dict[int, int], root: int, start: int) -> tuple[li
     return tokens, vorder, porder, rotation
 
 
+def _preorder_tree(ports_of: dict[int, list[int]], pair: dict[int, int]) -> HalfTree:
+    """The half-tree that ``HalfTree(ports_of, pairs)`` makes, without its checks.
+
+    Only for :func:`_tree_from_encoding` and :func:`_tree_from_rooted`, which
+    number vertices ``0, 1, ..`` and ports in preorder, so ids are distinct
+    ints and ``pair`` maps each port of a pair to the other, in pair order.
+    """
+    t = HalfTree.__new__(HalfTree)
+    t._ports = {v: tuple(plist) for v, plist in ports_of.items()}
+    t._vertices = tuple(t._ports)
+    t._pair = pair
+    t._vertex_of = {p: v for v, plist in t._ports.items() for p in plist}
+    t._verdict = None
+    t._canonical = None
+    return t
+
+
 def _tree_from_encoding(code: str) -> HalfTree:
     """The presentation an encoding writes, numbered in preorder as :func:`_tree_from_rooted` does."""
     ports_of: dict[int, list[int]] = {0: []}
-    pairs: list[tuple[int, int]] = []
+    pair: dict[int, int] = {}
     stack = [ports_of[0]]
     next_port = 0
     for c in code:
@@ -543,12 +560,12 @@ def _tree_from_encoding(code: str) -> HalfTree:
         stack[-1].append(next_port)
         next_port += 1
         if c == "(":
-            pairs.append((next_port - 1, next_port))
+            pair[next_port - 1], pair[next_port] = next_port, next_port - 1
             child = [next_port]
             next_port += 1
             ports_of[len(ports_of)] = child
             stack.append(child)
-    t = HalfTree(ports_of, pairs)
+    t = _preorder_tree(ports_of, pair)
     t._verdict = _VALID  # the tree of a valid encoding
     return t
 
@@ -638,7 +655,7 @@ def _entry_seqs(budget: int, memo: dict[int, list[tuple]]) -> list[tuple]:
 def _tree_from_rooted(entries: tuple) -> HalfTree:
     """The presentation of one entry sequence: vertices and ports numbered in preorder."""
     ports_of: dict[int, list[int]] = {0: []}
-    pairs: list[tuple[int, int]] = []
+    pair: dict[int, int] = {}
     next_port = 0
     stack = [(iter(entries), ports_of[0])]
     while stack:
@@ -647,7 +664,7 @@ def _tree_from_rooted(entries: tuple) -> HalfTree:
             plist.append(next_port)
             next_port += 1
             if e is not None:
-                pairs.append((next_port - 1, next_port))
+                pair[next_port - 1], pair[next_port] = next_port, next_port - 1
                 child = [next_port]
                 next_port += 1
                 ports_of[len(ports_of)] = child
@@ -655,7 +672,7 @@ def _tree_from_rooted(entries: tuple) -> HalfTree:
                 break
         else:
             stack.pop()
-    t = HalfTree(ports_of, pairs)
+    t = _preorder_tree(ports_of, pair)
     t._verdict = _VALID if entries else None  # a tree, and no bare vertex once non-empty
     return t
 

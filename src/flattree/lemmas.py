@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .halftree import _find
 
@@ -548,40 +548,42 @@ def _all_trees(n: int) -> list[dict[int, list[int]]]:
     return level
 
 
-def neighbor_sets_homogeneous(
-    adj: dict[int, list[int]], coloring: Mapping[int, int] | Sequence[int]
-) -> bool:
-    """True when every color class among ``adj``'s vertices sees a single set of neighbor colors.
+def _closing_groups(adj: dict[int, list[int]], bfs: list[int]) -> list[tuple]:
+    """Per BFS position ``i``: the ``(vertex, neighbors)`` of each vertex closed by ``bfs[i]``.
 
-    ``coloring[v]`` is the color of vertex ``v``.  Only the vertices keyed
-    in ``adj`` are compared, so the adjacency of the vertices whose neighbors
-    are all colored tests a partial coloring.
-    """
-    color = coloring.__getitem__
-    seen: dict[int, frozenset[int]] = {}
-    for v, ws in adj.items():
-        s = frozenset(map(color, ws))
-        if seen.setdefault(color(v), s) != s:
-            return False
-    return True
-
-
-def _closed_neighborhoods(adj: dict[int, list[int]], bfs: list[int]) -> list[dict | None]:
-    """Per BFS position ``i``: the adjacency of the vertices closed by ``bfs[:i+1]``.
-
-    A vertex is closed once it and all its neighbors are colored.  The entry
-    is ``None`` where no vertex closes at ``i``; at the last position every
+    A vertex is closed once it and all its neighbors are colored, so it
+    closes at the last BFS position among them.  At the last position every
     vertex has closed.
     """
     pos = {v: i for i, v in enumerate(bfs)}
-    closing: list[list[int]] = [[] for _ in bfs]
+    closing: list[list] = [[] for _ in bfs]
     for v in bfs:
-        closing[max([pos[v]] + [pos[w] for w in adj[v]])].append(v)
-    closed: dict[int, list[int]] = {}
-    out: list[dict | None] = []
-    for group in closing:
-        closed.update((v, adj[v]) for v in group)
-        out.append(dict(closed) if group else None)
+        closing[max([pos[v]] + [pos[w] for w in adj[v]])].append((v, adj[v]))
+    return [tuple(group) for group in closing]
+
+
+def _closing_masks(masks: list[int], group: tuple, coloring: list[int]) -> list[int] | None:
+    """The color masks once the vertices of ``group`` close, or ``None`` when one breaks them.
+
+    ``masks[c]`` is 0 while no closed vertex has color ``c``, else the set of
+    neighbor colors every closed vertex of color ``c`` sees, as bits above a
+    presence bit, which tells a vertex that sees no color from no vertex.  A
+    closing vertex must see its color's set, or fixes it; a changed list is a
+    copy, so the caller keeps ``masks`` for the next color.
+    """
+    out = masks
+    for v, ws in group:
+        seen = 1
+        for w in ws:
+            seen |= 2 << coloring[w]
+        c = coloring[v]
+        have = out[c]
+        if have != seen:
+            if have:
+                return None
+            if out is masks:
+                out = list(masks)
+            out[c] = seen
     return out
 
 
@@ -593,9 +595,10 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
     restricted-growth in BFS order, from a depth-first walk with an explicit
     stack.  Every coloring is decided, at its leaf or by a prefix that already
     fails a necessary condition of the hypothesis: once two same-colored
-    vertices whose neighbors are all colored see different neighbor colors
-    (:func:`neighbor_sets_homogeneous` on the closed neighborhoods), the
-    prefix's exact number of completions goes into ``cases_checked``.
+    vertices whose neighbors are all colored see different neighbor colors,
+    the prefix's exact number of completions goes into ``cases_checked``.
+    The walk keeps one list of color masks per depth (:func:`_closing_masks`),
+    so a position checks only the vertices that close there.
     """
     completions = _completion_counts(max(max_vertices, 0), max_colors, 1)
     cases = 0
@@ -616,8 +619,10 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
                         side[w] = 1 - side[v]
                         bfs.append(w)
                         up.append(v)
-            closed = _closed_neighborhoods(adj, bfs)
+            closing = _closing_groups(adj, bfs)
             coloring = [0] * n  # coloring[v] for v in bfs[:idx+1]
+            # masks[idx]: the color masks of the vertices closed by bfs[:idx]
+            masks: list[list[int] | None] = [[0] * max_colors] + [None] * n
             used = [0] * n  # used[idx]: number of colors among bfs[:idx]
             nxt = [0] * n  # nxt[idx]: next color to try at bfs[idx]
             last = n - 1
@@ -626,22 +631,28 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
                 c = nxt[idx]
                 if idx and c == coloring[up[idx]]:
                     c += 1
-                if c >= min(used[idx] + 1, max_colors):
+                if c > used[idx] or c >= max_colors:
                     idx -= 1
                     continue
                 nxt[idx] = c + 1
                 coloring[bfs[idx]] = c
+                now = masks[idx]
+                if closing[idx]:
+                    now = _closing_masks(now, closing[idx], coloring)
                 if idx == last:
                     cases += 1
-                    if neighbor_sets_homogeneous(closed[last], coloring):
+                    if now is not None:
                         hypothesis_held += 1
                         if counterexample is None:
                             counterexample = _odd_pair_counterexample(adj, coloring, side)
                     continue
-                u = max(used[idx], c + 1)
-                if closed[idx] is not None and not neighbor_sets_homogeneous(closed[idx], coloring):
+                u = used[idx]
+                if c == u:
+                    u += 1
+                if now is None:
                     cases += completions[last - idx][u]
                     continue
+                masks[idx + 1] = now
                 idx += 1
                 used[idx] = u
                 nxt[idx] = 0
@@ -659,6 +670,11 @@ def _odd_pair_counterexample(
     adj: dict[int, list[int]], coloring: list[int], side: dict[int, int]
 ) -> dict | None:
     """The first same-colored pair ``v < w`` at odd distance, as a counterexample, or ``None``."""
+    colors = [0, 0]  # colors[s]: the colors on side s, as bits; none shared, no pair
+    for v in adj:
+        colors[side[v]] |= 1 << coloring[v]
+    if not colors[0] & colors[1]:
+        return None
     for v in adj:
         for w in adj:
             if v < w and coloring[v] == coloring[w] and side[v] != side[w]:

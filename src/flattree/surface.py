@@ -731,20 +731,43 @@ def _certify(lay: _Layout, heights: Mapping[int, Fraction]) -> CertifyResult:
         if not diag.ok:
             error = f"reglued component {comp} is not a half-tree: {diag.first}"
             return CertifyResult(False, (), involution, alignments, (error,))
-        try:
-            surfaces.append(
-                build(
-                    skeleton,
-                    {sid: Fraction(length[sid], D) for sid in comp_seams},
-                    {c: heights[c] for c in comp},
-                    {c: Fraction((drifts[c] - kappas[c]) % L[c], D) for c in comp},
-                    [Mark(sid, Fraction(u, D)) for sid, u in marks if sid in comp_seams],
-                )
-            )
-        except (MetricError, SkeletonError) as exc:
-            error = f"component {comp} fails to rebuild: {exc}"
+        comp_marks = sorted((sid, u) for sid, u in marks if sid in comp_seams)
+        failure = _unchecked_build_failure(comp_marks, involution, length, D)
+        if failure is not None:
+            error = f"component {comp} fails to rebuild: {failure}"
             return CertifyResult(False, (), involution, alignments, (error,))
+        # what ``build`` would return, in its dict orders; each twist is
+        # already below L[c], which the tiling made the sum of c's lengths
+        surfaces.append(
+            HyperellipticSurface(
+                skeleton,
+                {sid: Fraction(length[sid], D) for c in comp for sid in ports_of[c]},
+                {c: _exact(heights[c]) for c in comp},
+                {c: Fraction((drifts[c] - kappas[c]) % L[c], D) for c in comp},
+                tuple(Mark(sid, Fraction(u, D)) for sid, u in comp_marks),
+            )
+        )
     return CertifyResult(True, tuple(surfaces), involution, alignments, ())
+
+
+def _unchecked_build_failure(
+    marks: list[tuple[int, int]], involution: Mapping[int, int], length: Mapping[int, int], D: int
+) -> str | None:
+    """The text of :func:`build`'s first failing check that certification has not made.
+
+    ``marks`` are one reglued component's sorted ``(seam, offset)`` pairs.
+    :func:`_certify` made ``build``'s other checks, or implies them: an
+    alignment maps each seam onto one of its own length, which the involution
+    pairs it with.  Its mark check implies involution closure too, so no
+    layout is known to reach that check; it stays as ``build`` makes it.
+    """
+    present = set(marks)
+    if len(present) != len(marks):
+        return "duplicate marks"
+    for sid, u in marks:
+        if (involution[sid], length[sid] - u) not in present:
+            return f"marks not involution-closed: missing partner of ({sid}, {Fraction(u, D)})"
+    return None
 
 
 def _certified(s: HyperellipticSurface) -> CertifyResult:
@@ -832,9 +855,22 @@ def _json_label(x: object, where: str) -> int:
     raise MetricError(f"{where}: label {x!r} is not an integer")
 
 
+# the keys the shipped ``surface`` schema lists, at the top and in a mark
+_SURFACE_KEYS = ("vertices", "pairs", "lengths", "heights", "twists", "marks")
+_MARK_KEYS = ("port", "offset")
+
+
+def _unknown_key(data: dict, known: Sequence[str], where: str) -> None:
+    """Refuse the first key of ``data`` outside ``known``, so a misspelt one is not read as absent."""
+    for key in data:
+        if key not in known:
+            raise MetricError(f"{where} has an unknown key {key!r}")
+
+
 def surface_from_json(data: object) -> HyperellipticSurface:
     if not isinstance(data, dict):
         raise MetricError("surface JSON must be an object")
+    _unknown_key(data, _SURFACE_KEYS, "surface JSON")
     skeleton = halftree_from_json(data)
     for key in ("lengths", "heights", "twists"):
         if key not in data or not isinstance(data[key], dict):
@@ -848,6 +884,8 @@ def surface_from_json(data: object) -> HyperellipticSurface:
         raise MetricError("surface JSON 'marks' must be a list")
     marks = []
     for m in mark_entries:
+        if isinstance(m, dict):
+            _unknown_key(m, _MARK_KEYS, f"mark {m!r}")
         if not isinstance(m, dict) or "port" not in m or "offset" not in m:
             raise MetricError(f"mark {m!r} needs a 'port' and an 'offset'")
         marks.append(Mark(_json_label(m["port"], "marks"), fraction_from_string(m["offset"])))

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from flattree import collapse, lemmas
 from flattree.flow import FlowError, Trajectory, VerticalCylinder, vertical_decomposition
@@ -1379,6 +1379,24 @@ def verify_balls_lemma_reference(max_n: int = 10, max_m: int = 4) -> lemmas.Lemm
     )
 
 
+def neighbor_sets_homogeneous(
+    adj: dict[int, list[int]], coloring: Mapping[int, int] | Sequence[int]
+) -> bool:
+    """True when every color class among ``adj``'s vertices sees a single set of neighbor colors.
+
+    ``coloring[v]`` is the color of vertex ``v``.  Only the vertices keyed
+    in ``adj`` are compared, so the adjacency of the vertices whose neighbors
+    are all colored tests a partial coloring.
+    """
+    color = coloring.__getitem__
+    seen: dict[int, frozenset[int]] = {}
+    for v, ws in adj.items():
+        s = frozenset(map(color, ws))
+        if seen.setdefault(color(v), s) != s:
+            return False
+    return True
+
+
 def verify_colored_tree_lemma_reference(
     max_vertices: int = 8, max_colors: int = 4
 ) -> lemmas.LemmaReport:
@@ -1403,7 +1421,7 @@ def verify_colored_tree_lemma_reference(
                 nonlocal cases, hypothesis_held, counterexample
                 if idx == len(bfs):
                     cases += 1
-                    if not lemmas.neighbor_sets_homogeneous(adj, coloring):
+                    if not neighbor_sets_homogeneous(adj, coloring):
                         return
                     hypothesis_held += 1
                     for v in adj:

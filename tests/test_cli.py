@@ -222,6 +222,34 @@ class TestProfile:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "patch, line",
+        [
+            # misspelt, the marks were read as absent and the file passed as unmarked
+            (
+                {"mark": [{"port": 0, "offset": "1"}, {"port": 1, "offset": "1"}]},
+                "error: surface JSON has an unknown key 'mark'",
+            ),
+            ({"encoding": "(-)"}, "error: surface JSON has an unknown key 'encoding'"),
+            (
+                {"marks": [{"port": 0, "ofset": "1"}]},
+                "error: mark {'port': 0, 'ofset': '1'} has an unknown key 'ofset'",
+            ),
+            (
+                {"marks": [{"port": 0, "offset": "1", "note": 1}, {"port": 1, "offset": "1"}]},
+                "error: mark {'port': 0, 'offset': '1', 'note': 1} has an unknown key 'note'",
+            ),
+        ],
+        ids=["misspelt-marks", "extra-top-key", "misspelt-offset", "extra-mark-key"],
+    )
+    def test_unknown_keys_are_refused(self, tmp_path, capsys, patch, line):
+        src = write(tmp_path, "bad.json", {**PATH3_SURFACE, **patch})
+        rc = main(["profile", src])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == [line]
+        assert captured.out == ""
+
 
 class TestDeform:
     def test_shear_changes_one_twist(self, tmp_path):

@@ -293,25 +293,28 @@ class TestVerticalCollapse:
                     for x in (s, marked):
                         assert_matches_per_component_reference(x, sp, props)
 
-    def test_one_layout_and_one_build_per_component(self, monkeypatch, horned_path3):
-        layouts, builds = [], []
-        layout, build_ = flattree.surface._new_layout, flattree.surface.build
+    def test_one_layout_one_surface_per_component_and_no_build(self, monkeypatch, horned_path3):
+        # certification assembles each component from the integers it checked
+        layouts, surfaces, builds = [], [], []
+        layout, init = flattree.surface._new_layout, HyperellipticSurface.__init__
 
         def counted_layout(*args):
             layouts.append(args)
             return layout(*args)
 
-        def counted_build(*args):
-            builds.append(args)
-            return build_(*args)
+        def counted_init(self, *args, **kwargs):
+            surfaces.append(args)
+            init(self, *args, **kwargs)
 
         monkeypatch.setattr(flattree.surface, "_new_layout", counted_layout)
-        monkeypatch.setattr(flattree.surface, "build", counted_build)
+        monkeypatch.setattr(HyperellipticSurface, "__init__", counted_init)
+        monkeypatch.setattr(flattree.surface, "build", lambda *args: builds.append(args))
         sp, props = full_edge_class_containing(horned_path3, 1)
         res = vertical_collapse(horned_path3, sp, props)
         assert len(res.surfaces.components) == 2
         assert len(layouts) == 1
-        assert len(builds) == 2
+        assert len(surfaces) == 2
+        assert builds == []
 
     def test_warm_layout_means_no_new_layout_and_no_forest_surface(self, monkeypatch, horned_path3):
         # the forest is a layout scaled from the kept one; only components are surfaces

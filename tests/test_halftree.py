@@ -497,6 +497,26 @@ class TestKeptCanonicalForm:
         assert t._verdict is None
         assert not validate(t).ok
 
+    def test_unchecked_builders_make_what_the_constructor_makes(self):
+        # every rooted presentation up to 10 ports, and the tree its preorder
+        # encoding writes: each stored table, in order, as HalfTree() stores it
+        def tables(t):
+            return [list(t._vertices), list(t._ports.items()), list(t._pair.items()), list(t._vertex_of.items())]
+
+        def encoding(entries):
+            return "".join("-" if e is None else "(" + encoding(e) + ")" for e in entries)
+
+        memo: dict = {}
+        for n in range(1, 11):
+            for entries in halftree._entry_seqs(n, memo):
+                for t in (halftree._tree_from_rooted(entries), halftree._tree_from_encoding(encoding(entries))):
+                    assert type(t) is HalfTree and t._canonical is None
+                    checked = HalfTree(
+                        {v: list(ps) for v, ps in t._ports.items()},
+                        [(p, q) for p, q in t._pair.items() if p < q],
+                    )
+                    assert tables(t) == tables(checked), entries
+
 
 class TestEnumeration:
     # n = 3 and n = 4 are the cylinder-diagram counts for genus two; the rest

@@ -29,8 +29,8 @@ from flattree.lemmas import (
     _rotated,
     _spaced_colorings,
     _tree_code,
-    neighbor_sets_homogeneous,
 )
+from oracles import neighbor_sets_homogeneous
 from oracles import restricted_growth_strings as _restricted_growth_strings
 
 
@@ -216,7 +216,7 @@ class TestColoredTreeLemma:
         assert rep.details["trees"] == 1 + 1 + 1 + 2 + 3 + 6
 
     def test_odd_distance_check_fires_without_the_hypothesis(self, monkeypatch):
-        monkeypatch.setattr("flattree.lemmas.neighbor_sets_homogeneous", lambda adj, c: True)
+        monkeypatch.setattr("flattree.lemmas._closing_masks", lambda masks, group, c: masks)
         rep = verify_colored_tree_lemma(4, 3)
         assert not rep.holds
         ce = rep.counterexample
@@ -482,18 +482,21 @@ class TestPrefixPruning:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tree_prefixes_cut_only_failing_colorings(self, n, monkeypatch):
-        # each cut is a False from the homogeneity test on the closed
-        # neighborhoods of a prefix; every full coloring that agrees with the
-        # prefix there must fail the hypothesis
-        original = lemmas.neighbor_sets_homogeneous
+        # each cut is a None from the closure check before the last BFS
+        # position; every full coloring that agrees with the prefix on the
+        # vertices closed there and their neighbors must fail the hypothesis
+        original = lemmas._closing_masks
         total = 0
         for adj in _all_trees(n):
             cuts = []
+            pos = {v: i for i, v in enumerate(_bfs(adj))}
 
-            def recording(sub, coloring, adj=adj, cuts=cuts):
-                verdict = original(sub, coloring)
-                if not verdict and len(sub) < len(adj):
-                    seen = {w for v in sub for w in (v, *sub[v])}
+            def recording(masks, group, coloring, adj=adj, cuts=cuts, pos=pos):
+                verdict = original(masks, group, coloring)
+                at = max(pos[w] for v, ws in group for w in (v, *ws))
+                if verdict is None and at < len(adj) - 1:
+                    closed = [v for v in adj if all(pos[w] <= at for w in (v, *adj[v]))]
+                    seen = {w for v in closed for w in (v, *adj[v])}
                     cuts.append({v: coloring[v] for v in seen})
                 return verdict
 
@@ -501,9 +504,9 @@ class TestPrefixPruning:
                 return [adj] if k == len(adj) else []
 
             monkeypatch.setattr(lemmas, "_all_trees", only_this_tree)
-            monkeypatch.setattr(lemmas, "neighbor_sets_homogeneous", recording)
+            monkeypatch.setattr(lemmas, "_closing_masks", recording)
             got = lemmas.verify_colored_tree_lemma(n, 4)
-            monkeypatch.setattr(lemmas, "neighbor_sets_homogeneous", original)
+            monkeypatch.setattr(lemmas, "_closing_masks", original)
             ref = oracles.verify_colored_tree_lemma_reference(n, 4)
             assert got.to_json() == ref.to_json()
             colorings = list(_bfs_colorings(adj, _bfs(adj), 4))
@@ -511,8 +514,36 @@ class TestPrefixPruning:
             for cut in cuts:
                 below = [c for c in colorings if all(c[v] == x for v, x in cut.items())]
                 assert below
-                assert not any(original(adj, c) for c in below), cut
+                assert not any(neighbor_sets_homogeneous(adj, c) for c in below), cut
         assert n < 5 or total
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closing_masks_agree_with_the_reference_predicate(self, n):
+        # on every prefix of every BFS coloring, the masks carried through the
+        # closing groups survive exactly when the closed vertices are homogeneous
+        for adj in _all_trees(n):
+            bfs = _bfs(adj)
+            groups = lemmas._closing_groups(adj, bfs)
+            for full in _bfs_colorings(adj, bfs, 4):
+                coloring = [full[v] for v in range(n)]
+                masks = [0] * 4
+                for i, group in enumerate(groups):
+                    if masks is not None and group:
+                        before, kept = masks, list(masks)
+                        masks = lemmas._closing_masks(before, group, coloring)
+                        assert before == kept  # the walk reuses it for the next color
+                    closed = {v: adj[v] for g in groups[: i + 1] for v, _ in g}
+                    want = neighbor_sets_homogeneous(closed, coloring)
+                    assert (masks is not None) == want, (adj, full, i)
+
+    def test_closing_masks_tell_a_vertex_seeing_nothing_from_no_vertex(self):
+        # in a tree only a lone vertex sees no color; the presence bit keeps
+        # the check right for it in any graph
+        closed = {0: [], 1: [2]}
+        for coloring in ([0, 0, 1], [0, 1, 0]):
+            got = lemmas._closing_masks([0, 0], tuple(closed.items()), coloring)
+            assert (got is not None) == neighbor_sets_homogeneous(closed, coloring)
+        assert lemmas._closing_masks([0, 0], ((0, []),), [1]) == [0, 1]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_interval_walk_verdicts(self, n, monkeypatch):

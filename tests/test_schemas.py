@@ -27,6 +27,7 @@ from flattree import (
     vertical_collapse,
     vertical_collapse_report,
 )
+from flattree import surface
 from flattree.cli import main
 
 PATH3_SURFACE = {
@@ -69,6 +70,12 @@ class TestShippedSchemas:
         folder = resources.files("flattree").joinpath("schemas")
         stems = [f.name.removesuffix(".json") for f in folder.iterdir() if f.name.endswith(".json")]
         assert sorted(stems) == sorted(SCHEMA_NAMES)
+
+    def test_surface_reader_knows_the_schema_keys(self):
+        # surface_from_json refuses every other key, so the two lists must agree
+        schema = load_schema("surface")
+        assert list(surface._SURFACE_KEYS) == list(schema["properties"])
+        assert list(surface._MARK_KEYS) == list(schema["properties"]["marks"]["items"]["properties"])
 
 
 class TestLibraryArtifacts:

@@ -305,6 +305,8 @@ _KERNEL_NAMES = {
     "_seam_marks",
     "_certify",
     "_certified",
+    # the mark checks of ``build`` that certification keeps
+    "_unchecked_build_failure",
     "_corner_walk",
     "_corners",
     "_classes",
@@ -313,6 +315,8 @@ _KERNEL_NAMES = {
     "_lay",
     "_cert",
     "_walk",
+    # the closure check of the colored-tree walk
+    "_closing_masks",
     # the string token maker and the flag search of canonical_form
     "_tokens",
     "_least_token_flags",

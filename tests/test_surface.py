@@ -817,6 +817,59 @@ class TestGluedCertification:
         assert res.components == (sa, sb)
 
 
+class TestRebuildChecks:
+    """The checks of ``build`` that certification keeps on each reglued component."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_duplicate_marks_fail_as_the_oracle_does(self, n):
+        # a repeated mark leaves every mark set equal, so only the rebuild sees it
+        for t in enumerate_halftrees(n):
+            s = random_metric(t, seed=n)
+            p = t.all_ports[-1]
+            s = with_marks(s, involution_orbit(s, Mark(p, s.lengths[p] / 3)))
+            gs = oracles.seam_table_fraction(s)
+            for twice in (gs.marks[:1], gs.marks):
+                doubled = replace(gs, marks=gs.marks + twice)
+                cert = seam_tables.certify_table(doubled)
+                assert cert.failures == (f"component {list(t.vertices)} fails to rebuild: duplicate marks",)
+                assert repr(cert) == repr(oracles.certify_glued_fraction(doubled))
+                raw = replace(s, marks=tuple(sorted(s.marks + tuple(Mark(q, u) for q, u in twice))))
+                assert repr(surface._certify(surface._layout(raw), raw.heights)) == repr(cert)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_marks_missing_their_partner_fail_as_the_oracle_does(self, n):
+        # the alignments' mark check refuses a lone mark before the rebuild,
+        # so the closure check stays unreached; its text is that of ``build``
+        for t in enumerate_halftrees(n):
+            s = random_metric(t, seed=n)
+            for p in t.all_ports:
+                mark = Mark(p, s.lengths[p] / 3)
+                gs = replace(oracles.seam_table_fraction(s), marks=((p, mark.offset),))
+                cert = seam_tables.certify_table(gs)
+                assert not cert.ok and "fails to rebuild" not in cert.failures[0]
+                assert repr(cert) == repr(oracles.certify_glued_fraction(gs))
+                # on scale 3D, the third of a length is an integer
+                lay, involution = surface._layout(s), surface._certified(s).seam_involution
+                D = 3 * lay.scale
+                length = {sid: 3 * x for sid, x in lay.length.items()}
+                marks = [(p, surface._on(mark.offset, D))]
+                failure = surface._unchecked_build_failure(marks, involution, length, D)
+                with pytest.raises(MetricError) as exc:
+                    build(t, s.lengths, s.heights, s.twists, [mark])
+                assert failure == str(exc.value)
+
+    def test_unequal_paired_lengths_never_reach_the_rebuild(self):
+        # an alignment maps each bottom seam onto a top seam of its length, and
+        # the involution pairs exactly these, so ``build``'s paired-length check
+        # has nothing left to refuse
+        for raw in (*inconsistent_raw_surfaces(5), raw_path3(lengths=(2, 3, 3, 3))):
+            cert = certify_lowered(raw)
+            assert not any("fails to rebuild" in f for f in cert.failures)
+            assert repr(cert) == repr(oracles.certify_glued_fraction(oracles.seam_table_fraction(raw)))
+            for part in cert.components:
+                assert all(part.lengths[p] == part.lengths[q] for p, q in part.skeleton.edges())
+
+
 class TestExtractSkeleton:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_recovers_input_tree(self, n):
