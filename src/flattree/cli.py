@@ -629,6 +629,15 @@ def _pipeline_collapse(surface, step: dict):
     raise DeformError(f"collapse kind must be horizontal or vertical, got {kind!r}")
 
 
+# the keys each pipeline op may carry besides "op"
+_STEP_KEYS = {
+    "build": {"surface", "skeleton", "seed"},
+    **{op: {members, amount} - {None} for op, (_, members, amount) in _MOVES.items()},
+    "collapse": {"kind", "delete", "classes", "proportions"},
+    "quotient": {"cylinder_classes", "saddle_classes"},
+}
+
+
 class _Step(dict):
     """A pipeline step; looking up a key it lacks is a domain error that names the key."""
 
@@ -640,6 +649,10 @@ def _run_step(surface, step: dict):
     """Apply one pipeline step; returns (next surface, artifact dict)."""
     step = _Step(step)
     op = step.get("op")
+    if op in _STEP_KEYS:
+        unknown = [key for key in step if key != "op" and key not in _STEP_KEYS[op]]
+        if unknown:
+            raise DeformError(f"unknown key {unknown[0]!r}")
     if op == "build":
         if "surface" in step:
             out = surface_from_json(step["surface"])

@@ -13,18 +13,24 @@ surface of genus ``g`` with ``(n+1)//2 + 1`` or ``n//2 + 1`` singular points
 collapsed into one or two zeros according to the parity of ``n``; see
 :func:`stratum_of`.
 
-A half-tree is immutable, so :func:`validate` keeps its verdict on it and
-:func:`canonical_form` its form; the kept form is shared by every caller and
-must not be mutated.  :func:`canonical_form` gives each port a token for the
-planted subtree behind it, built bottom-up, and walks the tree only from the
-flags whose tokens read least.  Its one fork is the token: the subtree's
-encoding as a string up to ``_STRING_PORTS`` ports (that text grows as edges x
-ports), else an integer label ranking the subtree's class, in memory linear in
-the ports for bounded degree; the ranking inserts each class into one sorted
-list, so its time is quadratic in the class count in the worst case.  No
-function here recurses, so paths of 10**4 cylinders need no raised recursion
-limit; the entry grammar that :func:`enumerate_halftrees` walks,
-``_entry_seqs``, is filled bottom-up.
+A half-tree is immutable, so what is derived from it alone is worked out the
+first time it is asked for and kept on it: the verdict of :func:`validate`,
+the form of :func:`canonical_form`, the stratum of :func:`stratum_of`, and the
+``all_ports``, ``edges()``, ``half_edge_ports()`` and ``edge_objects()``
+tuples.  Kept values are shared by every caller and must not be mutated.
+
+:func:`canonical_form` gives each port a token for the planted subtree behind
+it, built bottom-up.  Its one fork is the token: the subtree's encoding as a
+string up to ``_STRING_PORTS`` ports (that text grows as edges x ports), else
+an integer label ranking the subtree's class, in memory linear in the ports
+for bounded degree; the ranking inserts each class into one sorted list, so
+its time is quadratic in the class count in the worst case.  The encoding and
+the automorphism count are computed eagerly: on the string path the encoding
+is the least token list joined, on the label path one walk from the first
+least flag.  The relabeled tree and the labelings, one walk per least flag,
+are built on first read.  No function here recurses, so paths of 10**4
+cylinders need no raised recursion limit; the entry grammar that
+:func:`enumerate_halftrees` walks, ``_entry_seqs``, is filled bottom-up.
 """
 
 from __future__ import annotations
@@ -56,7 +62,9 @@ class HalfTree:
     in :func:`validate` so that diagnostics can name them.
     """
 
-    __slots__ = ("_vertices", "_ports", "_pair", "_vertex_of", "_verdict", "_canonical")
+    # the slots from ``_verdict`` on keep values the first time they are asked for
+    __slots__ = ("_vertices", "_ports", "_pair", "_vertex_of", "_verdict", "_canonical", "_stratum")
+    __slots__ += ("_all_ports", "_edges", "_half_edges", "_edge_objects")
 
     def __init__(self, ports_of: Mapping[int, Sequence[int]], pairs: Iterable[Sequence[int]] = ()):
         ports: dict[int, tuple[int, ...]] = {}
@@ -91,8 +99,7 @@ class HalfTree:
         self._ports = {v: ports[v] for v in self._vertices}
         self._pair = pair
         self._vertex_of = vertex_of
-        self._verdict: SkeletonDiagnostics | None = None
-        self._canonical: CanonicalForm | None = None
+        _unkept(self)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -106,7 +113,10 @@ class HalfTree:
 
     @property
     def all_ports(self) -> tuple[int, ...]:
-        return tuple(p for v in self._vertices for p in self._ports[v])
+        kept = self._all_ports
+        if kept is None:
+            kept = self._all_ports = tuple(p for v in self._vertices for p in self._ports[v])
+        return kept
 
     def ports(self, v: int) -> tuple[int, ...]:
         try:
@@ -131,10 +141,16 @@ class HalfTree:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Full edges as sorted port pairs, in sorted order."""
-        return tuple(sorted((p, q) for p, q in self._pair.items() if p < q))
+        kept = self._edges
+        if kept is None:
+            kept = self._edges = tuple(sorted((p, q) for p, q in self._pair.items() if p < q))
+        return kept
 
     def half_edge_ports(self) -> tuple[int, ...]:
-        return tuple(sorted(p for p in self._vertex_of if p not in self._pair))
+        kept = self._half_edges
+        if kept is None:
+            kept = self._half_edges = tuple(sorted(p for p in self._vertex_of if p not in self._pair))
+        return kept
 
     def edge_objects(self) -> tuple[tuple[int, ...], ...]:
         """All saddle objects: ``(p, q)`` for full edges, ``(p,)`` for half-edges.
@@ -142,9 +158,12 @@ class HalfTree:
         The first entry of each tuple is the object's key, used wherever JSON
         needs to reference a saddle.
         """
-        objs = [(p, q) for p, q in self.edges()]
-        objs.extend((p,) for p in self.half_edge_ports())
-        return tuple(sorted(objs))
+        kept = self._edge_objects
+        if kept is None:
+            objs: list[tuple[int, ...]] = [*self.edges()]
+            objs.extend((p,) for p in self.half_edge_ports())
+            kept = self._edge_objects = tuple(sorted(objs))
+        return kept
 
     def edge_object_of(self, p: int) -> tuple[int, ...]:
         q = self.partner(p)
@@ -180,12 +199,18 @@ class HalfTree:
         return hash((tuple(self._ports.items()), tuple(sorted(self._pair.items()))))
 
     def __reduce__(self):
-        """Pickles and copies carry the ports and the pairs, not the kept verdict or form."""
+        """Pickles and copies carry the ports and the pairs, none of the kept values."""
         return HalfTree, (self._ports, self.edges())
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{v}:{list(ps)}" for v, ps in self._ports.items())
         return f"HalfTree({parts}; pairs={list(self.edges())})"
+
+
+def _unkept(t: HalfTree) -> None:
+    """Start every kept value of a new tree empty."""
+    t._verdict = t._canonical = t._stratum = None
+    t._all_ports = t._edges = t._half_edges = t._edge_objects = None
 
 
 @dataclass(frozen=True)
@@ -268,8 +293,12 @@ def stratum_of(t: HalfTree) -> Stratum:
 
     An odd port count ``n`` gives genus ``(n+1)/2`` and a single zero of order
     ``2g-2``; an even count gives genus ``n/2`` and two zeros of order ``g-1``.
-    Order-0 entries are regular marked points (the torus cases).
+    Order-0 entries are regular marked points (the torus cases).  The stratum
+    is worked out once and kept on the tree.
     """
+    kept = t._stratum
+    if kept is not None:
+        return kept
     diag = validate(t)
     if not diag.ok:
         raise SkeletonError(f"invalid skeleton: {diag.first}")
@@ -282,7 +311,8 @@ def stratum_of(t: HalfTree) -> Stratum:
         orders = (g - 1, g - 1)
     inner = ",".join(str(k) for k in orders)
     label = f"H({inner})" if g == 1 else f"H^hyp({inner})"
-    return Stratum(genus=g, zero_count=len(orders), orders=orders, label=label, port_count=n)
+    t._stratum = Stratum(genus=g, zero_count=len(orders), orders=orders, label=label, port_count=n)
+    return t._stratum
 
 
 # -- canonical form --------------------------------------------------------
@@ -304,10 +334,30 @@ class CanonicalLabeling:
 
 @dataclass(frozen=True)
 class CanonicalForm:
+    """A half-tree's least encoding, its automorphism count, the presentation
+    the encoding writes and one labeling per minimizing flag.
+
+    :func:`canonical_form` sets the encoding and the count only; ``relabeled``
+    and ``labelings`` are built on first read and then kept.  Until then the
+    form holds the tree's port tables and its minimizing flags, never the tree
+    itself, so a tree and its kept form make no reference cycle.
+    """
+
     encoding: str
     automorphisms: int
     relabeled: HalfTree
     labelings: tuple[CanonicalLabeling, ...]
+
+    def __getattr__(self, name: str):
+        # reached only for a field that canonical_form left to be built
+        if name == "relabeled":
+            value = _tree_from_encoding(self.encoding)
+        elif name == "labelings":
+            value = _labelings(*vars(self).pop("_flags"))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
 
 # Order labels of planted-subtree classes lie in [0, 2**_LABEL_BITS).  In a
@@ -363,8 +413,8 @@ def _tokens(t: HalfTree, index: dict[int, int]) -> dict[int, str]:
     return token
 
 
-def _least_token_flags(t: HalfTree, token: Mapping[int, object]) -> list[tuple[int, int]]:
-    """Every flag ``(vertex, index)`` whose encoding is least, in that order.
+def _least_token_flags(t: HalfTree, token: Mapping[int, object]) -> tuple[list, list[tuple[int, int]]]:
+    """The least token list, and every flag ``(vertex, index)`` that reads it, in that order.
 
     The encoding from a flag is its vertex's tokens read from that index on.
     The tokens form a prefix code, so token lists compare as their joined
@@ -386,7 +436,7 @@ def _least_token_flags(t: HalfTree, token: Mapping[int, object]) -> list[tuple[i
                 best, winners = rot, []
             if rot == best:
                 winners.append((v, i))
-    return winners
+    return best, winners
 
 
 def _planted_classes(t: HalfTree, index: dict[int, int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
@@ -493,14 +543,17 @@ def _least_rotation(seq: list[int]) -> int:
     return k
 
 
-def _walk(t: HalfTree, index: dict[int, int], root: int, start: int) -> tuple[list[str], list[int], list[int], dict[int, int]]:
+def _walk(
+    tables: tuple[dict, dict, dict], index: dict[int, int], root: int, start: int
+) -> tuple[list[str], list[int], list[int], dict[int, int]]:
     """Planar depth-first walk from one flag, with an explicit stack.
 
-    Returns the tokens (``-`` for a half-edge, ``( ... )`` around the subtree
-    behind a full edge), the vertex preorder, the port order (incoming port
-    first at each non-root vertex) and the rotation applied to each port list.
+    ``tables`` are a tree's ports, pairs and port vertices.  Returns the
+    tokens (``-`` for a half-edge, ``( ... )`` around the subtree behind a full
+    edge), the vertex preorder, the port order (incoming port first at each
+    non-root vertex) and the rotation applied to each port list.
     """
-    ports, pair, vertex_of = t._ports, t._pair, t._vertex_of
+    ports, pair, vertex_of = tables
     tokens: list[str] = []
     vorder = [root]
     porder: list[int] = []
@@ -530,6 +583,27 @@ def _walk(t: HalfTree, index: dict[int, int], root: int, start: int) -> tuple[li
     return tokens, vorder, porder, rotation
 
 
+def _port_index(ports: Mapping[int, tuple[int, ...]]) -> dict[int, int]:
+    """The index of every port in its vertex's list."""
+    return {p: i for plist in ports.values() for i, p in enumerate(plist)}
+
+
+def _labelings(tables: tuple[dict, dict, dict], flags: list[tuple[int, int]]) -> tuple[CanonicalLabeling, ...]:
+    """One labeling per minimizing flag, each from one walk."""
+    index = _port_index(tables[0])
+    labelings = []
+    for v, i in flags:
+        _, vorder, porder, rotation = _walk(tables, index, v, i)
+        labelings.append(
+            CanonicalLabeling(
+                vertex_map={ov: nv for nv, ov in enumerate(vorder)},
+                port_map={op: np for np, op in enumerate(porder)},
+                rotation=rotation,
+            )
+        )
+    return tuple(labelings)
+
+
 def _preorder_tree(ports_of: dict[int, list[int]], pair: dict[int, int]) -> HalfTree:
     """The half-tree that ``HalfTree(ports_of, pairs)`` makes, without its checks.
 
@@ -542,8 +616,7 @@ def _preorder_tree(ports_of: dict[int, list[int]], pair: dict[int, int]) -> Half
     t._vertices = tuple(t._ports)
     t._pair = pair
     t._vertex_of = {p: v for v, plist in t._ports.items() for p in plist}
-    t._verdict = None
-    t._canonical = None
+    _unkept(t)
     return t
 
 
@@ -583,20 +656,23 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
     No walk is made per flag.  Each port gets a token for the planted subtree
     behind it, built bottom-up (Aho, Hopcroft and Ullman 1974); the token lists
     of each vertex's rotations that begin with the least token are compared,
-    which the prefix code orders as their encodings, and only the minimizing
-    flags are walked.  The one fork is the token: up to ``_STRING_PORTS`` ports
-    it is the subtree's encoding as a string.  That text grows as edges x ports,
-    so a larger tree labels the subtree classes by integers in the order of
-    their encodings (``)`` sorts between ``(`` and ``-``).  Its memory is
-    linear in the ports for bounded degree, but its time is quadratic in the
-    class count in the worst case (each class is inserted into one sorted
-    list).  A vertex of degree d costs O(d^2) in the search and the ranking.
-    The encoding is read off the first walk and the relabeled tree off the
-    encoding; each automorphism costs one O(n) walk, and nothing recurses.
+    which the prefix code orders as their encodings.  The one fork is the
+    token: up to ``_STRING_PORTS`` ports it is the subtree's encoding as a
+    string, and the encoding is the least token list joined, with no walk.
+    That text grows as edges x ports, so a larger tree labels the subtree
+    classes by integers in the order of their encodings (``)`` sorts between
+    ``(`` and ``-``) and reads the encoding off one walk from the first
+    minimizing flag.  Its memory is linear in the ports for bounded degree,
+    but its time is quadratic in the class count in the worst case (each class
+    is inserted into one sorted list).  A vertex of degree d costs O(d^2) in
+    the search and the ranking.  Nothing recurses.
 
-    The form is worked out once and kept on the tree (a failure is never
-    kept), so every later call returns the same object: callers share it and
-    must not mutate its labelings' dicts.
+    The encoding and ``automorphisms`` are worked out here.  ``relabeled`` is
+    built from the encoding on first read, and ``labelings`` by one O(n) walk
+    per minimizing flag on first read; both are then kept.  The form is
+    worked out once and kept on the tree (a failure is never kept), so every
+    later call returns the same object: callers share it and must not mutate
+    its labelings' dicts.
     """
     if t._canonical is not None:
         return t._canonical
@@ -604,29 +680,19 @@ def canonical_form(t: HalfTree) -> CanonicalForm:
     if not diag.ok:
         raise SkeletonError(f"cannot canonicalize an invalid skeleton: {diag.first}")
     # validate() rules out an empty skeleton and bare vertices, so there is a flag
-    index = {p: i for plist in t._ports.values() for i, p in enumerate(plist)}
+    tables = (t._ports, t._pair, t._vertex_of)
+    index = _port_index(t._ports)
     if t.n_ports <= _STRING_PORTS:
-        token: Mapping[int, object] = _tokens(t, index)
+        least, flags = _least_token_flags(t, _tokens(t, index))
+        encoding = "".join(least)
     else:
         cls, kids = _planted_classes(t, index)
         label = _order_labels(kids)
-        token = {p: label[c] for p, c in cls.items()}
-    walks = [_walk(t, index, v, i) for v, i in _least_token_flags(t, token)]
-    encoding = "".join(walks[0][0])
-    t._canonical = CanonicalForm(
-        encoding=encoding,
-        automorphisms=len(walks),
-        relabeled=_tree_from_encoding(encoding),
-        labelings=tuple(
-            CanonicalLabeling(
-                vertex_map={ov: nv for nv, ov in enumerate(vorder)},
-                port_map={op: np for np, op in enumerate(porder)},
-                rotation=rotation,
-            )
-            for _, vorder, porder, rotation in walks
-        ),
-    )
-    return t._canonical
+        _, flags = _least_token_flags(t, {p: label[c] for p, c in cls.items()})
+        encoding = "".join(_walk(tables, index, *flags[0])[0])
+    form = t._canonical = object.__new__(CanonicalForm)
+    vars(form).update(encoding=encoding, automorphisms=len(flags), _flags=(tables, flags))
+    return form
 
 
 # -- enumeration -----------------------------------------------------------

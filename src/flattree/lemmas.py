@@ -527,24 +527,32 @@ def _tree_code(adj: dict[int, list[int]]) -> str:
     return min(codes)
 
 
-def _all_trees(n: int) -> list[dict[int, list[int]]]:
-    """Unlabeled trees on ``n`` vertices as adjacency dicts, one per class.
+def _tree_levels(n: int) -> Iterator[list[dict[int, list[int]]]]:
+    """Unlabeled trees on ``1, 2, .., n`` vertices, one level per count, one tree per class.
 
     Removing a leaf from a tree on ``k + 1`` vertices leaves a tree on ``k``,
     so attaching a leaf at every vertex of every class on ``k`` vertices and
     keeping one tree per :func:`_tree_code` gives every class on ``k + 1``.
-    Vertices are ``0..n-1`` with sorted neighbor lists.
+    Each level is grown once, from the one before.  Trees are adjacency
+    dicts on vertices ``0..k-1`` with sorted neighbor lists.
     """
     level = [{0: []}]
-    for k in range(1, n):
-        classes: dict[str, dict[int, list[int]]] = {}
-        for adj in level:
-            for v in range(k):
-                grown = {u: list(ws) for u, ws in adj.items()}
-                grown[v].append(k)
-                grown[k] = [v]
-                classes.setdefault(_tree_code(grown), grown)
-        level = [classes[code] for code in sorted(classes)]
+    for k in range(n):
+        if k:  # attach vertex k
+            classes: dict[str, dict[int, list[int]]] = {}
+            for adj in level:
+                for v in range(k):
+                    grown = {u: list(ws) for u, ws in adj.items()}
+                    grown[v].append(k)
+                    grown[k] = [v]
+                    classes.setdefault(_tree_code(grown), grown)
+            level = [classes[code] for code in sorted(classes)]
+        yield level
+
+
+def _all_trees(n: int) -> list[dict[int, list[int]]]:
+    """Unlabeled trees on ``n >= 1`` vertices, the last of :func:`_tree_levels`."""
+    *_, level = _tree_levels(n)
     return level
 
 
@@ -605,8 +613,9 @@ def verify_colored_tree_lemma(max_vertices: int = 8, max_colors: int = 4) -> Lem
     hypothesis_held = 0
     trees_seen = 0
     counterexample = None
-    for n in range(1, max_vertices + 1):
-        for adj in _all_trees(n):
+    for level in _tree_levels(max_vertices):
+        for adj in level:
+            n = len(adj)
             trees_seen += 1
             # BFS order gives each non-root exactly one earlier neighbor, its
             # parent; two vertices sit at odd distance exactly when their sides differ

@@ -609,6 +609,31 @@ class TestPipeline:
         assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize(
+        "step, key",
+        [
+            ({"op": "shear", "cylinders": [1], "amount": "1", "factor": "2"}, "factor"),
+            ({"op": "dilate", "cylinders": [0], "amount": "2"}, "amount"),
+            ({"op": "dilate-saddle", "cylinders": [0], "factor": "2"}, "cylinders"),
+            ({"op": "relative", "amount": "1/3", "cylinders": [0]}, "cylinders"),
+            ({"op": "collapse", "kind": "horizontal", "delete": [1], "seed": 0}, "seed"),
+            ({"op": "quotient", **PATH3_PARTITIONS, "classes": [[0]]}, "classes"),
+        ],
+    )
+    def test_step_with_an_unknown_key_names_it(self, tmp_path, capsys, step, key):
+        src = write(tmp_path, "script.json", {"steps": [{"op": "build", "surface": PATH3_SURFACE}, step]})
+        rc = main(["pipeline", src, "--outdir", str(tmp_path / "a")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"step 1 ({step['op']}): unknown key {key!r}\n"
+        assert sorted(os.listdir(tmp_path / "a")) == ["step_00_build.json"]
+
+    def test_build_step_refuses_a_misspelt_seed(self, tmp_path, capsys):
+        steps = [{"op": "build", "skeleton": self.PATH3_STUBBED["skeleton"], "sed": 5}]
+        rc = main(["pipeline", write(tmp_path, "script.json", {"steps": steps}), "--outdir", str(tmp_path / "a")])
+        assert rc == 1
+        assert capsys.readouterr().err == "step 0 (build): unknown key 'sed'\n"
+        assert not os.listdir(tmp_path / "a")
+
+    @pytest.mark.parametrize(
         "classes, message", [([[0], [], [2]], "empty saddle class"), ([[0], [0, 2]], "saddle classes overlap")]
     )
     def test_vertical_step_refuses_saddle_classes_that_are_no_partition(self, tmp_path, capsys, classes, message):

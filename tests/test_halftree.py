@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 from flattree import (
+    CanonicalForm,
     HalfTree,
     SkeletonError,
     bipartition,
@@ -232,6 +234,23 @@ def stubbed_path(n: int) -> HalfTree:
         if v:
             pairs.append((3 * v - 2, 3 * v + 2))
     return HalfTree(ports_of, pairs)
+
+
+# the values a tree keeps the first time they are asked for
+KEPT_SLOTS = ("_verdict", "_canonical", "_stratum", "_all_ports", "_edges", "_half_edges", "_edge_objects")
+
+
+def reachable(obj: object) -> list:
+    """Every container reachable from ``obj`` through forms, labelings, trees, tuples, lists and dicts."""
+    kinds = (CanonicalForm, halftree.CanonicalLabeling, HalfTree, tuple, list, dict)
+    seen, todo = {id(obj): obj}, [obj]
+    for x in todo:
+        if isinstance(x, kinds):
+            for y in gc.get_referents(x):
+                if id(y) not in seen and isinstance(y, kinds):
+                    seen[id(y)] = y
+                    todo.append(y)
+    return list(seen.values())
 
 
 def agrees_with_reference(t: HalfTree) -> bool:
@@ -464,13 +483,105 @@ class TestKeptCanonicalForm:
         t = stubbed_path(6)
         before = (pickle.dumps(t), copy.copy(t), copy.deepcopy(t))
         assert validate(t).ok and canonical_form(t)
-        assert t._verdict is not None and t._canonical is not None
+        assert stratum_of(t) and t.all_ports and t.edges() and t.half_edge_ports() and t.edge_objects()
+        assert all(getattr(t, slot) is not None for slot in KEPT_SLOTS)
         after = (pickle.dumps(t), copy.copy(t), copy.deepcopy(t))
         assert after[0] == before[0]
         for other in (*before[1:], *after[1:], pickle.loads(after[0])):
             assert other == t and other is not t
-            assert other._verdict is None and other._canonical is None
+            assert all(getattr(other, slot) is None for slot in KEPT_SLOTS)
             assert pickle.dumps(other) == before[0]
+
+    def test_tables_are_kept_and_equal_fresh_ones(self):
+        for t in (stubbed_path(6), single(3), *enumerate_halftrees(7)):
+            fresh = HalfTree({v: t.ports(v) for v in t.vertices}, t.edges())
+            for read in (
+                lambda u: u.all_ports,
+                lambda u: u.edges(),
+                lambda u: u.half_edge_ports(),
+                lambda u: u.edge_objects(),
+                stratum_of,
+            ):
+                first = read(t)
+                assert read(t) is first
+                assert read(fresh) == first
+            assert t.all_ports == tuple(p for v in t.vertices for p in t.ports(v))
+            assert t.edge_objects() == tuple(sorted([*t.edges(), *((p,) for p in t.half_edge_ports())]))
+
+    def test_labelings_and_relabeled_are_built_on_first_read(self, monkeypatch):
+        walks = []
+        walk = halftree._walk
+        monkeypatch.setattr(halftree, "_walk", lambda *args: walks.append(args[2:]) or walk(*args))
+        for t in (path3(), stubbed_path(6), single(4), *enumerate_halftrees(6)):
+            t = copy.copy(t)
+            cf = canonical_form(t)
+            assert walks == []  # the string path reads its encoding off the tokens
+            relabeled = cf.relabeled
+            assert cf.relabeled is relabeled and walks == []
+            labelings = cf.labelings
+            assert len(walks) == len(labelings) == cf.automorphisms
+            assert cf.labelings is labelings and len(walks) == cf.automorphisms
+            assert repr(cf) == repr(oracles.canonical_form_reference(t))
+            walks.clear()
+
+    @pytest.mark.parametrize("t", [path(7), stubbed_path(9), star([[2, 0]] * 4)])
+    def test_label_path_walks_one_flag_until_labelings_are_read(self, monkeypatch, t):
+        monkeypatch.setattr(halftree, "_STRING_PORTS", 0)
+        walks = []
+        walk = halftree._walk
+        monkeypatch.setattr(halftree, "_walk", lambda *args: walks.append(args[2:]) or walk(*args))
+        t = copy.copy(t)
+        cf = canonical_form(t)
+        assert len(walks) == 1
+        assert cf.relabeled is cf.relabeled and len(walks) == 1
+        labelings = cf.labelings
+        assert cf.labelings is labelings and len(walks) == 1 + cf.automorphisms
+        assert repr(cf) == repr(oracles.canonical_form_reference(t))
+
+    def test_form_is_frozen(self):
+        for cf in (canonical_form(stubbed_path(4)), oracles.canonical_form_reference(stubbed_path(4))):
+            for name in ("encoding", "automorphisms", "relabeled", "labelings", "_flags"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(cf, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(cf, name)
+            with pytest.raises(AttributeError):
+                cf.extra = 1
+        with pytest.raises(TypeError):
+            hash(cf)
+
+    def test_form_equality_and_pickles_see_every_field(self):
+        t = stubbed_path(5)
+        cf, ref = canonical_form(t), oracles.canonical_form_reference(t)
+        # a form pickled or copied before its labelings are built builds them later
+        for other in (pickle.loads(pickle.dumps(cf)), copy.copy(cf), copy.deepcopy(cf)):
+            assert repr(other) == repr(ref)
+        assert cf == ref and cf is not ref and cf != cf.encoding
+        assert dataclasses.asdict(cf) == dataclasses.asdict(ref)
+        rotated = CanonicalForm(ref.encoding, ref.automorphisms, ref.relabeled, ref.labelings[::-1])
+        assert (rotated == ref) is (len(ref.labelings) == 1)
+
+    def test_form_keeps_no_index_and_no_tree(self):
+        # what a form reaches, before and after its labelings are built: never
+        # the tree (so no cycle through ``_canonical``) and no port index
+        t = stubbed_path(6)
+        index = {p: i for v in t.vertices for i, p in enumerate(t.ports(v))}
+        cf = canonical_form(t)
+        for read in (None, "labelings", "relabeled"):
+            if read:
+                getattr(cf, read)
+            seen = reachable(cf)
+            assert all(x is not t for x in seen)
+            assert index not in [x for x in seen if isinstance(x, dict)]
+        gc.collect()
+        gc.disable()
+        try:
+            u = copy.copy(t)
+            assert canonical_form(u).labelings and canonical_form(u).relabeled
+            del u
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_invalid_tree_raises_every_time_and_keeps_nothing(self):
         invalid = (

@@ -500,10 +500,10 @@ class TestPrefixPruning:
                     cuts.append({v: coloring[v] for v in seen})
                 return verdict
 
-            def only_this_tree(k, adj=adj):
-                return [adj] if k == len(adj) else []
+            def only_this_tree(m, adj=adj):
+                return ([adj] if k == len(adj) else [] for k in range(1, m + 1))
 
-            monkeypatch.setattr(lemmas, "_all_trees", only_this_tree)
+            monkeypatch.setattr(lemmas, "_tree_levels", only_this_tree)
             monkeypatch.setattr(lemmas, "_closing_masks", recording)
             got = lemmas.verify_colored_tree_lemma(n, 4)
             monkeypatch.setattr(lemmas, "_closing_masks", original)

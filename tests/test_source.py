@@ -183,14 +183,16 @@ def test_recursion_guard_sees_nested_and_method_calls():
 # hands the same object to every caller, so no caller may write into them
 _SHARED_MAPS = {"port_map", "vertex_map", "rotation"}
 _MUTATORS = {"clear", "pop", "popitem", "setdefault", "update"}
+# the slots in which a half-tree keeps its form and its derived tables
+_KEPT_SLOTS = {"_canonical", "_stratum", "_all_ports", "_edges", "_half_edges", "_edge_objects"}
 
 
 def _shared_form_writes(tree: ast.AST, may_keep: bool) -> list[int]:
-    """Lines of ``tree`` that write into a kept canonical form.
+    """Lines of ``tree`` that write into a kept canonical form or table.
 
     That is a store or ``del`` on ``x.port_map[...]``, ``x.vertex_map[...]`` or
     ``x.rotation[...]``, a mutating method called on one of those dicts, and,
-    unless ``may_keep``, a store to a ``_canonical`` attribute.
+    unless ``may_keep``, a store to one of a half-tree's kept slots.
     """
 
     def shared(node: ast.AST) -> bool:
@@ -203,12 +205,12 @@ def _shared_form_writes(tree: ast.AST, may_keep: bool) -> list[int]:
             lines.add(node.lineno)
         elif isinstance(node, ast.Attribute) and node.attr in _MUTATORS and shared(node.value):
             lines.add(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "_canonical" and writes and not may_keep:
+        elif isinstance(node, ast.Attribute) and node.attr in _KEPT_SLOTS and writes and not may_keep:
             lines.add(node.lineno)
         elif (
-            _called_name(node) == "setattr"
+            _called_name(node) in ("setattr", "__setattr__")
             and not may_keep
-            and any(isinstance(a, ast.Constant) and a.value == "_canonical" for a in node.args)
+            and any(isinstance(a, ast.Constant) and a.value in _KEPT_SLOTS for a in node.args)
         ):
             lines.add(node.lineno)
     return sorted(lines)
@@ -234,9 +236,14 @@ def test_kept_form_guard_sees_every_kind_of_write():
             "setattr(t, '_canonical', cf)",
             "rotation[v] = 0",
             "x = lab.port_map[p] + lab.vertex_map.get(v) + t._canonical",
+            "t._edges = t._half_edges = ()",
+            "del t._all_ports",
+            "object.__setattr__(t, '_edge_objects', ())",
+            "t._stratum, edges = None, t._edges",
+            "x = t._stratum or t.edges() or t._all_ports",
         ]
     )
-    assert _shared_form_writes(ast.parse(snippet), may_keep=False) == [1, 2, 3, 4, 5, 6]
+    assert _shared_form_writes(ast.parse(snippet), may_keep=False) == [1, 2, 3, 4, 5, 6, 9, 10, 11, 12]
     assert _shared_form_writes(ast.parse(snippet), may_keep=True) == [1, 2, 3, 4]
 
 
